@@ -18,23 +18,18 @@ import time
 from pathlib import Path
 
 from magnon_sagnac import PRESET_NAMES, run_preset
+from magnon_sagnac.cli import UsageError, _expand_presets
 from magnon_sagnac.serialize import write_preset_outputs
 
 
 def expand(tokens: list[str]) -> list[str]:
+    """Preset names for the given preset or group names, in catalog order."""
     if not tokens:
         return list(PRESET_NAMES)
-    names: list[str] = []
-    for token in tokens:
-        if token in PRESET_NAMES:
-            names.append(token)
-            continue
-        group = [n for n in PRESET_NAMES if n.rstrip("ab") == token]
-        if not group:
-            raise SystemExit(f"unknown preset {token!r}; available: "
-                             + ", ".join(PRESET_NAMES))
-        names.extend(group)
-    # keep catalog order, drop duplicates
+    try:
+        names = {name for token in tokens for name in _expand_presets(token)}
+    except UsageError as e:
+        raise SystemExit(str(e)) from None
     return [n for n in PRESET_NAMES if n in names]
 
 

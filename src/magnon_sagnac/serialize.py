@@ -1,12 +1,30 @@
 """Deterministic output writers for sweep results.
 
 CSV is the primary format: one row per grid point in row-major order,
-floats printed with 17 significant digits so a reread reproduces them
-bitwise, non-finite values spelled nan / inf / -inf, LF line endings.
-Rerunning the same sweep yields byte-identical files regardless of
-thread count.  JSON mirrors the CSV columns as an array of records
-(non-finite values become the same strings, since strict JSON has no
-tokens for them).
+floats printed as ``%.16e`` (17 significant digits, so a reread
+reproduces them bitwise), non-finite values spelled nan / inf / -inf,
+LF line endings.  Rerunning the same sweep yields byte-identical files
+regardless of thread count.  JSON holds the same columns as an array of
+records, laid out as ``json.dumps(records, indent=1)`` would: finite
+floats as their shortest round-trip ``repr``, non-finite values as the
+quoted strings "nan" / "inf" / "-inf", since strict JSON has no tokens
+for them.
+
+Both text formats are built column by column, in steps of whole
+first-axis rows of about ``_STEP`` points: each float column is
+formatted in one ``map`` over ``.tolist()``, each distinct axis value
+once, and the rows are joined from the column texts.  Two invariants
+keep this byte-identical to formatting each record on its own:
+
+* Python spells non-finite floats nan / inf / -inf under both ``%.16e``
+  and ``repr``, and prints nan unsigned even with its sign bit set, so
+  no value needs a special case before the JSON quoting.
+* Either spelling of ``abs(x)`` is the spelling of ``x`` without its
+  leading ``-``, for -0.0, nan and -inf too, so ``I_abs_db`` is derived
+  from the ``I_signed_db`` text instead of being formatted again.
+
+Directions and error codes are plain ASCII words and are written
+verbatim (quoted in JSON).
 
 The SVG writer is intentionally minimal: line plots for one axis or a
 small family of rows, a downsampled rectangle heatmap otherwise.  No
@@ -18,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,66 +46,108 @@ from .sweep import FigurePreset, SweepResult
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
               "direction,error_code")
 
-
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.16e}"
+# One record as json.dumps(records, indent=1) lays it out; %s marks a value.
+_JSON_RECORD = (' {\n  "axis1": %s,\n  "axis2": %s,\n  "T12": %s,\n'
+                '  "T21": %s,\n  "R": %s,\n  "I_signed_db": %s,\n'
+                '  "I_abs_db": %s,\n  "direction": "%s",\n'
+                '  "error_code": "%s"\n }')
+_JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_STEP = 1 << 16  # points formatted per step
 
 
 def jsonable(x: float):
     """A float if finite, else its nan/inf string (strict JSON has neither)."""
-    return x if math.isfinite(x) else _fmt(x)
+    return x if math.isfinite(x) else str(float(x))
 
 
-def _rows(result: SweepResult):
+def _float_text(values: np.ndarray, as_json: bool) -> list[str]:
+    """``%.16e`` (CSV) or ``repr`` (JSON) text of each value, unquoted."""
+    if as_json:
+        return list(map(float.__repr__, values.tolist()))
+    # float.__format__ skips str.format's parsing of a "{:.16e}" template.
+    return list(map(float.__format__, values.tolist(), repeat(".16e")))
+
+
+def _unsigned(text: list[str]) -> list[str]:
+    """The text of ``abs(x)`` from the unquoted text of ``x``."""
+    return list(map(str.lstrip, text, repeat("-")))
+
+
+def _json_quoted(text: list[str], values: np.ndarray) -> list[str]:
+    """Quote the nan/inf/-inf entries of ``text``, the text of ``values``."""
+    if np.isfinite(values).all():
+        return text
+    return list(map(_JSON_NONFINITE.get, text, text))
+
+
+def _text_columns(result: SweepResult, as_json: bool):
+    """Yield the nine text columns of each step of whole first-axis rows."""
+    def floats(values: np.ndarray) -> list[str]:
+        text = _float_text(values, as_json)
+        return _json_quoted(text, values) if as_json else text
+
+    n1 = result.shape[0]
+    n2 = result.shape[1] if len(result.axes) == 2 else 1
+    axis1 = floats(result.axis_values[0])
+    axis2 = (floats(result.axis_values[1]) if len(result.axes) == 2
+             else ["null" if as_json else ""])
     directions = result.directions()
-    i_abs = result.i_abs_db
-    two_axes = len(result.axes) == 2
-    for flat, idx in enumerate(np.ndindex(result.shape)):
-        axis1 = result.axis_values[0][idx[0]]
-        axis2 = _fmt(result.axis_values[1][idx[1]]) if two_axes else ""
-        yield (_fmt(axis1), axis2, _fmt(result.t12[idx]),
-               _fmt(result.t21[idx]), _fmt(result.ratio[idx]),
-               _fmt(result.i_signed_db[idx]), _fmt(i_abs[idx]),
-               str(directions[idx]), result.error_codes.get(flat, ""))
+    codes = [""] * result.n_points
+    for flat, code in result.error_codes.items():
+        codes[flat] = code
+    rows = max(1, _STEP // n2)
+    for i0 in range(0, n1, rows):
+        i1 = min(i0 + rows, n1)
+        signed = result.i_signed_db[i0:i1].ravel()
+        signed_text = _float_text(signed, as_json)
+        abs_text = _unsigned(signed_text)
+        if as_json:
+            signed_text = _json_quoted(signed_text, signed)
+            abs_text = _json_quoted(abs_text, signed)
+        yield (list(chain.from_iterable(map(repeat, axis1[i0:i1],
+                                            repeat(n2)))),
+               axis2 * (i1 - i0),
+               floats(result.t12[i0:i1].ravel()),
+               floats(result.t21[i0:i1].ravel()),
+               floats(result.ratio[i0:i1].ravel()),
+               signed_text, abs_text,
+               directions[i0:i1].ravel().tolist(),
+               codes[i0 * n2:i1 * n2])
 
 
 def csv_text(result: SweepResult) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(",".join(row) for row in _rows(result))
-    return "\n".join(lines) + "\n"
+    def pieces():
+        yield CSV_HEADER + "\n"
+        for columns in _text_columns(result, as_json=False):
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+    return "".join(pieces())
 
 
 def write_csv(result: SweepResult, path) -> None:
     Path(path).write_text(csv_text(result), encoding="utf-8", newline="\n")
 
 
-def json_records(result: SweepResult) -> list[dict]:
-    directions = result.directions()
-    i_abs = result.i_abs_db
-    two_axes = len(result.axes) == 2
-    records = []
-    for flat, idx in enumerate(np.ndindex(result.shape)):
-        records.append({
-            "axis1": jsonable(float(result.axis_values[0][idx[0]])),
-            "axis2": (jsonable(float(result.axis_values[1][idx[1]]))
-                      if two_axes else None),
-            "T12": jsonable(float(result.t12[idx])),
-            "T21": jsonable(float(result.t21[idx])),
-            "R": jsonable(float(result.ratio[idx])),
-            "I_signed_db": jsonable(float(result.i_signed_db[idx])),
-            "I_abs_db": jsonable(float(i_abs[idx])),
-            "direction": str(directions[idx]),
-            "error_code": result.error_codes.get(flat, ""),
-        })
-    return records
-
-
 def json_text(result: SweepResult) -> str:
-    return json.dumps(json_records(result), indent=1) + "\n"
+    # Joining the template's pieces and values beats ``%`` per record.
+    pieces_of = _JSON_RECORD.split("%s")
+
+    def pieces():
+        separator = "[\n"
+        for columns in _text_columns(result, as_json=True):
+            parts = [repeat(pieces_of[0])]
+            for column, piece in zip(columns, pieces_of[1:]):
+                parts += (column, repeat(piece))
+            yield separator
+            yield ",\n".join(map("".join, zip(*parts)))
+            separator = ",\n"
+        yield "\n]\n"
+
+    return "".join(pieces())
+
+
+def json_records(result: SweepResult) -> list[dict]:
+    return json.loads(json_text(result))
 
 
 def write_json(result: SweepResult, path) -> None:
