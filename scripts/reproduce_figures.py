@@ -50,8 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         paths = write_preset_outputs(preset, result, args.out)
         elapsed = time.perf_counter() - start
         shape = "x".join(str(n) for n in result.shape)
-        failed = sum(1 for code in result.error_codes.values()
-                     if code != "INF_ISOLATION")
+        failed = result.n_failed
         print(f"{name:6s} {shape:>10s} grid, {failed} failed points, "
               f"{elapsed:6.2f} s -> {paths[0].parent}/{name}.{{csv,svg}}")
         print(f"       {preset.description}")

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sweep import FigurePreset, SweepResult
+from .sweep import CODE_NAMES, FigurePreset, SweepResult
 
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
               "direction,error_code")
@@ -52,6 +52,7 @@ _JSON_RECORD = (' {\n  "axis1": %s,\n  "axis2": %s,\n  "T12": %s,\n'
                 '  "I_abs_db": %s,\n  "direction": "%s",\n'
                 '  "error_code": "%s"\n }')
 _JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_CODE_TEXT = np.array(CODE_NAMES, dtype=object)  # indexed by SweepResult.codes
 _STEP = 1 << 16  # points formatted per step
 
 
@@ -92,9 +93,6 @@ def _text_columns(result: SweepResult, as_json: bool):
     axis2 = (floats(result.axis_values[1]) if len(result.axes) == 2
              else ["null" if as_json else ""])
     directions = result.directions()
-    codes = [""] * result.n_points
-    for flat, code in result.error_codes.items():
-        codes[flat] = code
     rows = max(1, _STEP // n2)
     for i0 in range(0, n1, rows):
         i1 = min(i0 + rows, n1)
@@ -112,7 +110,7 @@ def _text_columns(result: SweepResult, as_json: bool):
                floats(result.ratio[i0:i1].ravel()),
                signed_text, abs_text,
                directions[i0:i1].ravel().tolist(),
-               codes[i0 * n2:i1 * n2])
+               _CODE_TEXT[result.codes[i0:i1].ravel()].tolist())
 
 
 def csv_text(result: SweepResult) -> str:

@@ -210,11 +210,11 @@ def transmission_grid(*, delta, delta_f, kappa_1, kappa_2, gamma_m, omega_s,
     All arguments are effective quantities (couplings already squeeze
     enhanced, magnon drive already in the squeezed frame).  Returns
     (t12, t21, ratio, i_signed_db) as float arrays.  Points where both
-    outputs vanish come back as nan in ratio and i_signed_db; a single
-    vanishing backward output gives inf.  No validity checking is done
-    here, callers mask bad points themselves.
+    outputs vanish come back as nan in ratio and i_signed_db, a single
+    vanishing output as infinite isolation, an overflow as non-finite t12
+    or t21.  No validity checking is done here, callers mask bad points.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = 0.5 * kappa_1 + 1j * (np.asarray(delta) + np.asarray(delta_f))
         d2 = 0.5 * kappa_2 + 1j * (np.asarray(delta) - np.asarray(delta_f))
         dm = 0.5 * gamma_m + 1j * np.asarray(omega_s)

@@ -1,11 +1,11 @@
 """Parameter sweeps over the steady-state transmissions.
 
 Grids are evaluated through the vectorized closed-form kernel in
-:mod:`.steady_state`, one or two axes at a time.  Points that fail
-validation (non-positive damping rate, unstable squeezing input, no real
-extremal shift, vanishing transmission) are marked with a per-point error
-code and filled with nan instead of aborting the whole sweep; only a
-sweep in which every single point fails raises.
+:mod:`.steady_state`, one or two axes at a time, from one table of what
+each :class:`SweepParameter` means.  Points that fail validation
+(non-positive damping rate, unstable squeezing input, no real extremal
+shift, overflow, vanishing transmission) get a code in a ``uint8`` array
+over the grid; only a sweep in which every point fails raises.
 
 The Fizeau shift can either be held at the base value (or swept as an
 axis) or re-optimized per grid point through ``delta_f_policy``, which
@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,10 +39,13 @@ from .analysis import brute_force_optimum
 
 THREADS_ENV_VAR = "MAGNON_SAGNAC_THREADS"
 
-# Codes that invalidate a grid point; its result columns are set to nan.
-# INF_ISOLATION is informational, the point keeps its (infinite) values.
-_SCRUB_CODES = frozenset({"RATE_POSITIVE", "NONFINITE", "COUPLING_NEGATIVE",
-                          "NO_REAL_EXTREMUM", "EXTREMUM_SEARCH_FAILED"})
+# Per-point codes in precedence order: a point keeps the first that applies.
+# The codes up to EXTREMUM_SEARCH_FAILED, found before the kernel runs, set
+# the point's columns to nan.  All but INF_ISOLATION count as failed.
+CODE_NAMES = ("", "RATE_POSITIVE", "COUPLING_NEGATIVE", "NONFINITE",
+              "NO_REAL_EXTREMUM", "EXTREMUM_SEARCH_FAILED", "OVERFLOW",
+              "NO_TRANSMISSION", "INF_ISOLATION")
+_INF_ISOLATION = CODE_NAMES.index("INF_ISOLATION")
 
 
 class SweepError(Exception):
@@ -60,6 +66,64 @@ class DeltaFPolicy(Enum):
     FIXED = "fixed"
     EXTREMAL_POSITIVE = "extremal_positive"
     EXTREMAL_NEGATIVE = "extremal_negative"
+
+
+@dataclass(frozen=True)
+class _Quantity:
+    """How one sweepable quantity is read, written and fed to the kernel."""
+
+    get: Callable[[SystemParams], float]
+    set: Callable[[SystemParams, float], SystemParams]
+    kernel: Callable[[dict, SystemParams, np.ndarray], dict]  # args to replace
+    direct_only: bool = False  # defined with DIRECT squeezing only
+
+
+def _squeezed_couplings(args: dict, base: SystemParams, grid) -> dict:
+    # The squeezed-frame drive eps_3_eff is part of the base and is
+    # deliberately not rescaled along a squeeze axis.
+    ch = np.cosh(2.0 * grid)
+    return {"g_1": base.g0_1_mhz * ch, "g_2": base.g0_2_mhz * ch}
+
+
+# Table order is substitution order: a squeeze axis is substituted before
+# a coupling-ratio axis so the ratio acts on the squeeze-enhanced value.
+_QUANTITIES = {
+    SweepParameter.DELTA_F: _Quantity(
+        lambda p: p.delta_f_mhz, lambda p, v: replace(p, delta_f_mhz=v),
+        lambda args, base, grid: {"delta_f": grid}),
+    SweepParameter.GAMMA_M: _Quantity(
+        lambda p: p.magnon.gamma_m_mhz,
+        lambda p, v: replace(p, magnon=replace(p.magnon, gamma_m_mhz=v)),
+        lambda args, base, grid: {"gamma_m": grid}),
+    SweepParameter.KAPPA: _Quantity(
+        lambda p: p.mode_1.kappa_mhz,
+        lambda p, v: replace(p, mode_1=CavityMode.from_eta(v, p.mode_1.eta),
+                             mode_2=CavityMode.from_eta(v, p.mode_2.eta)),
+        lambda args, base, grid: {"kappa_1": grid, "kappa_2": grid}),
+    SweepParameter.DELTA: _Quantity(
+        lambda p: p.delta_mhz, lambda p, v: replace(p, delta_mhz=v),
+        lambda args, base, grid: {"delta": grid}),
+    SweepParameter.SQUEEZE: _Quantity(
+        lambda p: p.squeeze.g_squeeze,
+        lambda p, v: replace(p, squeeze=replace(p.squeeze, g_squeeze=v)),
+        _squeezed_couplings, direct_only=True),
+    SweepParameter.COUPLING_RATIO: _Quantity(
+        lambda p: p.g0_2_mhz / p.g0_1_mhz,
+        lambda p, v: replace(p, g0_2_mhz=v * p.g0_1_mhz),
+        lambda args, base, grid: {"g_2": grid * np.asarray(args["g_1"])}),
+    SweepParameter.OMEGA_S: _Quantity(
+        lambda p: p.effective().omega_s_mhz,
+        lambda p, v: replace(p, squeeze=replace(p.squeeze,
+                                                omega_s_override_mhz=v)),
+        lambda args, base, grid: {"omega_s": grid}),
+}
+
+
+def _quantity(params: SystemParams, parameter: SweepParameter) -> _Quantity:
+    quantity = _QUANTITIES[parameter]
+    if quantity.direct_only and params.squeeze.mode is not SqueezeMode.DIRECT:
+        raise SweepError("the squeeze exponent requires DIRECT squeezing")
+    return quantity
 
 
 @dataclass(frozen=True)
@@ -96,9 +160,7 @@ class Axis:
     def scale(self, base: SystemParams) -> float:
         if self.normalization is None:
             return 1.0
-        if self.normalization is SweepParameter.GAMMA_M:
-            return base.magnon.gamma_m_mhz
-        return base.mode_1.kappa_mhz
+        return parameter_value(base, self.normalization)
 
     def label(self) -> str:
         if self.normalization is None:
@@ -108,53 +170,13 @@ class Axis:
 
 def apply_parameter(params: SystemParams, parameter: SweepParameter,
                     value: float) -> SystemParams:
-    """Copy of ``params`` with one physical quantity replaced.
-
-    KAPPA rewrites both optical modes, preserving each mode's coupling
-    fraction.  COUPLING_RATIO rescales g0_2 against the current g0_1.
-    """
-    if parameter is SweepParameter.DELTA_F:
-        return replace(params, delta_f_mhz=value)
-    if parameter is SweepParameter.DELTA:
-        return replace(params, delta_mhz=value)
-    if parameter is SweepParameter.GAMMA_M:
-        return replace(params, magnon=replace(params.magnon, gamma_m_mhz=value))
-    if parameter is SweepParameter.KAPPA:
-        return replace(params,
-                       mode_1=CavityMode.from_eta(value, params.mode_1.eta),
-                       mode_2=CavityMode.from_eta(value, params.mode_2.eta))
-    if parameter is SweepParameter.SQUEEZE:
-        if params.squeeze.mode is not SqueezeMode.DIRECT:
-            raise SweepError("sweeping the squeeze exponent requires DIRECT "
-                             "squeezing, not FROM_PUMP")
-        return replace(params, squeeze=replace(params.squeeze, g_squeeze=value))
-    if parameter is SweepParameter.OMEGA_S:
-        return replace(params,
-                       squeeze=replace(params.squeeze, omega_s_override_mhz=value))
-    if parameter is SweepParameter.COUPLING_RATIO:
-        return replace(params, g0_2_mhz=value * params.g0_1_mhz)
-    raise ValueError(f"unhandled sweep parameter {parameter}")
+    """Copy of ``params`` with one physical quantity replaced."""
+    return _quantity(params, parameter).set(params, value)
 
 
 def parameter_value(params: SystemParams, parameter: SweepParameter) -> float:
     """Current value of a sweepable quantity, mirror of apply_parameter."""
-    if parameter is SweepParameter.DELTA_F:
-        return params.delta_f_mhz
-    if parameter is SweepParameter.DELTA:
-        return params.delta_mhz
-    if parameter is SweepParameter.GAMMA_M:
-        return params.magnon.gamma_m_mhz
-    if parameter is SweepParameter.KAPPA:
-        return params.mode_1.kappa_mhz
-    if parameter is SweepParameter.SQUEEZE:
-        if params.squeeze.mode is not SqueezeMode.DIRECT:
-            raise SweepError("squeeze exponent is only explicit in DIRECT mode")
-        return params.squeeze.g_squeeze
-    if parameter is SweepParameter.OMEGA_S:
-        return params.effective().omega_s_mhz
-    if parameter is SweepParameter.COUPLING_RATIO:
-        return params.g0_2_mhz / params.g0_1_mhz
-    raise ValueError(f"unhandled sweep parameter {parameter}")
+    return _quantity(params, parameter).get(params)
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -215,46 +237,18 @@ def _base_kernel_args(base: SystemParams) -> dict:
     }
 
 
-def _substitute(args: dict, base: SystemParams, parameter: SweepParameter,
-                grid: np.ndarray) -> None:
-    if parameter is SweepParameter.DELTA_F:
-        args["delta_f"] = grid
-    elif parameter is SweepParameter.DELTA:
-        args["delta"] = grid
-    elif parameter is SweepParameter.GAMMA_M:
-        args["gamma_m"] = grid
-    elif parameter is SweepParameter.KAPPA:
-        args["kappa_1"] = grid
-        args["kappa_2"] = grid
-    elif parameter is SweepParameter.OMEGA_S:
-        args["omega_s"] = grid
-    elif parameter is SweepParameter.SQUEEZE:
-        if base.squeeze.mode is not SqueezeMode.DIRECT:
-            raise SweepError("sweeping the squeeze exponent requires DIRECT "
-                             "squeezing, not FROM_PUMP")
-        # The squeezed-frame drive eps_3_eff is part of the base and is
-        # deliberately not rescaled along a squeeze axis.
-        ch = np.cosh(2.0 * grid)
-        args["g_1"] = base.g0_1_mhz * ch
-        args["g_2"] = base.g0_2_mhz * ch
-    elif parameter is SweepParameter.COUPLING_RATIO:
-        args["g_2"] = grid * np.asarray(args["g_1"])
-    else:
-        raise ValueError(f"unhandled sweep parameter {parameter}")
-
-
 @dataclass
 class SweepResult:
-    """Dense grid of transmissions plus sparse per-point error codes.
+    """Dense grid of transmissions plus a dense per-point error code array.
 
     Arrays are indexed ``[i]`` for one axis and ``[i, j]`` for two, with
     axis 0 the first axis given to :func:`sweep`.  ``axis_values`` holds
     the file-facing (possibly normalized) coordinates; ``delta_f_mhz`` the
     shift actually used at each point, which differs from the base value
-    under an extremal policy.  ``error_codes`` maps flat (row-major)
-    indices to a short code string for the points that failed, plus the
-    informational INF_ISOLATION marker for points where the backward
-    output vanishes exactly.
+    under an extremal policy.  ``codes`` holds each point's index into
+    ``CODE_NAMES``: 0 if clean, else its failure or the informational
+    INF_ISOLATION (one output vanishes exactly).  ``error_codes`` is a
+    read-only ``{flat row-major index: code name}`` view of the marked points.
     """
 
     base: SystemParams
@@ -265,7 +259,7 @@ class SweepResult:
     t21: np.ndarray
     ratio: np.ndarray
     i_signed_db: np.ndarray
-    error_codes: dict[int, str] = field(default_factory=dict)
+    codes: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -277,12 +271,24 @@ class SweepResult:
         return self.t12.size
 
     @property
+    def n_failed(self) -> int:
+        """Points with a code other than the informational INF_ISOLATION."""
+        return int(np.count_nonzero((self.codes != 0)
+                                    & (self.codes != _INF_ISOLATION)))
+
+    @property
     def i_abs_db(self) -> np.ndarray:
         return np.abs(self.i_signed_db)
 
+    @cached_property
+    def error_codes(self) -> Mapping[int, str]:
+        flat = np.flatnonzero(self.codes)
+        names = map(CODE_NAMES.__getitem__, self.codes.ravel()[flat].tolist())
+        return MappingProxyType(dict(zip(flat.tolist(), names)))
+
     def error_code_at(self, *idx: int) -> str | None:
-        flat = int(np.ravel_multi_index(idx, self.shape))
-        return self.error_codes.get(flat)
+        flat = np.ravel_multi_index(idx, self.shape)
+        return CODE_NAMES[self.codes.flat[flat]] or None
 
     def directions(self, tol_db: float = 1e-9) -> np.ndarray:
         """Per-point direction labels; failed points come back empty."""
@@ -341,27 +347,21 @@ def sweep(base: SystemParams, axes, *,
 
     display = tuple(ax.values() for ax in axes)
     physical = tuple(vals * ax.scale(base) for ax, vals in zip(axes, display))
-    if len(axes) == 1:
-        grids = [physical[0]]
-        shape: tuple[int, ...] = (axes[0].count,)
-    else:
-        mesh = np.meshgrid(physical[0], physical[1], indexing="ij")
-        grids = list(mesh)
-        shape = (axes[0].count, axes[1].count)
+    grids = np.meshgrid(*physical, indexing="ij", copy=False)
+    shape = tuple(ax.count for ax in axes)
 
     args = _base_kernel_args(base)  # raises on unstable FROM_PUMP input
-    # Apply a squeeze axis before a coupling-ratio axis so the ratio acts
-    # on the squeeze-enhanced value.
-    order = sorted(range(len(axes)),
-                   key=lambda i: axes[i].parameter is not SweepParameter.SQUEEZE)
-    for i in order:
-        _substitute(args, base, axes[i].parameter, grids[i])
+    order = list(_QUANTITIES)
+    with np.errstate(over="ignore"):  # overflowed values are marked below
+        for ax, grid in sorted(zip(axes, grids),
+                               key=lambda pair: order.index(pair[0].parameter)):
+            args.update(_quantity(base, ax.parameter).kernel(args, base, grid))
 
-    errors: dict[int, str] = {}
+    codes = np.zeros(shape, dtype=np.uint8)
 
     def mark(mask, code: str) -> None:
-        for flat in np.flatnonzero(np.broadcast_to(mask, shape).ravel()):
-            errors.setdefault(int(flat), code)
+        if np.any(mask):
+            codes[(codes == 0) & mask] = CODE_NAMES.index(code)
 
     for key in ("kappa_1", "kappa_2", "gamma_m"):
         mark(np.asarray(args[key]) <= 0.0, "RATE_POSITIVE")
@@ -382,37 +382,38 @@ def sweep(base: SystemParams, axes, *,
             shift = _extremal_shift_arrays(args, positive, shape, mark)
         else:
             shift = _extremal_shift_fallback(base, axes, physical, shape,
-                                             positive, delta_f_band, errors)
+                                             positive, delta_f_band, codes)
         if delta_f_band is not None:
             shift = np.clip(shift, delta_f_band[0], delta_f_band[1])
         args["delta_f"] = shift
 
+    blank = codes != 0  # the codes found before the kernel runs
     t12, t21, ratio, i_signed = _evaluate_grid(args, shape, n_threads)
-    mark(np.isnan(ratio), "NO_TRANSMISSION")
-    mark(np.isinf(ratio), "INF_ISOLATION")
+    if not np.isfinite(i_signed).all():  # I is not finite at these codes
+        mark(~(np.isfinite(t12) & np.isfinite(t21)), "OVERFLOW")
+        mark(np.isnan(ratio), "NO_TRANSMISSION")
+        mark(np.isinf(i_signed), "INF_ISOLATION")
 
     delta_f_full = np.broadcast_to(np.asarray(args["delta_f"], dtype=float),
                                    shape).copy()
-    for flat, code in errors.items():
-        if code in _SCRUB_CODES:
-            for arr in (t12, t21, ratio, i_signed, delta_f_full):
-                arr.ravel()[flat] = math.nan
-
-    n_failed = sum(1 for code in errors.values() if code != "INF_ISOLATION")
-    if n_failed == int(np.prod(shape)):
-        raise SweepError("every grid point failed validation")
+    if blank.any():
+        for arr in (t12, t21, ratio, i_signed, delta_f_full):
+            arr[blank] = math.nan
 
     meta = {"delta_f_policy": policy.value,
             "delta_f_band": delta_f_band,
             "threads": n_threads,
             "axis_labels": tuple(ax.label() for ax in axes)}
-    return SweepResult(base, axes, display, delta_f_full, t12, t21, ratio,
-                       i_signed, errors, meta)
+    result = SweepResult(base, axes, display, delta_f_full, t12, t21, ratio,
+                         i_signed, codes, meta)
+    if result.n_failed == result.n_points:
+        raise SweepError("every grid point failed validation")
+    return result
 
 
 def _extremal_shift_arrays(args: dict, positive: bool, shape, mark) -> np.ndarray:
     """Vectorized extremal Fizeau shift (uniform ports assumed)."""
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         kappa = np.asarray(args["kappa_1"], dtype=float)
         gamma_m = np.asarray(args["gamma_m"], dtype=float)
         g1 = np.asarray(args["g_1"], dtype=float)
@@ -429,13 +430,13 @@ def _extremal_shift_arrays(args: dict, positive: bool, shape, mark) -> np.ndarra
 
 
 def _extremal_shift_fallback(base, axes, physical, shape, positive: bool,
-                             band, errors: dict[int, str]) -> np.ndarray:
+                             band, codes: np.ndarray) -> np.ndarray:
     """Per-point numeric extremum search for non-uniform ports."""
     lo, hi = band if band is not None else FEASIBLE_FIZEAU_BAND
     half = (0.0, hi) if positive else (lo, 0.0)
     shift = np.full(shape, math.nan)
     for flat, idx in enumerate(np.ndindex(shape)):
-        if flat in errors:
+        if codes.flat[flat]:
             continue
         point = base
         for ax, values, k in zip(axes, physical, idx):
@@ -444,7 +445,7 @@ def _extremal_shift_fallback(base, axes, physical, shape, positive: bool,
             shift[idx] = brute_force_optimum(point, half,
                                              grid_points=301).delta_f_mhz
         except (PhysicsError, ValueError):
-            errors.setdefault(flat, "EXTREMUM_SEARCH_FAILED")
+            codes.flat[flat] = CODE_NAMES.index("EXTREMUM_SEARCH_FAILED")
     return shift
 
 

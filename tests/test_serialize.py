@@ -128,10 +128,13 @@ def _byte_identity_grids(base):
     yield "-inf isolation", sweep(
         replace(with_delta_f(base, 10.0), g0_1_mhz=0.0),
         [Axis(p.DELTA_F, -10.0, 10.0, 3), Axis(p.DELTA, -10.0, 10.0, 3)])
-    with np.errstate(over="ignore"):  # the kernel overflows at this shift
-        no_transmission = sweep(base, [Axis(p.DELTA_F, -1e160, 1e160, 21),
-                                       Axis(p.GAMMA_M, 1.0, 8.0, 5)])
-    yield "NO_TRANSMISSION", no_transmission
+    yield "OVERFLOW", sweep(base, [Axis(p.DELTA_F, -1e160, 1e160, 21),
+                                   Axis(p.GAMMA_M, 1.0, 8.0, 5)])
+    silent = replace(with_delta_f(base, 10.0),
+                     magnon=replace(base.magnon, eta3=0.0))
+    yield "NO_TRANSMISSION", sweep(
+        silent,
+        [Axis(p.COUPLING_RATIO, 0.0, 2.0, 5), Axis(p.GAMMA_M, 1.0, 8.0, 4)])
     yield "reciprocal -0.0", _reciprocal_with_negative_zero(base)
 
 
@@ -149,7 +152,9 @@ class TestByteIdentity:
                  for name, res in grids.items()}
         assert "RATE_POSITIVE" in codes["masked 2-D"]
         assert "INF_ISOLATION" in codes["INF_ISOLATION +inf"]
+        assert "OVERFLOW" in codes["OVERFLOW"]
         assert "NO_TRANSMISSION" in codes["NO_TRANSMISSION"]
+        assert "INF_ISOLATION" in codes["-inf isolation"]
         assert np.isneginf(grids["-inf isolation"].i_signed_db).any()
         negative_zero_row = grids["reciprocal -0.0"].i_signed_db[1]
         assert np.signbit(negative_zero_row).tolist() == [True, True, False,

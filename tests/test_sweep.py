@@ -1,6 +1,7 @@
 """Tests for grid sweeps, shift policies, error masking and presets."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -24,7 +25,18 @@ from magnon_sagnac import (
     transmissions,
     with_delta_f,
 )
-from magnon_sagnac.sweep import THREADS_ENV_VAR, _resolve_threads
+from magnon_sagnac.sweep import CODE_NAMES, THREADS_ENV_VAR, _resolve_threads
+
+# A range per parameter on which the demonstration set stays valid.
+_VALID_RANGES = {
+    SweepParameter.DELTA_F: (-40.0, 40.0),
+    SweepParameter.GAMMA_M: (2.0, 8.0),
+    SweepParameter.KAPPA: (0.5, 3.0),
+    SweepParameter.DELTA: (-10.0, 10.0),
+    SweepParameter.SQUEEZE: (0.0, 1.0),
+    SweepParameter.COUPLING_RATIO: (0.5, 2.0),
+    SweepParameter.OMEGA_S: (-20.0, 20.0),
+}
 
 
 class TestAxis:
@@ -81,6 +93,10 @@ class TestApplyParameter:
                                      squeeze=SqueezeSpec.from_pump(10.0, 5.0))
         with pytest.raises(SweepError):
             apply_parameter(pumped, SweepParameter.SQUEEZE, 0.3)
+        with pytest.raises(SweepError):
+            parameter_value(pumped, SweepParameter.SQUEEZE)
+        with pytest.raises(SweepError):
+            sweep(pumped, [Axis(SweepParameter.SQUEEZE, 0.0, 1.0, 3)])
 
 
 class TestResolveThreads:
@@ -118,11 +134,17 @@ class TestSweepGrid:
             assert res.i_signed_db[k] == pytest.approx(report.i_signed_db,
                                                        abs=1e-10)
 
-    def test_two_axes_indexing_and_params_at(self, base_params):
-        axes = [Axis(SweepParameter.DELTA_F, -40.0, 40.0, 5),
-                Axis(SweepParameter.GAMMA_M, 2.0, 8.0, 4)]
-        res = sweep(base_params, axes)
+    # Every ordered pair, so the kernel substitution (applied in table
+    # order) is checked against the setters (applied in axis order).
+    @pytest.mark.parametrize("first,second", itertools.permutations(
+        SweepParameter, 2), ids=lambda p: p.value)
+    def test_two_axes_indexing_and_params_at(self, base_params, first,
+                                             second):
+        axes = [Axis(first, *_VALID_RANGES[first], 5),
+                Axis(second, *_VALID_RANGES[second], 4)]
+        res = sweep(with_delta_f(base_params, 12.0), axes)
         assert res.shape == (5, 4)
+        assert not res.error_codes
         for idx in ((0, 0), (2, 3), (4, 1), (3, 2)):
             report = transmissions(res.params_at(*idx))
             assert res.t12[idx] == pytest.approx(report.t12, rel=1e-12)
@@ -181,13 +203,92 @@ class TestErrorMasking:
         with pytest.raises(SweepError):
             sweep(base_params, [ax])
 
-    def test_vanishing_backward_is_informational(self, base_params):
-        ax = Axis(SweepParameter.COUPLING_RATIO, 0.0, 1.0, 3)
-        res = sweep(with_delta_f(base_params, 10.0), [ax])
-        assert res.error_code_at(0) == "INF_ISOLATION"
-        assert np.isinf(res.ratio[0]) and np.isinf(res.i_signed_db[0])
-        assert np.isfinite(res.t12[0])  # forward value retained
-        assert res.error_code_at(1) is None
+    @pytest.mark.parametrize("output", ["backward", "forward"])
+    def test_vanishing_backward_is_informational(self, base_params, output):
+        p = SweepParameter
+        if output == "backward":  # g_2 = 0 at the first point
+            res = sweep(with_delta_f(base_params, 10.0),
+                        [Axis(p.COUPLING_RATIO, 0.0, 1.0, 3)])
+            assert res.error_code_at(1) is None
+            vanished = np.array([True, False, False])
+        else:  # g_1 = 0: every point is INF_ISOLATION, and sweep() returns
+            res = sweep(dataclasses.replace(with_delta_f(base_params, 10.0),
+                                            g0_1_mhz=0.0),
+                        [Axis(p.DELTA_F, -10.0, 10.0, 3),
+                         Axis(p.DELTA, -10.0, 10.0, 3)])
+            vanished = np.ones((3, 3), dtype=bool)
+        infinite = {"backward": np.inf, "forward": -np.inf}[output]
+        assert np.all(res.i_signed_db[vanished] == infinite)
+        assert np.all((res.ratio[vanished] == 0.0) == (output == "forward"))
+        assert [res.error_code_at(*idx) for idx in np.argwhere(vanished)] \
+            == ["INF_ISOLATION"] * int(vanished.sum())
+        # Both values are kept, and the point does not count as failed.
+        assert np.isfinite(res.t12).all() and np.isfinite(res.t21).all()
+        assert res.n_failed == 0
+
+    def test_first_code_wins(self, base_params):
+        # g_2 = -1e308 * g_1 overflows to -inf: the point is
+        # COUPLING_NEGATIVE before it is NONFINITE, and rows with
+        # gamma_m <= 0 are RATE_POSITIVE before either.
+        ratio = Axis(SweepParameter.COUPLING_RATIO, -1e308, 1.0, 3)
+        gamma = Axis(SweepParameter.GAMMA_M, -1.0, 3.0, 5)  # -1, 0, 1, 2, 3
+        res = sweep(with_delta_f(base_params, 10.0), [ratio, gamma])
+        assert [[res.error_code_at(i, j) or "" for j in range(5)]
+                for i in range(3)] == [
+            ["RATE_POSITIVE"] * 2 + ["COUPLING_NEGATIVE"] * 3,
+            ["RATE_POSITIVE"] * 2 + ["COUPLING_NEGATIVE"] * 3,
+            ["RATE_POSITIVE"] * 2 + [""] * 3,
+        ]
+
+    def test_error_codes_is_a_read_only_view_of_the_code_array(
+            self, base_params):
+        res = sweep(base_params, [Axis(SweepParameter.DELTA_F, -30, 30, 9),
+                                  Axis(SweepParameter.GAMMA_M, -2, 8, 7)])
+        assert res.codes.dtype == np.uint8 and res.codes.shape == res.shape
+        assert res.error_codes == {
+            flat: CODE_NAMES[code]
+            for flat, code in enumerate(res.codes.ravel().tolist()) if code}
+        assert set(res.error_codes.values()) == {"RATE_POSITIVE"}
+        assert res.n_failed == len(res.error_codes) == 18
+        with pytest.raises(TypeError):
+            res.error_codes[0] = "NONFINITE"
+
+    @pytest.mark.parametrize("axes,codes", [
+        # The kernel's g^2 terms overflow from G ~ 176 (G = 200, 300);
+        # cosh(2G) itself overflows from G ~ 355 (G = 400).
+        ([Axis(SweepParameter.SQUEEZE, 0.0, 400.0, 5)],
+         [None, None, "OVERFLOW", "OVERFLOW", "NONFINITE"]),
+        # g_2 = 1e308 * g_1 overflows in the substitution.
+        ([Axis(SweepParameter.COUPLING_RATIO, 0.0, 1e308, 3)],
+         ["INF_ISOLATION", "NONFINITE", "NONFINITE"]),
+        # d1 * d2 * dm overflows in the kernel at |delta_f| = 1e160.
+        ([Axis(SweepParameter.DELTA_F, -1e160, 1e160, 3)],
+         ["OVERFLOW", None, "OVERFLOW"]),
+    ], ids=["squeeze", "coupling-ratio", "shift"])
+    def test_overflow_is_named_without_warnings(self, base_params, axes,
+                                                codes):
+        # Leaked RuntimeWarnings fail the suite (pyproject filterwarnings).
+        res = sweep(with_delta_f(base_params, 10.0), axes)
+        assert [res.error_code_at(k) for k in range(len(codes))] == codes
+        # An OVERFLOW point is not blanked, but it counts as failed.
+        overflowed = res.codes == CODE_NAMES.index("OVERFLOW")
+        assert np.isfinite(res.delta_f_mhz[overflowed]).all()
+        assert res.n_failed == sum(c not in (None, "INF_ISOLATION")
+                                   for c in codes)
+
+    def test_overflow_everywhere_raises(self, base_params):
+        with pytest.raises(SweepError):
+            sweep(base_params, [Axis(SweepParameter.DELTA_F, 1e160, 2e160, 3)])
+
+    def test_no_transmission_keeps_its_code(self, base_params):
+        # eta3 = 0 and g_2 = 0: both outputs are exactly zero.
+        silent = dataclasses.replace(
+            with_delta_f(base_params, 10.0),
+            magnon=dataclasses.replace(base_params.magnon, eta3=0.0))
+        res = sweep(silent, [Axis(SweepParameter.COUPLING_RATIO, 0.0, 1.0, 3)])
+        assert res.error_code_at(0) == "NO_TRANSMISSION"
+        assert res.t12[0] == 0.0 and res.t21[0] == 0.0
+        assert res.error_code_at(1) is None and res.n_failed == 1
 
 
 class TestDeltaFPolicies:
