@@ -212,7 +212,8 @@ def transmission_grid(*, delta, delta_f, kappa_1, kappa_2, gamma_m, omega_s,
     (t12, t21, ratio, i_signed_db) as float arrays.  Points where both
     outputs vanish come back as nan in ratio and i_signed_db, a single
     vanishing output as infinite isolation, an overflow as non-finite t12
-    or t21.  No validity checking is done here, callers mask bad points.
+    or t21 (or, of the ratio alone, as infinite isolation with both outputs
+    non-zero).  No validity checking is done here, callers mask bad points.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d1 = 0.5 * kappa_1 + 1j * (np.asarray(delta) + np.asarray(delta_f))
@@ -222,6 +223,7 @@ def transmission_grid(*, delta, delta_f, kappa_1, kappa_2, gamma_m, omega_s,
         root_2 = np.sqrt(eta_2 * np.asarray(kappa_2, dtype=float))
         root_3 = np.sqrt(eta_3 * np.asarray(gamma_m, dtype=float))
         den = d1 * d2 * dm + d2 * np.square(g_1) + d1 * np.square(g_2)
+        den = np.where(np.isfinite(den), den, np.nan)  # inf + 1j would give 0
         backward = np.abs(g_2 * (d1 * root_3 * eps_3 - 1j * g_1 * root_1 * eps_1)
                           * root_2 / den)
         forward = np.abs(g_1 * (d2 * root_3 * eps_3 - 1j * g_2 * root_2 * eps_2)

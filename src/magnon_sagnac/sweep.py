@@ -158,14 +158,12 @@ class Axis:
         return np.linspace(self.start, self.stop, self.count)
 
     def scale(self, base: SystemParams) -> float:
-        if self.normalization is None:
-            return 1.0
-        return parameter_value(base, self.normalization)
+        return (1.0 if self.normalization is None
+                else parameter_value(base, self.normalization))
 
     def label(self) -> str:
-        if self.normalization is None:
-            return self.parameter.value
-        return f"{self.parameter.value}/{self.normalization.value}"
+        return (self.parameter.value if self.normalization is None
+                else f"{self.parameter.value}/{self.normalization.value}")
 
 
 def apply_parameter(params: SystemParams, parameter: SweepParameter,
@@ -287,8 +285,7 @@ class SweepResult:
         return MappingProxyType(dict(zip(flat.tolist(), names)))
 
     def error_code_at(self, *idx: int) -> str | None:
-        flat = np.ravel_multi_index(idx, self.shape)
-        return CODE_NAMES[self.codes.flat[flat]] or None
+        return CODE_NAMES[self.codes[idx]] or None
 
     def directions(self, tol_db: float = 1e-9) -> np.ndarray:
         """Per-point direction labels; failed points come back empty."""
@@ -369,9 +366,7 @@ def sweep(base: SystemParams, axes, *,
         mark(np.asarray(args[key]) < 0.0, "COUPLING_NEGATIVE")
     for key in ("delta", "delta_f", "kappa_1", "kappa_2", "gamma_m",
                 "g_1", "g_2", "omega_s"):
-        value = np.asarray(args[key], dtype=float)
-        if value.ndim:
-            mark(~np.isfinite(value), "NONFINITE")
+        mark(~np.isfinite(np.asarray(args[key], dtype=float)), "NONFINITE")
 
     if policy is not DeltaFPolicy.FIXED:
         if any(ax.parameter is SweepParameter.DELTA_F for ax in axes):
@@ -390,7 +385,9 @@ def sweep(base: SystemParams, axes, *,
     blank = codes != 0  # the codes found before the kernel runs
     t12, t21, ratio, i_signed = _evaluate_grid(args, shape, n_threads)
     if not np.isfinite(i_signed).all():  # I is not finite at these codes
-        mark(~(np.isfinite(t12) & np.isfinite(t21)), "OVERFLOW")
+        # Unless an output is exactly 0, an output or R left the float range.
+        zero = ((t12 == 0.0) | (t21 == 0.0)) & np.isfinite(t12) & np.isfinite(t21)
+        mark(~np.isfinite(i_signed) & ~zero, "OVERFLOW")
         mark(np.isnan(ratio), "NO_TRANSMISSION")
         mark(np.isinf(i_signed), "INF_ISOLATION")
 

@@ -219,7 +219,8 @@ class TestErrorMasking:
             vanished = np.ones((3, 3), dtype=bool)
         infinite = {"backward": np.inf, "forward": -np.inf}[output]
         assert np.all(res.i_signed_db[vanished] == infinite)
-        assert np.all((res.ratio[vanished] == 0.0) == (output == "forward"))
+        assert np.all(res.ratio[vanished]
+                      == {"backward": np.inf, "forward": 0.0}[output])
         assert [res.error_code_at(*idx) for idx in np.argwhere(vanished)] \
             == ["INF_ISOLATION"] * int(vanished.sum())
         # Both values are kept, and the point does not count as failed.
@@ -264,7 +265,15 @@ class TestErrorMasking:
         # d1 * d2 * dm overflows in the kernel at |delta_f| = 1e160.
         ([Axis(SweepParameter.DELTA_F, -1e160, 1e160, 3)],
          ["OVERFLOW", None, "OVERFLOW"]),
-    ], ids=["squeeze", "coupling-ratio", "shift"])
+        # At |delta_f| = 1.2e154 only the real part of d1 * d2 * dm
+        # overflows; den = inf + finite j would divide both outputs to 0.
+        ([Axis(SweepParameter.DELTA_F, -1.2e154, 1.2e154, 3)],
+         ["OVERFLOW", None, "OVERFLOW"]),
+        # Both outputs are finite and non-zero, but (T12/T21)^2 overflows.
+        ([Axis(SweepParameter.COUPLING_RATIO, 0.0, 2e-200, 3)],
+         ["INF_ISOLATION", "OVERFLOW", "OVERFLOW"]),
+    ], ids=["squeeze", "coupling-ratio", "shift", "shift-den-real",
+            "ratio-range"])
     def test_overflow_is_named_without_warnings(self, base_params, axes,
                                                 codes):
         # Leaked RuntimeWarnings fail the suite (pyproject filterwarnings).
