@@ -21,8 +21,8 @@ from .steady_state import (DegenerateSystemError, DriveSide,
                            TransmissionReport, output_fields, residuals,
                            solve_closed_form, solve_generic, transmission_grid,
                            transmissions)
-from .analysis import (Direction, GeneralExtrema, NoRealExtremumError,
-                       OptimumResult, ReciprocalPoints, SymmetricExtrema,
+from .analysis import (Direction, GeneralExtrema, OptimumResult,
+                       ReciprocalPoints, SymmetricExtrema,
                        SymmetryRequiredError, brute_force_optimum,
                        classify_direction, extremal_fizeau_general,
                        extremal_fizeau_symmetric, reciprocal_points)
@@ -39,7 +39,7 @@ __all__ = [
     "CONSTANTS", "FEASIBLE_FIZEAU_BAND", "PRESET_NAMES", "Axis",
     "CavityMode", "ConfigError", "DegenerateSystemError", "DeltaFPolicy",
     "Direction", "DriveAmplitudes", "DriveSide", "EffectiveParams",
-    "FigurePreset", "GeneralExtrema", "MagnonMode", "NoRealExtremumError",
+    "FigurePreset", "GeneralExtrema", "MagnonMode",
     "NoTransmissionError", "OptimumResult", "OutputFields",
     "PhysicalConstants", "PhysicsError", "ReciprocalPoints", "ResolvedConfig",
     "RotationDirection", "RotationSpec", "SqueezeMode", "SqueezeSpec",

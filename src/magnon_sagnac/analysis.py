@@ -1,16 +1,17 @@
 """Extremal Fizeau shifts, impedance matching and direction bookkeeping.
 
-For a symmetric system (equal ports, equal couplings g) the isolation
-ratio as a function of the Fizeau shift takes the compact form
+The determinant and the squeezed-frame frequency omega_s cancel in
+T12/T21, so for any ports the isolation ratio is a ratio of two
+quadratics in the Fizeau shift x = delta_f:
 
-    R(delta_f) = (kappa^2/4 + (u - delta_f)^2) / (kappa^2/4 + (u + delta_f)^2)
+    R(x) = (w1/w2)^2 [(kappa_2/2)^2 + (x - B)^2] / [(kappa_1/2)^2 + (x + A)^2]
 
-with u = delta - g * sqrt(kappa / gamma_m), which is extremal at
-delta_f = +/- sqrt(kappa^2/4 + u^2).  Note R is independent of the
-squeezed-frame frequency omega_s; it cancels between the two drive
-directions.  The asymmetric-coupling generalization keeps uniform ports
-but lets g_1 and g_2 differ, turning the extremum condition into a
-quadratic whose two roots are no longer mirror images.
+with A = delta - w1, B = delta - w2, w_j = g_j r_j and
+r_j = sqrt(kappa_j / gamma_m) sqrt(eta_j / eta_3) eps_j / eps_3.  Its
+two stationary shifts are always real (:func:`stationary_shifts`); one
+maximizes R and the other minimizes it.  For a symmetric system (equal
+ports, equal couplings g) they are the mirror images
++/- sqrt(kappa^2/4 + u^2) with u = delta - g * sqrt(kappa / gamma_m).
 
 The sign u = 0, i.e. delta = g * sqrt(kappa / gamma_m), is the impedance
 matched point where transmission is reciprocal for every delta_f.  Solved
@@ -24,22 +25,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import (FEASIBLE_FIZEAU_BAND, PhysicsError, SystemParams,
-                    has_uniform_ports, is_symmetric, with_delta_f)
-from .steady_state import TransmissionReport, transmissions
+                    is_symmetric, with_delta_f)
+from .steady_state import TransmissionReport, kernel_args, transmissions
 
 
 class SymmetryRequiredError(PhysicsError):
     """Closed-form analysis invoked outside its symmetry preconditions."""
-
-
-class NoRealExtremumError(PhysicsError):
-    """The extremum quadratic has a negative discriminant."""
-
-    def __init__(self, discriminant: float):
-        super().__init__(f"no real extremal Fizeau shift, discriminant = "
-                         f"{discriminant} MHz^2")
-        self.discriminant = discriminant
 
 
 class Direction(Enum):
@@ -56,10 +50,6 @@ def classify_direction(report: TransmissionReport,
     if abs(report.i_signed_db) <= tol_db:
         return Direction.RECIPROCAL
     return Direction.FORWARD if report.i_signed_db > 0 else Direction.BACKWARD
-
-
-def _in_band(value: float, band: tuple[float, float]) -> bool:
-    return band[0] <= value <= band[1]
 
 
 @dataclass(frozen=True)
@@ -80,32 +70,76 @@ class SymmetricExtrema:
 def extremal_fizeau_symmetric(
         params: SystemParams,
         band: tuple[float, float] = FEASIBLE_FIZEAU_BAND) -> SymmetricExtrema:
-    """Closed-form extremal Fizeau shifts for a fully symmetric system."""
+    """:func:`extremal_fizeau_general` for a fully symmetric system."""
     if not is_symmetric(params):
         raise SymmetryRequiredError(
             "extremal_fizeau_symmetric needs equal ports and equal couplings; "
             "see extremal_fizeau_general")
-    eff = params.effective()
-    kappa = params.mode_1.kappa_mhz
-    gamma_m = params.magnon.gamma_m_mhz
-    u = params.delta_mhz - eff.g_eff_1_mhz * math.sqrt(kappa / gamma_m)
-    s = math.hypot(0.5 * kappa, u)
-    # kappa > 0 guarantees s > |u|, so both branch ratios are finite and
-    # strictly positive.
-    ratio_plus = (s - u) / (s + u)
-    ratio_minus = (s + u) / (s - u)
-    isolation = abs(10.0 * math.log10(ratio_plus))
-    return SymmetricExtrema(s, -s, ratio_plus, ratio_minus, isolation,
-                            _in_band(s, band), _in_band(-s, band))
+    ex = extremal_fizeau_general(params, band)
+    return SymmetricExtrema(ex.delta_f_plus_mhz, ex.delta_f_minus_mhz,
+                            ex.ratio_plus, ex.ratio_minus,
+                            ex.isolation_plus_db, ex.in_band_plus,
+                            ex.in_band_minus)
+
+
+def stationary_shifts(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
+                      eta_2, eta_3, eps_1, eps_2, eps_3, delta_f=None,
+                      omega_s=None):
+    """Both stationary Fizeau shifts (x_plus, x_minus) of R, for any ports.
+
+    Takes :func:`.transmission_grid`'s keyword arguments as broadcastable
+    arrays (R depends on neither delta_f nor omega_s).  The shifts solve
+    x^2 - u1 x - u2/4 = 0 with t = (kappa_1^2 - kappa_2^2) / (4 (A + B)),
+    u1 = w1 - w2 - t and u2 = kappa_2^2 + 4 B (A + t), written so that
+    for uniform ports (t = 0) they are r (g1 - g2) and kappa^2 + 4 A B
+    operation for operation.  The discriminant is
+    (A + B)^2 + t^2 + (kappa_1^2 + kappa_2^2)/2 and is floored at its last
+    term.  A point with a non-positive rate or eta_3 eps_3 = 0 gives nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r1 = (np.sqrt(np.divide(kappa_1, gamma_m))
+              * (np.sqrt(np.divide(eta_1, eta_3)) * eps_1 / eps_3))
+        r2 = (np.sqrt(np.divide(kappa_2, gamma_m))
+              * (np.sqrt(np.divide(eta_2, eta_3)) * eps_2 / eps_3))
+        a = delta - g_1 * r1
+        b = delta - g_2 * r2
+        k1, k2 = np.multiply(kappa_1, kappa_1), np.multiply(kappa_2, kappa_2)
+        # t = 0 wherever kappa_1 = kappa_2; where that holds at every point
+        # (uniform ports), its arithmetic is skipped.
+        t = (0.0 if np.array_equal(kappa_1, kappa_2)
+             else np.where(np.equal(kappa_1, kappa_2), 0.0,
+                           (k1 - k2) / (4.0 * (a + b))))
+        u1 = r1 * (g_1 - g_2) + g_2 * (r1 - r2) - t
+        u2 = k2 + 4.0 * b * (a + t)
+        root = np.sqrt(np.maximum(u1 * u1 + u2, 0.5 * (k1 + k2)))
+        return 0.5 * (u1 + root), 0.5 * (u1 - root)
+
+
+def isolation_ratio(*, delta, delta_f, kappa_1, kappa_2, gamma_m, g_1, g_2,
+                    eta_1, eta_2, eta_3, eps_1, eps_2, eps_3, omega_s=None):
+    """R at ``delta_f`` from the ratio of quadratics, free of the
+    determinant.  Takes :func:`.transmission_grid`'s keyword arguments;
+    both quadratics are multiplied through by f3 = sqrt(eta_3 gamma_m)
+    eps_3, so R stays finite (it is 1) where f3 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f3 = np.sqrt(np.multiply(eta_3, gamma_m)) * eps_3
+        p1 = g_1 * np.sqrt(np.multiply(eta_1, kappa_1)) * eps_1
+        p2 = g_2 * np.sqrt(np.multiply(eta_2, kappa_2)) * eps_2
+        num = (np.square(0.5 * kappa_2 * f3)
+               + np.square(f3 * (delta_f - delta) + p2))
+        den = (np.square(0.5 * kappa_1 * f3)
+               + np.square(f3 * (delta_f + delta) - p1))
+        return np.square(p1) * num / (np.square(p2) * den)
 
 
 @dataclass(frozen=True)
 class GeneralExtrema:
-    """Extremal shifts with unequal couplings (uniform ports).
+    """Both stationary Fizeau shifts of R and the ratio at each.
 
     ``u1_mhz`` and ``u2_mhz2`` are the linear and constant coefficients of
-    the extremum quadratic delta_f^2 - u1 delta_f - u2/4 = 0, kept for
-    inspection; the plus branch takes the + sign of the discriminant root.
+    the extremum quadratic delta_f^2 - u1 delta_f - u2/4 = 0 (the sum of
+    the shifts and -4 times their product), kept for inspection; the plus
+    branch is the larger shift.
     """
 
     u1_mhz: float
@@ -126,49 +160,25 @@ class GeneralExtrema:
         return abs(10.0 * math.log10(self.ratio_minus))
 
 
-def _branch_ratio(delta: float, delta_f: float, g1: float, g2: float,
-                  rt: float) -> float:
-    denom = delta + delta_f - g1 * rt
-    if denom == 0.0:
-        return math.inf
-    return -(g1 / g2) ** 2 * (delta - delta_f - g2 * rt) / denom
-
-
 def extremal_fizeau_general(
         params: SystemParams,
         band: tuple[float, float] = FEASIBLE_FIZEAU_BAND) -> GeneralExtrema:
-    """Extremal Fizeau shifts allowing g_1 != g_2.
+    """Closed-form extremal Fizeau shifts for any ports and couplings.
 
-    Reduces to the symmetric result when the couplings match.  The
-    discriminant u1^2 + u2 rearranges to kappa^2 + (2 delta - (g1 + g2) rt)^2,
-    a sum of squares, so real extrema exist for every positive linewidth;
-    NoRealExtremumError stays only as a guard against degenerate input.
+    Reduces to the symmetric result when ports and couplings match.  Both
+    shifts are real for every positive linewidth.
     """
-    if not has_uniform_ports(params):
-        raise SymmetryRequiredError(
-            "extremal_fizeau_general needs equal optical linewidths, coupling "
-            "fractions and drive amplitudes")
-    eff = params.effective()
-    g1, g2 = eff.g_eff_1_mhz, eff.g_eff_2_mhz
-    if g1 <= 0.0 or g2 <= 0.0:
-        raise ValueError("extremal analysis needs strictly positive couplings")
-    kappa = params.mode_1.kappa_mhz
-    gamma_m = params.magnon.gamma_m_mhz
-    delta = params.delta_mhz
-    rt = math.sqrt(kappa / gamma_m)
-    u1 = rt * (g1 - g2)
-    u2 = kappa * kappa + 4.0 * (delta - g1 * rt) * (delta - g2 * rt)
-    disc = u1 * u1 + u2
-    if disc < 0.0:
-        raise NoRealExtremumError(disc)
-    root = math.sqrt(disc)
-    df_plus = 0.5 * (u1 + root)
-    df_minus = 0.5 * (u1 - root)
-    return GeneralExtrema(
-        u1, u2, df_plus, df_minus,
-        _branch_ratio(delta, df_plus, g1, g2, rt),
-        _branch_ratio(delta, df_minus, g1, g2, rt),
-        _in_band(df_plus, band), _in_band(df_minus, band))
+    args = kernel_args(params)
+    if min(args["g_1"], args["g_2"], args["eta_3"] * args["eps_3"]) <= 0.0:
+        raise ValueError("extremal analysis needs strictly positive couplings "
+                         "and magnon drive; otherwise R does not depend on "
+                         "delta_f")
+    plus, minus = (float(x) for x in stationary_shifts(**args))
+    ratio_plus, ratio_minus = (float(isolation_ratio(**dict(args, delta_f=x)))
+                               for x in (plus, minus))
+    return GeneralExtrema(plus + minus, -4.0 * plus * minus, plus, minus,
+                          ratio_plus, ratio_minus, band[0] <= plus <= band[1],
+                          band[0] <= minus <= band[1])
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 
 from . import serialize
-from .analysis import (NoRealExtremumError, SymmetryRequiredError,
-                       brute_force_optimum, classify_direction,
+from .analysis import (brute_force_optimum, classify_direction,
                        extremal_fizeau_general)
 from .config import (ConfigError, apply_overrides, load_config, parse_config,
                      resolved_document)
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--brute", action="store_true",
                        help="numeric band search (default)")
     group.add_argument("--analytic", action="store_true",
-                       help="closed-form extrema (uniform ports only)")
+                       help="closed-form extrema")
     p.add_argument("--band", metavar="LO:HI",
                    help="search band in MHz, default from config band_mhz")
     p.add_argument("--grid-points", type=int, default=2001)
@@ -227,11 +226,7 @@ def _cmd_optimize(args) -> int:
     _require_valid(cfg)
     band = _parse_band(args.band) if args.band else cfg.band
     if args.analytic:
-        try:
-            ext = extremal_fizeau_general(cfg.params, band)
-        except (SymmetryRequiredError, NoRealExtremumError) as e:
-            raise ValueError(f"analytic optimization unavailable: {e}; "
-                             "try --brute") from None
+        ext = extremal_fizeau_general(cfg.params, band)
         best_plus = ext.isolation_plus_db >= ext.isolation_minus_db
         _emit(args, {
             "delta_f_plus_mhz": ext.delta_f_plus_mhz,

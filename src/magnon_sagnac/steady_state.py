@@ -197,10 +197,32 @@ def transmissions(params: SystemParams, method: str = "closed") -> TransmissionR
         ratio, i_signed = math.inf, math.inf
     elif forward == 0.0:
         ratio, i_signed = 0.0, -math.inf
-    else:
-        ratio = (t12 / t21) ** 2
-        i_signed = 10.0 * math.log10(ratio)
+    else:  # R may leave the float range: I is then +/-inf, as on a grid
+        quotient = t12 / t21
+        ratio = quotient * quotient
+        i_signed = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
     return TransmissionReport(t12, t21, ratio, i_signed, abs(i_signed))
+
+
+def kernel_args(params: SystemParams) -> dict:
+    """Keyword arguments of :func:`transmission_grid` for one parameter set."""
+    eff = params.effective()
+    return {
+        "delta": params.delta_mhz,
+        "delta_f": params.delta_f_mhz,
+        "kappa_1": params.mode_1.kappa_mhz,
+        "kappa_2": params.mode_2.kappa_mhz,
+        "gamma_m": params.magnon.gamma_m_mhz,
+        "omega_s": eff.omega_s_mhz,
+        "g_1": eff.g_eff_1_mhz,
+        "g_2": eff.g_eff_2_mhz,
+        "eta_1": params.mode_1.eta,
+        "eta_2": params.mode_2.eta,
+        "eta_3": params.magnon.eta3,
+        "eps_1": params.drive.eps_1,
+        "eps_2": params.drive.eps_2,
+        "eps_3": params.drive.eps_3_eff,
+    }
 
 
 def transmission_grid(*, delta, delta_f, kappa_1, kappa_2, gamma_m, omega_s,

@@ -3,14 +3,16 @@
 Grids are evaluated through the vectorized closed-form kernel in
 :mod:`.steady_state`, one or two axes at a time, from one table of what
 each :class:`SweepParameter` means.  Points that fail validation
-(non-positive damping rate, unstable squeezing input, no real extremal
-shift, overflow, vanishing transmission) get a code in a ``uint8`` array
-over the grid; only a sweep in which every point fails raises.
+(non-positive damping rate, unstable squeezing input, overflow,
+vanishing transmission) get a code in a ``uint8`` array over the grid;
+only a sweep in which every point fails raises.
 
 The Fizeau shift can either be held at the base value (or swept as an
-axis) or re-optimized per grid point through ``delta_f_policy``, which
-picks the closed-form extremal shift of either sign branch and optionally
-clamps it to a feasibility band.
+axis) or re-optimized per grid point through ``delta_f_policy``, from
+the closed-form stationary shifts of :func:`.stationary_shifts`: with
+uniform ports the root of the chosen sign, otherwise the shift of
+largest |I| on that sign's half of the band.  A clamp band, when given,
+bounds the shift.
 
 Results are deterministic: rerunning a sweep with any thread count gives
 bitwise identical arrays.  ``MAGNON_SAGNAC_THREADS`` (or the ``threads``
@@ -31,20 +33,20 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import (FEASIBLE_FIZEAU_BAND, CavityMode, PhysicsError,
-                    SqueezeMode, SystemParams, has_uniform_ports, validate,
-                    with_delta_f)
-from .steady_state import TransmissionReport, transmission_grid
-from .analysis import brute_force_optimum
+from .model import (FEASIBLE_FIZEAU_BAND, CavityMode, SqueezeMode,
+                    SystemParams, has_uniform_ports, validate, with_delta_f)
+from .steady_state import TransmissionReport, kernel_args, transmission_grid
+from .analysis import isolation_ratio, stationary_shifts
+# Not called here; perfbench/spans.py wraps this name for --trace 1.
+from .analysis import brute_force_optimum  # noqa: F401
 
 THREADS_ENV_VAR = "MAGNON_SAGNAC_THREADS"
 
 # Per-point codes in precedence order: a point keeps the first that applies.
-# The codes up to EXTREMUM_SEARCH_FAILED, found before the kernel runs, set
-# the point's columns to nan.  All but INF_ISOLATION count as failed.
+# The codes up to NONFINITE, found before the kernel runs, set the point's
+# columns to nan.  All but INF_ISOLATION count as failed.
 CODE_NAMES = ("", "RATE_POSITIVE", "COUPLING_NEGATIVE", "NONFINITE",
-              "NO_REAL_EXTREMUM", "EXTREMUM_SEARCH_FAILED", "OVERFLOW",
-              "NO_TRANSMISSION", "INF_ISOLATION")
+              "OVERFLOW", "NO_TRANSMISSION", "INF_ISOLATION")
 _INF_ISOLATION = CODE_NAMES.index("INF_ISOLATION")
 
 
@@ -215,24 +217,7 @@ def _evaluate_grid(kernel_args: dict, shape: tuple[int, ...], n_threads: int):
                  for o in out)
 
 
-def _base_kernel_args(base: SystemParams) -> dict:
-    eff = base.effective()
-    return {
-        "delta": base.delta_mhz,
-        "delta_f": base.delta_f_mhz,
-        "kappa_1": base.mode_1.kappa_mhz,
-        "kappa_2": base.mode_2.kappa_mhz,
-        "gamma_m": base.magnon.gamma_m_mhz,
-        "omega_s": eff.omega_s_mhz,
-        "g_1": eff.g_eff_1_mhz,
-        "g_2": eff.g_eff_2_mhz,
-        "eta_1": base.mode_1.eta,
-        "eta_2": base.mode_2.eta,
-        "eta_3": base.magnon.eta3,
-        "eps_1": base.drive.eps_1,
-        "eps_2": base.drive.eps_2,
-        "eps_3": base.drive.eps_3_eff,
-    }
+_base_kernel_args = kernel_args  # the name perfbench/record.py looks up
 
 
 @dataclass
@@ -320,11 +305,13 @@ def sweep(base: SystemParams, axes, *,
 
     ``delta_f_policy`` FIXED uses the base (or swept) Fizeau shift; the
     EXTREMAL policies re-derive the shift at every grid point from the
-    closed-form extremum condition, taking the positive or negative sign
-    branch and clamping to ``delta_f_band`` when given.  Extremal policies
-    exclude a DELTA_F axis.  For a base without uniform ports the closed
-    form does not apply and each point falls back to a numeric search
-    over the band (much slower).
+    closed-form stationary shifts and clamp it to ``delta_f_band`` when
+    given.  With uniform ports they take the root of their sign.
+    Otherwise they take the shift of largest |I| on their half of the
+    band ([0, hi] or [lo, 0] of ``delta_f_band``, or of
+    FEASIBLE_FIZEAU_BAND when unclamped): 0, then the stationary shifts
+    inside it, then its outer edge, each replacing the choice only at a
+    strictly larger |I|.  Extremal policies exclude a DELTA_F axis.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
@@ -347,7 +334,7 @@ def sweep(base: SystemParams, axes, *,
     grids = np.meshgrid(*physical, indexing="ij", copy=False)
     shape = tuple(ax.count for ax in axes)
 
-    args = _base_kernel_args(base)  # raises on unstable FROM_PUMP input
+    args = kernel_args(base)  # raises on unstable FROM_PUMP input
     order = list(_QUANTITIES)
     with np.errstate(over="ignore"):  # overflowed values are marked below
         for ax, grid in sorted(zip(axes, grids),
@@ -373,11 +360,14 @@ def sweep(base: SystemParams, axes, *,
             raise SweepError("a delta_f axis cannot be combined with an "
                              "extremal delta_f policy")
         positive = policy is DeltaFPolicy.EXTREMAL_POSITIVE
+        plus, minus = stationary_shifts(**args)
         if has_uniform_ports(base):
-            shift = _extremal_shift_arrays(args, positive, shape, mark)
+            # A full array: numpy's loops for a broadcast (stride 0) operand
+            # can round the kernel's complex products differently.
+            shift = np.broadcast_to(plus if positive else minus, shape).copy()
         else:
-            shift = _extremal_shift_fallback(base, axes, physical, shape,
-                                             positive, delta_f_band, codes)
+            shift = _half_band_shift(args, plus, minus, positive, shape,
+                                     delta_f_band or FEASIBLE_FIZEAU_BAND)
         if delta_f_band is not None:
             shift = np.clip(shift, delta_f_band[0], delta_f_band[1])
         args["delta_f"] = shift
@@ -408,41 +398,17 @@ def sweep(base: SystemParams, axes, *,
     return result
 
 
-def _extremal_shift_arrays(args: dict, positive: bool, shape, mark) -> np.ndarray:
-    """Vectorized extremal Fizeau shift (uniform ports assumed)."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        kappa = np.asarray(args["kappa_1"], dtype=float)
-        gamma_m = np.asarray(args["gamma_m"], dtype=float)
-        g1 = np.asarray(args["g_1"], dtype=float)
-        g2 = np.asarray(args["g_2"], dtype=float)
-        delta = np.asarray(args["delta"], dtype=float)
-        rt = np.sqrt(kappa / gamma_m)
-        u1 = rt * (g1 - g2)
-        u2 = kappa * kappa + 4.0 * (delta - g1 * rt) * (delta - g2 * rt)
-        disc = u1 * u1 + u2
-        mark(np.isfinite(disc) & (disc < 0.0), "NO_REAL_EXTREMUM")
-        root = np.sqrt(np.maximum(disc, 0.0))
-        sign = 1.0 if positive else -1.0
-        return np.broadcast_to(0.5 * (u1 + sign * root), shape).copy()
-
-
-def _extremal_shift_fallback(base, axes, physical, shape, positive: bool,
-                             band, codes: np.ndarray) -> np.ndarray:
-    """Per-point numeric extremum search for non-uniform ports."""
-    lo, hi = band if band is not None else FEASIBLE_FIZEAU_BAND
-    half = (0.0, hi) if positive else (lo, 0.0)
-    shift = np.full(shape, math.nan)
-    for flat, idx in enumerate(np.ndindex(shape)):
-        if codes.flat[flat]:
-            continue
-        point = base
-        for ax, values, k in zip(axes, physical, idx):
-            point = apply_parameter(point, ax.parameter, float(values[k]))
-        try:
-            shift[idx] = brute_force_optimum(point, half,
-                                             grid_points=301).delta_f_mhz
-        except (PhysicsError, ValueError):
-            codes.flat[flat] = CODE_NAMES.index("EXTREMUM_SEARCH_FAILED")
+def _half_band_shift(args: dict, plus, minus, positive: bool, shape,
+                     band: tuple[float, float]) -> np.ndarray:
+    """Shift of largest |I| on the positive or negative half of ``band``."""
+    lo, hi = (0.0, band[1]) if positive else (band[0], 0.0)
+    shift, best = np.zeros(shape), np.full(shape, -np.inf)
+    for x in (0.0, plus, minus, hi if positive else lo):
+        x = np.broadcast_to(x, shape)
+        with np.errstate(divide="ignore"):  # R = 0 where an output vanishes
+            value = np.abs(np.log(isolation_ratio(**dict(args, delta_f=x))))
+        better = (lo <= x) & (x <= hi) & (value > best)
+        shift[better], best[better] = x[better], value[better]
     return shift
 
 

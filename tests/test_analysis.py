@@ -8,6 +8,7 @@ import pytest
 
 from magnon_sagnac import (
     Direction,
+    DriveAmplitudes,
     SymmetryRequiredError,
     SystemParams,
     brute_force_optimum,
@@ -20,7 +21,7 @@ from magnon_sagnac import (
 )
 from magnon_sagnac.analysis import _golden_section_max
 
-from conftest import random_symmetric
+from conftest import random_general, random_symmetric
 
 # Closed-form extremum of the demonstration system, frozen from an
 # independent evaluation.
@@ -138,17 +139,48 @@ class TestGeneralExtrema:
             assert math.isfinite(ex.delta_f_minus_mhz)
             assert ex.delta_f_minus_mhz < ex.delta_f_plus_mhz
 
-    def test_requires_uniform_ports(self, base_params):
-        from magnon_sagnac import CavityMode
-        p = dataclasses.replace(base_params,
-                                mode_2=CavityMode.from_eta(2.2, 0.5))
-        with pytest.raises(SymmetryRequiredError):
-            extremal_fizeau_general(p)
+    def test_any_ports_match_brute_force(self):
+        """Independent ports, couplings and drives: the better stationary
+        shift gives the largest |I| a numeric search finds around both."""
+        rng = np.random.default_rng(37)
+        for _ in range(12):
+            p = random_general(rng)
+            ex = extremal_fizeau_general(p)
+            best = max(ex.isolation_plus_db, ex.isolation_minus_db)
+            band = (ex.delta_f_minus_mhz - 20.0, ex.delta_f_plus_mhz + 20.0)
+            opt = brute_force_optimum(p, band=band)
+            assert opt.isolation_db == pytest.approx(best, abs=0.01)
+            assert opt.isolation_db <= best + 1e-9
+            for df, expect in ((ex.delta_f_plus_mhz, ex.ratio_plus),
+                               (ex.delta_f_minus_mhz, ex.ratio_minus)):
+                report = transmissions(with_delta_f(p, df))
+                assert report.ratio == pytest.approx(expect, rel=1e-8)
+
+    def test_real_for_huge_coupling_ratios(self):
+        """With g2/g1 = 1e3..1e9 and delta = (w1 + w2)/2 the discriminant
+        is kappa^2 behind a cancellation of (w2 - w1)^2 terms."""
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            p = random_symmetric(rng)
+            p = dataclasses.replace(p, g0_2_mhz=10.0 ** rng.uniform(3.0, 9.0)
+                                    * p.g0_1_mhz)
+            eff = p.effective()
+            rt = math.sqrt(p.mode_1.kappa_mhz / p.magnon.gamma_m_mhz)
+            p = dataclasses.replace(p, delta_mhz=0.5 * rt * (
+                eff.g_eff_1_mhz + eff.g_eff_2_mhz))
+            ex = extremal_fizeau_general(p)
+            assert math.isfinite(ex.delta_f_plus_mhz)
+            assert math.isfinite(ex.delta_f_minus_mhz)
+            assert ex.delta_f_minus_mhz < ex.delta_f_plus_mhz
 
     def test_requires_positive_couplings(self, base_params):
         p = dataclasses.replace(base_params, g0_1_mhz=0.0, g0_2_mhz=0.0)
         with pytest.raises(ValueError):
             extremal_fizeau_general(p)
+        silent = dataclasses.replace(base_params,
+                                     drive=DriveAmplitudes(1.0, 1.0, 0.0))
+        with pytest.raises(ValueError):
+            extremal_fizeau_general(silent)
 
 
 class TestReciprocalPoints:

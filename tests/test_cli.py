@@ -101,6 +101,14 @@ class TestSteadyAndIsolate:
                                                        abs=1e-6)
         assert payload["direction"] == "forward"
 
+    def test_isolate_outside_the_float_range(self, capsys):
+        # T12/T21 is about 4e199, so R overflows.
+        payload = run_json(capsys, ["isolate",
+                                    "--set", "g0_mhz=[41.0,4.1e-199]",
+                                    "--set", "delta_f_mhz=10"])
+        assert (payload["ratio"], payload["i_signed_db"]) == ("inf", "inf")
+        assert payload["direction"] == "forward"
+
     def test_steady_solvers_agree(self, capsys):
         argv = ["steady", "--set", "delta_f_mhz=10", "--side", "left"]
         closed = run_json(capsys, argv + ["--method", "closed"])
@@ -135,6 +143,18 @@ class TestOptimize:
         payload = run_json(capsys, ["optimize", "--analytic"])
         assert payload["delta_f_minus_mhz"] == pytest.approx(
             -payload["delta_f_plus_mhz"], rel=1e-12)
+
+
+    def test_analytic_takes_any_ports(self, capsys):
+        sets = ["--set", "g0_mhz=[41.0,61.5]", "--set", "kappa_mhz=[1.1,2.0]",
+                "--set", "eta=[0.5,0.3]", "--set", "eta3=0.4",
+                "--set", "drive.eps=[1.0,1.2,0.8]"]
+        analytic = run_json(capsys, ["optimize", "--analytic"] + sets)
+        band = (f"--band={analytic['delta_f_minus_mhz'] - 20.0!r}:"
+                f"{analytic['delta_f_plus_mhz'] + 20.0!r}")
+        brute = run_json(capsys, ["optimize", "--brute", band] + sets)
+        assert brute["isolation_db"] == pytest.approx(
+            analytic["isolation_db"], abs=0.01)
 
 
 class TestSweepCommand:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from magnon_sagnac import (
     with_delta_f,
 )
 from magnon_sagnac.sweep import CODE_NAMES, THREADS_ENV_VAR, _resolve_threads
+
+from conftest import random_general
 
 # A range per parameter on which the demonstration set stays valid.
 _VALID_RANGES = {
@@ -285,6 +288,24 @@ class TestErrorMasking:
         assert res.n_failed == sum(c not in (None, "INF_ISOLATION")
                                    for c in codes)
 
+    def test_overflow_points_re_evaluate_on_the_scalar_path(self,
+                                                            base_params):
+        # R = (T12/T21)^2 overflows at g2_over_g1 = 1e-200 and 2e-200.
+        res = sweep(with_delta_f(base_params, 10.0),
+                    [Axis(SweepParameter.COUPLING_RATIO, 0.0, 2e-200, 3)])
+        for k in (1, 2):
+            assert res.error_code_at(k) == "OVERFLOW"
+            scalar, grid = transmissions(res.params_at(k)), res.report_at(k)
+            assert (scalar.ratio, scalar.i_signed_db, scalar.i_abs_db) == \
+                (grid.ratio, grid.i_signed_db, grid.i_abs_db) == \
+                (math.inf, math.inf, math.inf)
+            assert scalar.t12 == pytest.approx(grid.t12, rel=1e-12)
+            assert scalar.t21 == pytest.approx(grid.t21, rel=1e-12)
+        # R underflows to 0 the other way round.
+        report = transmissions(dataclasses.replace(
+            with_delta_f(base_params, 10.0), g0_1_mhz=4.1e-199))
+        assert (report.ratio, report.i_signed_db) == (0.0, -math.inf)
+
     def test_overflow_everywhere_raises(self, base_params):
         with pytest.raises(SweepError):
             sweep(base_params, [Axis(SweepParameter.DELTA_F, 1e160, 2e160, 3)])
@@ -360,6 +381,57 @@ class TestDeltaFPolicies:
                                                        abs=1e-5)
             assert abs(res.i_signed_db[k]) == pytest.approx(opt.isolation_db,
                                                             abs=1e-8)
+
+    @pytest.mark.parametrize("policy", ["extremal_positive",
+                                        "extremal_negative"])
+    def test_nonuniform_ports_take_the_best_half_band_shift(self, policy):
+        """Independent ports: |I| at the chosen shift is the largest a
+        numeric search finds on the policy's half of the band."""
+        rng = np.random.default_rng(43)
+        half = (0.0, 65.0) if policy == "extremal_positive" else (-65.0, 0.0)
+        for _ in range(3):
+            res = sweep(random_general(rng),
+                        [Axis(SweepParameter.GAMMA_M, 1.0, 10.0, 3)],
+                        delta_f_policy=policy, delta_f_band=(-65.0, 65.0))
+            assert res.n_failed == 0
+            for k in range(3):
+                opt = brute_force_optimum(res.params_at(k), band=half)
+                assert half[0] <= res.delta_f_mhz[k] <= half[1]
+                assert abs(res.i_signed_db[k]) == pytest.approx(
+                    opt.isolation_db, abs=0.01)
+
+    @pytest.mark.parametrize("silent", ["eps_3", "eta_3"])
+    def test_no_magnon_drive_keeps_the_zero_shift(self, base_params, silent):
+        """Without a magnon drive R = 1 for every shift, so the half-band
+        rule keeps its first candidate, 0.  With g_2 = 0 as well both
+        outputs vanish."""
+        p = dataclasses.replace(with_delta_f(base_params, 10.0),
+                                g0_1_mhz=30.0)
+        if silent == "eps_3":
+            p = dataclasses.replace(p, drive=DriveAmplitudes(1.0, 1.0, 0.0))
+        else:
+            p = dataclasses.replace(p, magnon=dataclasses.replace(
+                p.magnon, eta3=0.0))
+        res = sweep(p, [Axis(SweepParameter.COUPLING_RATIO, 0.0, 1.5, 4)],
+                    delta_f_policy=DeltaFPolicy.EXTREMAL_POSITIVE,
+                    delta_f_band=(-65.0, 65.0))
+        assert np.all(res.delta_f_mhz == 0.0)
+        assert res.error_codes == {0: "NO_TRANSMISSION"}
+        np.testing.assert_allclose(res.i_signed_db[1:], 0.0, atol=1e-12)
+
+    def test_real_shift_behind_cancellation(self):
+        """g2/g1 = 5e6 and delta = (w1 + w2)/2 at gamma_m = 4: the
+        discriminant is kappa^2 behind a cancellation of (w2 - w1)^2."""
+        p = SystemParams.symmetric()
+        p = dataclasses.replace(p, g0_2_mhz=5e6 * p.g0_1_mhz)
+        eff, rt = p.effective(), math.sqrt(1.1 / 4.0)
+        p = dataclasses.replace(p, delta_mhz=0.5 * (eff.g_eff_1_mhz * rt
+                                                    + eff.g_eff_2_mhz * rt))
+        for policy in ("extremal_positive", "extremal_negative"):
+            res = sweep(p, [Axis(SweepParameter.GAMMA_M, 3.5, 4.5, 3)],
+                        delta_f_policy=policy)
+            assert not res.error_codes
+            assert np.isfinite(res.delta_f_mhz).all()
 
 
 class TestThreading:
