@@ -14,10 +14,17 @@ uniform ports the root of the chosen sign, otherwise the shift of
 largest |I| on that sign's half of the band.  A clamp band, when given,
 bounds the shift.
 
-Results are deterministic: rerunning a sweep with any thread count gives
-bitwise identical arrays.  ``MAGNON_SAGNAC_THREADS`` (or the ``threads``
-argument) chunks the leading axis across a thread pool, which only pays
-off for large two-dimensional grids.
+A grid is evaluated in blocks of whole first-axis rows, about
+``_BLOCK`` (16k) points each.  Each block substitutes its axis values,
+marks its input codes, computes its extremal shift, runs the kernel and
+marks its output codes, writing into result arrays allocated once, so no
+temporary spans the whole grid and a block's temporaries stay in the
+processor caches.  A grid of more than ``_MAX_POINTS`` (2**25) points
+raises :class:`SweepError` before anything is allocated.
+
+Results are deterministic: the block size and the thread count change
+no bit.  ``MAGNON_SAGNAC_THREADS`` (or the ``threads`` argument) hands
+the blocks to a thread pool, which writes the same disjoint rows.
 """
 
 from __future__ import annotations
@@ -48,6 +55,20 @@ THREADS_ENV_VAR = "MAGNON_SAGNAC_THREADS"
 CODE_NAMES = ("", "RATE_POSITIVE", "COUPLING_NEGATIVE", "NONFINITE",
               "OVERFLOW", "NO_TRANSMISSION", "INF_ISOLATION")
 _INF_ISOLATION = CODE_NAMES.index("INF_ISOLATION")
+
+# The codes found before the kernel runs, in precedence order, with the
+# kernel arguments each one tests.
+_INPUT_CHECKS = (
+    ("RATE_POSITIVE", ("kappa_1", "kappa_2", "gamma_m"), lambda v: v <= 0.0),
+    ("COUPLING_NEGATIVE", ("g_1", "g_2"), lambda v: v < 0.0),
+    ("NONFINITE", ("delta", "delta_f", "kappa_1", "kappa_2", "gamma_m",
+                   "g_1", "g_2", "omega_s"), lambda v: ~np.isfinite(v)),
+)
+# Points per block of whole first-axis rows: a block's kernel temporaries
+# stay in the processor caches instead of streaming through memory.
+_BLOCK = 1 << 14
+# The largest grid sweep() evaluates, about 1.4 GB of result arrays.
+_MAX_POINTS = 1 << 25
 
 
 class SweepError(Exception):
@@ -194,29 +215,6 @@ def _resolve_threads(threads: int | None) -> int:
     return threads if threads > 1 else 1
 
 
-def _evaluate_grid(kernel_args: dict, shape: tuple[int, ...], n_threads: int):
-    if n_threads <= 1 or shape[0] < 2 * n_threads:
-        out = transmission_grid(**kernel_args)
-    else:
-        full = {k: np.broadcast_to(np.asarray(v), shape)
-                for k, v in kernel_args.items()}
-        bounds = np.linspace(0, shape[0], n_threads + 1, dtype=int)
-        chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-
-        def work(sl):
-            return transmission_grid(**{k: v[sl] for k, v in full.items()})
-
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(work, chunks))
-        # Reassembled in chunk order, so the result is independent of the
-        # thread count (each element is computed by the same expression).
-        out = tuple(np.concatenate([p[i] for p in parts], axis=0)
-                    for i in range(4))
-    return tuple(np.ascontiguousarray(np.broadcast_to(np.asarray(o, dtype=float),
-                                                      shape)).copy()
-                 for o in out)
-
-
 _base_kernel_args = kernel_args  # the name perfbench/record.py looks up
 
 
@@ -232,6 +230,10 @@ class SweepResult:
     ``CODE_NAMES``: 0 if clean, else its failure or the informational
     INF_ISOLATION (one output vanishes exactly).  ``error_codes`` is a
     read-only ``{flat row-major index: code name}`` view of the marked points.
+    ``meta`` is the run record, never written to output files: policy,
+    band, thread count, axis labels, ``code_counts`` (``{code name:
+    points}`` for every code present) and ``n_clamped`` (points not
+    blanked whose extremal shift the band moved; 0 under FIXED).
     """
 
     base: SystemParams
@@ -312,6 +314,8 @@ def sweep(base: SystemParams, axes, *,
     FEASIBLE_FIZEAU_BAND when unclamped): 0, then the stationary shifts
     inside it, then its outer edge, each replacing the choice only at a
     strictly larger |I|.  Extremal policies exclude a DELTA_F axis.
+    A grid of more than ``_MAX_POINTS`` points raises before anything is
+    allocated.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
@@ -321,6 +325,10 @@ def sweep(base: SystemParams, axes, *,
     policy = DeltaFPolicy(delta_f_policy)
     if delta_f_band is not None and not delta_f_band[0] < delta_f_band[1]:
         raise SweepError("delta_f_band must satisfy lo < hi")
+    if (policy is not DeltaFPolicy.FIXED
+            and any(ax.parameter is SweepParameter.DELTA_F for ax in axes)):
+        raise SweepError("a delta_f axis cannot be combined with an "
+                         "extremal delta_f policy")
     problems = validate(base)
     if problems:
         raise SweepError("base parameters invalid: "
@@ -328,74 +336,124 @@ def sweep(base: SystemParams, axes, *,
     if base.drive.eps_1 <= 0.0 or base.drive.eps_2 <= 0.0:
         raise SweepError("optical drive amplitudes must be positive")
     n_threads = _resolve_threads(threads)
+    shape = tuple(ax.count for ax in axes)
+    n_points = math.prod(shape)
+    if n_points > _MAX_POINTS:
+        raise SweepError(f"the grid has {n_points} points, more than the "
+                         f"limit of {_MAX_POINTS}")
 
     display = tuple(ax.values() for ax in axes)
     physical = tuple(vals * ax.scale(base) for ax, vals in zip(axes, display))
     grids = np.meshgrid(*physical, indexing="ij", copy=False)
-    shape = tuple(ax.count for ax in axes)
-
-    args = kernel_args(base)  # raises on unstable FROM_PUMP input
     order = list(_QUANTITIES)
-    with np.errstate(over="ignore"):  # overflowed values are marked below
-        for ax, grid in sorted(zip(axes, grids),
-                               key=lambda pair: order.index(pair[0].parameter)):
-            args.update(_quantity(base, ax.parameter).kernel(args, base, grid))
+    substitutions = [(_quantity(base, ax.parameter).kernel, grid)
+                     for ax, grid in sorted(zip(axes, grids), key=lambda pair:
+                                            order.index(pair[0].parameter))]
+    base_args = kernel_args(base)  # raises on unstable FROM_PUMP input
+    # Kernel arguments no axis replaces are the same at every point: they
+    # are checked once here, the others in every block.
+    probe = dict(base_args)
+    for kernel, grid in substitutions:
+        probe.update(kernel(probe, base, grid[:0]))
+    checks = []
+    for name, keys, test in _INPUT_CHECKS:
+        for key in keys:
+            if isinstance(probe[key], np.ndarray):
+                checks.append((name, key, test))
+            elif test(probe[key]):
+                raise SweepError("every grid point failed validation")
+    extremal = policy is not DeltaFPolicy.FIXED
+    positive = policy is DeltaFPolicy.EXTREMAL_POSITIVE
+    uniform = has_uniform_ports(base)
 
+    # t12, t21, ratio, i_signed_db and delta_f_mhz, filled block by block.
+    columns = tuple(np.empty(shape) for _ in range(5))
     codes = np.zeros(shape, dtype=np.uint8)
+    rows = max(1, _BLOCK * shape[0] // n_points)  # first-axis rows a block
 
-    def mark(mask, code: str) -> None:
-        if np.any(mask):
-            codes[(codes == 0) & mask] = CODE_NAMES.index(code)
+    def block(i0: int) -> tuple[list[int], int]:
+        """Evaluate rows i0 to i0 + rows; returns its code counts and
+        clamped points."""
+        sl = slice(i0, i0 + rows)
+        code = codes[sl]
+        args = dict(base_args)
+        with np.errstate(over="ignore"):  # overflowed values are marked below
+            for kernel, grid in substitutions:
+                args.update(kernel(args, base, grid[sl]))
+        tally = [0] * len(CODE_NAMES)  # points given each code
+        for name, key, test in checks:
+            _mark(code, test(args[key]), name, tally)
+        blank = code != 0  # the codes found before the kernel runs
 
-    for key in ("kappa_1", "kappa_2", "gamma_m"):
-        mark(np.asarray(args[key]) <= 0.0, "RATE_POSITIVE")
-    for key in ("g_1", "g_2"):
-        mark(np.asarray(args[key]) < 0.0, "COUPLING_NEGATIVE")
-    for key in ("delta", "delta_f", "kappa_1", "kappa_2", "gamma_m",
-                "g_1", "g_2", "omega_s"):
-        mark(~np.isfinite(np.asarray(args[key], dtype=float)), "NONFINITE")
+        clamped = 0
+        if extremal:
+            plus, minus = stationary_shifts(**args)
+            if uniform:
+                # A full array: numpy's loops for a broadcast (stride 0)
+                # operand can round the kernel's complex products differently.
+                shift = np.broadcast_to(plus if positive else minus,
+                                        code.shape).copy()
+            else:
+                shift = _half_band_shift(args, plus, minus, positive,
+                                         code.shape,
+                                         delta_f_band or FEASIBLE_FIZEAU_BAND)
+            if delta_f_band is not None:
+                lo, hi = delta_f_band
+                clamped = int(np.count_nonzero(((shift < lo) | (shift > hi))
+                                               & ~blank))
+                shift = np.clip(shift, lo, hi)
+            args["delta_f"] = shift
 
-    if policy is not DeltaFPolicy.FIXED:
-        if any(ax.parameter is SweepParameter.DELTA_F for ax in axes):
-            raise SweepError("a delta_f axis cannot be combined with an "
-                             "extremal delta_f policy")
-        positive = policy is DeltaFPolicy.EXTREMAL_POSITIVE
-        plus, minus = stationary_shifts(**args)
-        if has_uniform_ports(base):
-            # A full array: numpy's loops for a broadcast (stride 0) operand
-            # can round the kernel's complex products differently.
-            shift = np.broadcast_to(plus if positive else minus, shape).copy()
-        else:
-            shift = _half_band_shift(args, plus, minus, positive, shape,
-                                     delta_f_band or FEASIBLE_FIZEAU_BAND)
-        if delta_f_band is not None:
-            shift = np.clip(shift, delta_f_band[0], delta_f_band[1])
-        args["delta_f"] = shift
+        t12, t21, ratio, i_signed = transmission_grid(**args)
+        if not np.isfinite(i_signed).all():  # I is not finite at these codes
+            # Unless an output is exactly 0, an output or R left the float
+            # range.
+            zero = (((t12 == 0.0) | (t21 == 0.0))
+                    & np.isfinite(t12) & np.isfinite(t21))
+            _mark(code, ~np.isfinite(i_signed) & ~zero, "OVERFLOW", tally)
+            _mark(code, np.isnan(ratio), "NO_TRANSMISSION", tally)
+            _mark(code, np.isinf(i_signed), "INF_ISOLATION", tally)
 
-    blank = codes != 0  # the codes found before the kernel runs
-    t12, t21, ratio, i_signed = _evaluate_grid(args, shape, n_threads)
-    if not np.isfinite(i_signed).all():  # I is not finite at these codes
-        # Unless an output is exactly 0, an output or R left the float range.
-        zero = ((t12 == 0.0) | (t21 == 0.0)) & np.isfinite(t12) & np.isfinite(t21)
-        mark(~np.isfinite(i_signed) & ~zero, "OVERFLOW")
-        mark(np.isnan(ratio), "NO_TRANSMISSION")
-        mark(np.isinf(i_signed), "INF_ISOLATION")
+        blanked = blank.any()
+        for column, values in zip(columns, (t12, t21, ratio, i_signed,
+                                            args["delta_f"])):
+            out = column[sl]
+            out[...] = values
+            if blanked:
+                out[blank] = math.nan
+        return tally, clamped
 
-    delta_f_full = np.broadcast_to(np.asarray(args["delta_f"], dtype=float),
-                                   shape).copy()
-    if blank.any():
-        for arr in (t12, t21, ratio, i_signed, delta_f_full):
-            arr[blank] = math.nan
+    starts = range(0, shape[0], rows)
+    if n_threads > 1:  # the blocks write disjoint rows
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            tallies = list(pool.map(block, starts))
+    else:
+        tallies = list(map(block, starts))
+    counts = [sum(column) for column in zip(*(tally for tally, _ in tallies))]
 
     meta = {"delta_f_policy": policy.value,
             "delta_f_band": delta_f_band,
             "threads": n_threads,
-            "axis_labels": tuple(ax.label() for ax in axes)}
-    result = SweepResult(base, axes, display, delta_f_full, t12, t21, ratio,
-                         i_signed, codes, meta)
-    if result.n_failed == result.n_points:
+            "axis_labels": tuple(ax.label() for ax in axes),
+            "code_counts": {CODE_NAMES[k]: n for k, n in enumerate(counts)
+                            if n},
+            "n_clamped": sum(n for _, n in tallies)}
+    if sum(counts) - counts[_INF_ISOLATION] == n_points:
         raise SweepError("every grid point failed validation")
-    return result
+    t12, t21, ratio, i_signed, delta_f = columns
+    return SweepResult(base, axes, display, delta_f, t12, t21, ratio,
+                       i_signed, codes, meta)
+
+
+def _mark(codes: np.ndarray, mask: np.ndarray, name: str,
+          tally: list[int]) -> None:
+    """Give the points of ``mask`` that have no code yet the code ``name``,
+    and add their number to its ``tally``."""
+    if mask.any():
+        new = (codes == 0) & mask
+        k = CODE_NAMES.index(name)
+        codes[new] = k
+        tally[k] += int(np.count_nonzero(new))
 
 
 def _half_band_shift(args: dict, plus, minus, positive: bool, shape,

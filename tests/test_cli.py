@@ -62,6 +62,11 @@ class TestExitCodes:
         assert code == 2
         assert "io error" in capsys.readouterr().err
 
+    def test_oversized_grid(self, capsys):
+        assert run(["sweep", "--axis", "delta_f=-1:1:1000000",
+                    "--axis2", "gamma_m=1:2:1000000"]) == 1
+        assert "1000000000000 points" in capsys.readouterr().err
+
     def test_csv_format_outside_sweep(self, capsys):
         assert run(["isolate", "--format", "csv"]) == 3
         capsys.readouterr()

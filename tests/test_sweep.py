@@ -1,8 +1,10 @@
 """Tests for grid sweeps, shift policies, error masking and presets."""
 
 import dataclasses
+import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,10 @@ from magnon_sagnac import (
 from magnon_sagnac.sweep import CODE_NAMES, THREADS_ENV_VAR, _resolve_threads
 
 from conftest import random_general
+
+# The package exports the function sweep under its submodule's name.
+sweep_module = importlib.import_module("magnon_sagnac.sweep")
+_COLUMNS = ("t12", "t21", "ratio", "i_signed_db", "delta_f_mhz", "codes")
 
 # A range per parameter on which the demonstration set stays valid.
 _VALID_RANGES = {
@@ -183,6 +189,20 @@ class TestSweepGrid:
         with pytest.raises(SweepError):
             sweep(base_params, [Axis(SweepParameter.GAMMA_M, 1, 2, 3),
                                 Axis(SweepParameter.GAMMA_M, 3, 4, 3)])
+
+    def test_grid_size_is_bounded_before_allocation(self, base_params):
+        huge = [Axis(SweepParameter.DELTA_F, -1.0, 1.0, 10**6),
+                Axis(SweepParameter.GAMMA_M, 1.0, 2.0, 10**6)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SweepError, match=(
+                    f"{10**12} points, more than the limit of "
+                    f"{sweep_module._MAX_POINTS}")):
+                sweep(base_params, huge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_invalid_base(self, base_params):
         bad = dataclasses.replace(base_params, g0_1_mhz=-5.0)
@@ -450,6 +470,124 @@ class TestThreading:
         ax = Axis(SweepParameter.DELTA_F, -5.0, 5.0, 8)
         res = sweep(base_params, [ax])
         assert res.meta["threads"] == 2
+
+
+def _blocking_cases():
+    p = SweepParameter
+    base = SystemParams.symmetric()
+    shifted = with_delta_f(base, 10.0)
+    strong = SystemParams.symmetric(g_squeeze=1.0)  # extremum beyond 65
+    general = random_general(np.random.default_rng(7))
+    silent = dataclasses.replace(shifted, magnon=dataclasses.replace(
+        base.magnon, eta3=0.0))
+    band = (-65.0, 65.0)
+    rows13 = Axis(p.DELTA_F, -30.0, 30.0, 13)
+    return {
+        # Rows 0-5 of 11 are RATE_POSITIVE, across the 4-row block edge.
+        "fixed-2d-rate": (base, [Axis(p.GAMMA_M, -5.0, 5.0, 11), rows13],
+                          "fixed", None),
+        "fixed-1d-rate": (shifted, [Axis(p.GAMMA_M, -10.0, 6.0, 17)],
+                          "fixed", None),
+        # G >= 200 overflows in the kernel, G >= 375 (rows 15-16) in cosh.
+        "fixed-2d-nonfinite": (shifted, [Axis(p.SQUEEZE, 0.0, 400.0, 17),
+                                         Axis(p.DELTA, -10.0, 10.0, 13)],
+                               "fixed", None),
+        "fixed-1d-nonfinite": (shifted,
+                               [Axis(p.COUPLING_RATIO, 0.0, 1e308, 17)],
+                               "fixed", None),
+        "overflow": (shifted, [Axis(p.DELTA_F, -1.2e154, 1.2e154, 3)],
+                     "fixed", None),
+        "no-transmission": (silent, [Axis(p.COUPLING_RATIO, 0.0, 1.0, 3)],
+                            "fixed", None),
+        "inf-isolation": (dataclasses.replace(shifted, g0_1_mhz=0.0),
+                          [Axis(p.DELTA_F, -10.0, 10.0, 3),
+                           Axis(p.DELTA, -10.0, 10.0, 3)], "fixed", None),
+        "positive-clamped": (strong, [Axis(p.GAMMA_M, 2.0, 6.0, 9),
+                                      Axis(p.DELTA, -10.0, 10.0, 13)],
+                             "extremal_positive", band),
+        "negative-clamped-1d": (strong, [Axis(p.GAMMA_M, 1.0, 12.0, 17)],
+                                "extremal_negative", band),
+        "negative-unclamped": (base, [Axis(p.DELTA, -20.0, 20.0, 10),
+                                      Axis(p.GAMMA_M, 1.0, 12.0, 13)],
+                               "extremal_negative", None),
+        "masked-clamped": (strong, [Axis(p.COUPLING_RATIO, -1.0, 2.0, 7),
+                                    Axis(p.GAMMA_M, 2.0, 6.0, 13)],
+                           "extremal_positive", band),
+        "nonuniform-positive": (general, [Axis(p.GAMMA_M, 1.0, 10.0, 9),
+                                          Axis(p.DELTA, -10.0, 10.0, 13)],
+                                "extremal_positive", band),
+        "nonuniform-negative": (general, [Axis(p.GAMMA_M, 1.0, 10.0, 9),
+                                          Axis(p.DELTA, -10.0, 10.0, 13)],
+                                "extremal_negative", None),
+    }
+
+
+_BLOCKING_CASES = _blocking_cases()
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("case", list(_BLOCKING_CASES))
+    def test_blocking_changes_no_bit(self, monkeypatch, case):
+        base, axes, policy, band = _BLOCKING_CASES[case]
+
+        def run(block, threads=1):
+            monkeypatch.setattr(sweep_module, "_BLOCK", block)
+            return sweep(base, axes, delta_f_policy=policy,
+                         delta_f_band=band, threads=threads)
+
+        whole = run(1 << 30)
+        for block, threads in itertools.product((1, 7, 64), (1, 3)):
+            blocked = run(block, threads)
+            for name in _COLUMNS:
+                assert getattr(blocked, name).tobytes() == \
+                    getattr(whole, name).tobytes(), (name, block, threads)
+            for key in ("code_counts", "n_clamped"):
+                assert blocked.meta[key] == whole.meta[key]
+
+    @pytest.mark.parametrize("policy,axes", [
+        ("fixed", [Axis(SweepParameter.DELTA_F, -40.0, 40.0, 1000),
+                   Axis(SweepParameter.GAMMA_M, 1.0, 9.0, 1000)]),
+        ("extremal_positive", [Axis(SweepParameter.DELTA, -10.0, 10.0, 1000),
+                               Axis(SweepParameter.GAMMA_M, 1.0, 9.0, 1000)]),
+    ], ids=["fixed", "extremal"])
+    def test_peak_memory_stays_near_the_results(self, base_params, policy,
+                                                axes):
+        tracemalloc.start()
+        try:
+            res = sweep(base_params, axes, delta_f_policy=policy,
+                        delta_f_band=(-65.0, 65.0)
+                        if policy != "fixed" else None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sum(getattr(res, name).nbytes
+                                for name in _COLUMNS)
+
+
+class TestRunRecord:
+    def test_clamped_preset(self):
+        preset, res = run_preset("fig5a")
+        free = sweep(preset.base, preset.axes,
+                     delta_f_policy=preset.delta_f_policy)
+        lo, hi = preset.delta_f_band
+        outside = (free.delta_f_mhz < lo) | (free.delta_f_mhz > hi)
+        assert res.meta["n_clamped"] == np.count_nonzero(outside) > 0
+        assert res.meta["code_counts"] == {}
+
+    def test_masked_grids(self, base_params):
+        fixed = sweep(base_params, [Axis(SweepParameter.DELTA_F, -30, 30, 9),
+                                    Axis(SweepParameter.GAMMA_M, -2, 8, 7)])
+        assert fixed.meta["code_counts"] == {"RATE_POSITIVE": 18}
+        assert fixed.meta["n_clamped"] == 0
+        # Negative couplings are blanked, and their out-of-band shifts are
+        # not counted as clamped.
+        base, axes, policy, band = _BLOCKING_CASES["masked-clamped"]
+        res = sweep(base, axes, delta_f_policy=policy, delta_f_band=band)
+        free = sweep(base, axes, delta_f_policy=policy)
+        assert res.meta["code_counts"] == {"COUPLING_NEGATIVE": 26,
+                                           "INF_ISOLATION": 13}
+        assert res.meta["n_clamped"] == np.count_nonzero(
+            free.delta_f_mhz > band[1]) == 5 * 13
 
 
 class TestPresets:
