@@ -11,10 +11,13 @@ quoted strings "nan" / "inf" / "-inf", since strict JSON has no tokens
 for them.
 
 Both text formats are built column by column, in steps of whole
-first-axis rows of about ``_STEP`` points: each float column is
+first-axis rows of about ``_STEP`` (16k) points: each float column is
 formatted in one ``map`` over ``.tolist()``, each distinct axis value
-once, and the rows are joined from the column texts.  Two invariants
-keep this byte-identical to formatting each record on its own:
+once, and the rows are joined from the column texts.  ``write_csv`` and
+``write_json`` write each step as it is made, holding one step's text
+(about 15 MB) for any grid, and remove a partial file if a write fails;
+``csv_text`` and ``json_text`` join the steps.  Two invariants keep
+this byte-identical to formatting each record on its own:
 
 * Python spells non-finite floats nan / inf / -inf under both ``%.16e``
   and ``repr``, and prints nan unsigned even with its sign bit set, so
@@ -23,8 +26,8 @@ keep this byte-identical to formatting each record on its own:
   leading ``-``, for -0.0, nan and -inf too, so ``I_abs_db`` is derived
   from the ``I_signed_db`` text instead of being formatted again.
 
-Directions and error codes are plain ASCII words and are written
-verbatim (quoted in JSON).
+Directions (labelled per step by :func:`.direction_labels`) and error
+codes are plain ASCII words and are written verbatim (quoted in JSON).
 
 The SVG writer is intentionally minimal: line plots for one axis or a
 small family of rows, a downsampled rectangle heatmap otherwise.  No
@@ -41,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .sweep import CODE_NAMES, FigurePreset, SweepResult
+from .sweep import CODE_NAMES, FigurePreset, SweepResult, direction_labels
 
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
               "direction,error_code")
@@ -53,7 +56,7 @@ _JSON_RECORD = (' {\n  "axis1": %s,\n  "axis2": %s,\n  "T12": %s,\n'
                 '  "error_code": "%s"\n }')
 _JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 _CODE_TEXT = np.array(CODE_NAMES, dtype=object)  # indexed by SweepResult.codes
-_STEP = 1 << 16  # points formatted per step
+_STEP = 1 << 14  # points formatted per step
 
 
 def jsonable(x: float):
@@ -92,7 +95,6 @@ def _text_columns(result: SweepResult, as_json: bool):
     axis1 = floats(result.axis_values[0])
     axis2 = (floats(result.axis_values[1]) if len(result.axes) == 2
              else ["null" if as_json else ""])
-    directions = result.directions()
     rows = max(1, _STEP // n2)
     for i0 in range(0, n1, rows):
         i1 = min(i0 + rows, n1)
@@ -109,39 +111,53 @@ def _text_columns(result: SweepResult, as_json: bool):
                floats(result.t21[i0:i1].ravel()),
                floats(result.ratio[i0:i1].ravel()),
                signed_text, abs_text,
-               directions[i0:i1].ravel().tolist(),
+               direction_labels(signed).tolist(),
                _CODE_TEXT[result.codes[i0:i1].ravel()].tolist())
 
 
-def csv_text(result: SweepResult) -> str:
-    def pieces():
-        yield CSV_HEADER + "\n"
-        for columns in _text_columns(result, as_json=False):
-            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+def _csv_pieces(result: SweepResult):
+    yield CSV_HEADER + "\n"
+    for columns in _text_columns(result, as_json=False):
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
 
-    return "".join(pieces())
+
+def _json_pieces(result: SweepResult):
+    # Joining the template's pieces and values beats ``%`` per record.
+    pieces_of = _JSON_RECORD.split("%s")
+    separator = "[\n"
+    for columns in _text_columns(result, as_json=True):
+        parts = [repeat(pieces_of[0])]
+        for column, piece in zip(columns, pieces_of[1:]):
+            parts += (column, repeat(piece))
+        yield separator
+        yield ",\n".join(map("".join, zip(*parts)))
+        separator = ",\n"
+    yield "\n]\n"
+
+
+def _write_pieces(pieces, path) -> None:
+    """Write the UTF-8 of each piece of text to ``path`` as it is made,
+    holding one piece at a time; a failure part way removes the file."""
+    path = Path(path)
+    file = path.open("wb")
+    try:
+        with file:
+            file.writelines(map(str.encode, pieces))
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def csv_text(result: SweepResult) -> str:
+    return "".join(_csv_pieces(result))
 
 
 def write_csv(result: SweepResult, path) -> None:
-    Path(path).write_text(csv_text(result), encoding="utf-8", newline="\n")
+    _write_pieces(_csv_pieces(result), path)
 
 
 def json_text(result: SweepResult) -> str:
-    # Joining the template's pieces and values beats ``%`` per record.
-    pieces_of = _JSON_RECORD.split("%s")
-
-    def pieces():
-        separator = "[\n"
-        for columns in _text_columns(result, as_json=True):
-            parts = [repeat(pieces_of[0])]
-            for column, piece in zip(columns, pieces_of[1:]):
-                parts += (column, repeat(piece))
-            yield separator
-            yield ",\n".join(map("".join, zip(*parts)))
-            separator = ",\n"
-        yield "\n]\n"
-
-    return "".join(pieces())
+    return "".join(_json_pieces(result))
 
 
 def json_records(result: SweepResult) -> list[dict]:
@@ -149,7 +165,7 @@ def json_records(result: SweepResult) -> list[dict]:
 
 
 def write_json(result: SweepResult, path) -> None:
-    Path(path).write_text(json_text(result), encoding="utf-8", newline="\n")
+    _write_pieces(_json_pieces(result), path)
 
 
 # SVG rendering ---------------------------------------------------------

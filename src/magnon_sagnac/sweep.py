@@ -55,6 +55,7 @@ THREADS_ENV_VAR = "MAGNON_SAGNAC_THREADS"
 CODE_NAMES = ("", "RATE_POSITIVE", "COUPLING_NEGATIVE", "NONFINITE",
               "OVERFLOW", "NO_TRANSMISSION", "INF_ISOLATION")
 _INF_ISOLATION = CODE_NAMES.index("INF_ISOLATION")
+_DIRECTION_LABELS = np.array(["", "reciprocal", "forward", "backward"], object)
 
 # The codes found before the kernel runs, in precedence order, with the
 # kernel arguments each one tests.
@@ -276,13 +277,7 @@ class SweepResult:
 
     def directions(self, tol_db: float = 1e-9) -> np.ndarray:
         """Per-point direction labels; failed points come back empty."""
-        out = np.full(self.shape, "", dtype="<U10")
-        i = self.i_signed_db
-        finite = ~np.isnan(i)
-        out[finite & (np.abs(i) <= tol_db)] = "reciprocal"
-        out[finite & (i > tol_db)] = "forward"
-        out[finite & (i < -tol_db)] = "backward"
-        return out
+        return direction_labels(self.i_signed_db, tol_db).astype("<U10")
 
     def params_at(self, *idx: int) -> SystemParams:
         """Reconstruct the full parameter set behind one grid point."""
@@ -389,8 +384,9 @@ def sweep(base: SystemParams, axes, *,
         if extremal:
             plus, minus = stationary_shifts(**args)
             if uniform:
-                # A full array: numpy's loops for a broadcast (stride 0)
-                # operand can round the kernel's complex products differently.
+                # Changes no bit (test_broadcast_root_changes_no_bit), but
+                # without the copy glibc returns and refaults more pages:
+                # grid_api took 60% more page faults and 6% more time.
                 shift = np.broadcast_to(plus if positive else minus,
                                         code.shape).copy()
             else:
@@ -443,6 +439,14 @@ def sweep(base: SystemParams, axes, *,
     t12, t21, ratio, i_signed, delta_f = columns
     return SweepResult(base, axes, display, delta_f, t12, t21, ratio,
                        i_signed, codes, meta)
+
+
+def direction_labels(i_signed_db, tol_db: float = 1e-9) -> np.ndarray:
+    """Object array of the direction of each isolation: "" where nan,
+    "reciprocal" within ``tol_db`` of 0, else "forward" or "backward"."""
+    i = np.asarray(i_signed_db)
+    return _DIRECTION_LABELS[(i > tol_db) * 2 + (i < -tol_db) * 3
+                             + (np.abs(i) <= tol_db)]
 
 
 def _mark(codes: np.ndarray, mask: np.ndarray, name: str,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -176,6 +177,78 @@ class TestByteIdentity:
         res = sweep(base_params, [Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 50)])
         assert csv_text(res) == _oracle_csv(res)
         assert json_text(res) == _oracle_json(res)
+
+
+def _old_directions(result, tol_db=1e-9):
+    # SweepResult.directions() as it was before it shared its labels with
+    # the streamed writers.
+    out = np.full(result.shape, "", dtype="<U10")
+    i = result.i_signed_db
+    finite = ~np.isnan(i)
+    out[finite & (np.abs(i) <= tol_db)] = "reciprocal"
+    out[finite & (i > tol_db)] = "forward"
+    out[finite & (i < -tol_db)] = "backward"
+    return out
+
+
+class TestStreamedWriters:
+    """write_csv / write_json stream one step at a time."""
+
+    @pytest.mark.parametrize("step", [5, 16, 64, serialize._STEP])
+    def test_files_match_the_text(self, base_params, monkeypatch, tmp_path,
+                                  step):
+        monkeypatch.setattr(serialize, "_STEP", step)
+        path = tmp_path / "out"
+        for name, res in _byte_identity_grids(base_params):
+            write_csv(res, path)
+            assert path.read_bytes() == csv_text(res).encode("utf-8"), name
+            write_json(res, path)
+            assert path.read_bytes() == json_text(res).encode("utf-8"), name
+
+    def test_directions_keep_their_labels(self, base_params):
+        labels = set()
+        for name, res in _byte_identity_grids(base_params):
+            for tol_db in (1e-9, 1.0):
+                old = _old_directions(res, tol_db)
+                new = res.directions(tol_db)
+                assert new.dtype == old.dtype and new.shape == old.shape
+                assert new.tolist() == old.tolist(), name
+                labels.update(new.ravel().tolist())
+        assert labels == {"", "reciprocal", "forward", "backward"}
+
+    @pytest.mark.parametrize("writer", [write_csv, write_json])
+    def test_failure_leaves_no_file(self, small_result, monkeypatch,
+                                    tmp_path, writer):
+        columns = serialize._text_columns
+
+        def fail_after_first_step(result, as_json):
+            steps = columns(result, as_json)
+            yield next(steps)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialize, "_STEP", 3)
+        monkeypatch.setattr(serialize, "_text_columns", fail_after_first_step)
+        path = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            writer(small_result, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_peak_memory_is_one_step(self, base_params, tmp_path):
+        # Two FIXED grids of 2.5e4 and 1e5 points, over 2 and 7 steps.
+        peaks = []
+        for n1 in (250, 1000):
+            res = sweep(base_params, [Axis(SweepParameter.DELTA_F, -40.0,
+                                           40.0, n1),
+                                      Axis(SweepParameter.GAMMA_M, 1.0, 9.0,
+                                           100)])
+            tracemalloc.start()
+            try:
+                write_csv(res, tmp_path / "out.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+        assert peaks[1] < 40e6
 
 
 _SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan,

@@ -25,12 +25,15 @@ from magnon_sagnac import (
     parameter_value,
     run_preset,
     sweep,
+    transmission_grid,
     transmissions,
     with_delta_f,
 )
+from magnon_sagnac.analysis import stationary_shifts
+from magnon_sagnac.steady_state import kernel_args
 from magnon_sagnac.sweep import CODE_NAMES, THREADS_ENV_VAR, _resolve_threads
 
-from conftest import random_general
+from conftest import random_general, random_symmetric
 
 # The package exports the function sweep under its submodule's name.
 sweep_module = importlib.import_module("magnon_sagnac.sweep")
@@ -543,6 +546,22 @@ class TestBlocks:
                     getattr(whole, name).tobytes(), (name, block, threads)
             for key in ("code_counts", "n_clamped"):
                 assert blocked.meta[key] == whole.meta[key]
+
+    def test_broadcast_root_changes_no_bit(self):
+        # Over an omega_s axis the uniform-port root is one value.  Handed
+        # to the kernel as a broadcast (stride-0) array, it gives the same
+        # bits as the full copy that sweep() makes of it.
+        rng = np.random.default_rng(3)
+        for base in [SystemParams.symmetric(),
+                     *(random_symmetric(rng) for _ in range(5))]:
+            args = dict(kernel_args(base),
+                        omega_s=np.linspace(-50.0, 50.0, 1001))
+            for root in stationary_shifts(**args):
+                shift = np.broadcast_to(root, (1001,))
+                strided = transmission_grid(**dict(args, delta_f=shift))
+                full = transmission_grid(**dict(args, delta_f=shift.copy()))
+                assert [a.tobytes() for a in strided] == \
+                    [a.tobytes() for a in full]
 
     @pytest.mark.parametrize("policy,axes", [
         ("fixed", [Axis(SweepParameter.DELTA_F, -40.0, 40.0, 1000),
