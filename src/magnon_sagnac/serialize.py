@@ -10,23 +10,36 @@ floats as their shortest round-trip ``repr``, non-finite values as the
 quoted strings "nan" / "inf" / "-inf", since strict JSON has no tokens
 for them.
 
-Both text formats are built column by column, in steps of whole
-first-axis rows of about ``_STEP`` (16k) points: each float column is
-formatted in one ``map`` over ``.tolist()``, each distinct axis value
-once, and the rows are joined from the column texts.  ``write_csv`` and
-``write_json`` write each step as it is made, holding one step's text
-(about 15 MB) for any grid, and remove a partial file if a write fails;
-``csv_text`` and ``json_text`` join the steps.  Two invariants keep
-this byte-identical to formatting each record on its own:
+Both text formats are built in steps of whole first-axis rows of about
+``_STEP`` (16k) points.  ``write_csv`` and ``write_json`` write each
+step as it is made, holding one step's text for any grid, and remove a
+partial file if a write fails; ``csv_text`` and ``json_text`` join the
+steps.
+
+CSV is formatted in numpy, with no Python object per value.
+:func:`.e16.slots` gives the ``%.16e`` bytes of a whole array: the
+digits come from a double-double product with a power of ten, and
+Python's ``format`` is called only for near-ties and magnitudes outside
+1e-290..1e290.  Each step is one ``uint8`` matrix of NUL-padded rows
+(each axis value formatted once, the four float columns in one call,
+directions and codes from byte tables), and its bytes go to the file
+with the NULs dropped.  JSON keeps Python's ``repr`` per value, since
+its shortest round-trip digits need another algorithm: each float
+column is formatted in one ``map`` over ``.tolist()``, each distinct
+axis value once, and the records are joined from the column texts.
+
+Two invariants keep both byte-identical to formatting each record on
+its own:
 
 * Python spells non-finite floats nan / inf / -inf under both ``%.16e``
   and ``repr``, and prints nan unsigned even with its sign bit set, so
   no value needs a special case before the JSON quoting.
 * Either spelling of ``abs(x)`` is the spelling of ``x`` without its
   leading ``-``, for -0.0, nan and -inf too, so ``I_abs_db`` is derived
-  from the ``I_signed_db`` text instead of being formatted again.
+  from the ``I_signed_db`` text (in CSV, its slot with the sign byte
+  cleared) instead of being formatted again.
 
-Directions (labelled per step by :func:`.direction_labels`) and error
+Directions (indexed per step by :func:`.direction_index`) and error
 codes are plain ASCII words and are written verbatim (quoted in JSON).
 
 The SVG writer is intentionally minimal: line plots for one axis or a
@@ -44,7 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .sweep import CODE_NAMES, FigurePreset, SweepResult, direction_labels
+from .sweep import (CODE_NAMES, DIRECTION_LABELS, FigurePreset, SweepResult,
+                    direction_index, direction_labels)
 
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
               "direction,error_code")
@@ -64,17 +78,91 @@ def jsonable(x: float):
     return x if math.isfinite(x) else str(float(x))
 
 
-def _float_text(values: np.ndarray, as_json: bool) -> list[str]:
-    """``%.16e`` (CSV) or ``repr`` (JSON) text of each value, unquoted."""
-    if as_json:
-        return list(map(float.__repr__, values.tolist()))
-    # float.__format__ skips str.format's parsing of a "{:.16e}" template.
-    return list(map(float.__format__, values.tolist(), repeat(".16e")))
+def _steps(result: SweepResult):
+    """Yield ``(i0, i1)``: steps of whole first-axis rows, about ``_STEP``
+    points each."""
+    n1, n2 = result.shape[0], _n2(result)
+    rows = max(1, _STEP // n2)
+    for i0 in range(0, n1, rows):
+        yield i0, min(i0 + rows, n1)
 
 
-def _unsigned(text: list[str]) -> list[str]:
-    """The text of ``abs(x)`` from the unquoted text of ``x``."""
-    return list(map(str.lstrip, text, repeat("-")))
+def _n2(result: SweepResult) -> int:
+    return result.shape[1] if len(result.axes) == 2 else 1
+
+
+def _byte_table(words) -> np.ndarray:
+    """The ASCII of ``words`` as NUL-padded ``uint8`` rows."""
+    width = max(map(len, words))
+    return np.frombuffer(b"".join(w.encode().ljust(width, b"\0")
+                                  for w in words),
+                         np.uint8).reshape(len(words), width)
+
+
+def _csv_pieces(result: SweepResult):
+    """Yield the header, then each step's CSV as bytes.
+
+    A step is one ``uint8`` matrix of NUL-padded rows: the axis slots,
+    the five float slots (``I_abs_db`` being the ``I_signed_db`` slot
+    without its sign byte), the direction and code words, the commas and
+    the LF.  Dropping the NULs leaves the CSV bytes.
+    """
+    # Imported here so that commands writing no CSV do not load it.
+    from .e16 import SLOT, slots
+
+    yield CSV_HEADER.encode() + b"\n"
+    n1, n2 = result.shape[0], _n2(result)
+    two = len(result.axes) == 2
+    axes = slots(np.concatenate(result.axis_values))
+    directions = _byte_table(DIRECTION_LABELS)
+    codes = _byte_table(CODE_NAMES)
+    # Byte offsets in a row: axis1, axis2 (empty on one axis), five floats,
+    # direction, code.
+    a2 = SLOT + 1
+    f0 = a2 + SLOT * two + 1
+    dir0 = f0 + 5 * (SLOT + 1)
+    code0 = dir0 + directions.shape[1] + 1
+    template = np.zeros(code0 + codes.shape[1] + 1, np.uint8)
+    template[[a2 - 1, f0 - 1, *range(f0 + SLOT, dir0, SLOT + 1),
+              code0 - 1]] = ord(",")
+    template[-1] = ord("\n")
+    buffer = None
+    for i0, i1 in _steps(result):
+        if buffer is None:  # the first step is the longest
+            buffer = np.empty((i1 - i0, n2, template.size), np.uint8)
+            buffer[...] = template
+            if two:
+                buffer[:, :, a2:f0 - 1] = axes[n1:]
+        # Each step writes every byte outside the commas, the LF, axis2
+        # and the sign byte of |I|, so the buffer is reused.
+        shape = (i1 - i0, n2)
+        rows = buffer[:i1 - i0]
+        rows[:, :, :SLOT] = axes[i0:i1, None]
+        signed = result.i_signed_db[i0:i1].reshape(shape)
+        floats = rows[:, :, f0:dir0].reshape(shape + (5, SLOT + 1))
+        floats[..., :4, :SLOT] = slots(np.stack(
+            [result.t12[i0:i1].reshape(shape),
+             result.t21[i0:i1].reshape(shape),
+             result.ratio[i0:i1].reshape(shape), signed], axis=2))
+        floats[..., 4, 1:SLOT] = floats[..., 3, 1:SLOT]  # |I|: no sign byte
+        rows[:, :, dir0:code0 - 1] = directions.take(direction_index(signed),
+                                                     axis=0)
+        rows[:, :, code0:-1] = codes.take(result.codes[i0:i1].reshape(shape),
+                                          axis=0)
+        yield rows.tobytes().translate(None, b"\0")
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``repr`` of each value, with nan/inf/-inf quoted."""
+    return _json_quoted(list(map(float.__repr__, values.tolist())), values)
+
+
+def _json_signed_and_abs(values: np.ndarray) -> tuple[list[str], list[str]]:
+    """The JSON text of ``values`` and of their absolute values: ``repr``
+    of ``abs(x)`` is that of ``x`` without its leading ``-``."""
+    text = list(map(float.__repr__, values.tolist()))
+    unsigned = list(map(str.lstrip, text, repeat("-")))
+    return _json_quoted(text, values), _json_quoted(unsigned, values)
 
 
 def _json_quoted(text: list[str], values: np.ndarray) -> list[str]:
@@ -84,48 +172,24 @@ def _json_quoted(text: list[str], values: np.ndarray) -> list[str]:
     return list(map(_JSON_NONFINITE.get, text, text))
 
 
-def _text_columns(result: SweepResult, as_json: bool):
-    """Yield the nine text columns of each step of whole first-axis rows."""
-    def floats(values: np.ndarray) -> list[str]:
-        text = _float_text(values, as_json)
-        return _json_quoted(text, values) if as_json else text
-
-    n1 = result.shape[0]
-    n2 = result.shape[1] if len(result.axes) == 2 else 1
-    axis1 = floats(result.axis_values[0])
-    axis2 = (floats(result.axis_values[1]) if len(result.axes) == 2
-             else ["null" if as_json else ""])
-    rows = max(1, _STEP // n2)
-    for i0 in range(0, n1, rows):
-        i1 = min(i0 + rows, n1)
-        signed = result.i_signed_db[i0:i1].ravel()
-        signed_text = _float_text(signed, as_json)
-        abs_text = _unsigned(signed_text)
-        if as_json:
-            signed_text = _json_quoted(signed_text, signed)
-            abs_text = _json_quoted(abs_text, signed)
-        yield (list(chain.from_iterable(map(repeat, axis1[i0:i1],
-                                            repeat(n2)))),
-               axis2 * (i1 - i0),
-               floats(result.t12[i0:i1].ravel()),
-               floats(result.t21[i0:i1].ravel()),
-               floats(result.ratio[i0:i1].ravel()),
-               signed_text, abs_text,
-               direction_labels(signed).tolist(),
-               _CODE_TEXT[result.codes[i0:i1].ravel()].tolist())
-
-
-def _csv_pieces(result: SweepResult):
-    yield CSV_HEADER + "\n"
-    for columns in _text_columns(result, as_json=False):
-        yield "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
 def _json_pieces(result: SweepResult):
     # Joining the template's pieces and values beats ``%`` per record.
     pieces_of = _JSON_RECORD.split("%s")
+    n2 = _n2(result)
+    axis1 = _json_floats(result.axis_values[0])
+    axis2 = (_json_floats(result.axis_values[1]) if len(result.axes) == 2
+             else ["null"])
     separator = "[\n"
-    for columns in _text_columns(result, as_json=True):
+    for i0, i1 in _steps(result):
+        signed = result.i_signed_db[i0:i1].ravel()
+        columns = (chain.from_iterable(map(repeat, axis1[i0:i1], repeat(n2))),
+                   axis2 * (i1 - i0),
+                   _json_floats(result.t12[i0:i1].ravel()),
+                   _json_floats(result.t21[i0:i1].ravel()),
+                   _json_floats(result.ratio[i0:i1].ravel()),
+                   *_json_signed_and_abs(signed),
+                   direction_labels(signed).tolist(),
+                   _CODE_TEXT[result.codes[i0:i1].ravel()].tolist())
         parts = [repeat(pieces_of[0])]
         for column, piece in zip(columns, pieces_of[1:]):
             parts += (column, repeat(piece))
@@ -136,20 +200,20 @@ def _json_pieces(result: SweepResult):
 
 
 def _write_pieces(pieces, path) -> None:
-    """Write the UTF-8 of each piece of text to ``path`` as it is made,
-    holding one piece at a time; a failure part way removes the file."""
+    """Write each piece of bytes to ``path`` as it is made, holding one
+    piece at a time; a failure part way removes the file."""
     path = Path(path)
     file = path.open("wb")
     try:
         with file:
-            file.writelines(map(str.encode, pieces))
+            file.writelines(pieces)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
 
 
 def csv_text(result: SweepResult) -> str:
-    return "".join(_csv_pieces(result))
+    return b"".join(_csv_pieces(result)).decode("ascii")
 
 
 def write_csv(result: SweepResult, path) -> None:
@@ -165,7 +229,7 @@ def json_records(result: SweepResult) -> list[dict]:
 
 
 def write_json(result: SweepResult, path) -> None:
-    _write_pieces(_json_pieces(result), path)
+    _write_pieces(map(str.encode, _json_pieces(result)), path)
 
 
 # SVG rendering ---------------------------------------------------------

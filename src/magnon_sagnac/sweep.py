@@ -55,7 +55,8 @@ THREADS_ENV_VAR = "MAGNON_SAGNAC_THREADS"
 CODE_NAMES = ("", "RATE_POSITIVE", "COUPLING_NEGATIVE", "NONFINITE",
               "OVERFLOW", "NO_TRANSMISSION", "INF_ISOLATION")
 _INF_ISOLATION = CODE_NAMES.index("INF_ISOLATION")
-_DIRECTION_LABELS = np.array(["", "reciprocal", "forward", "backward"], object)
+DIRECTION_LABELS = ("", "reciprocal", "forward", "backward")
+_DIRECTION_LABELS = np.array(DIRECTION_LABELS, object)
 
 # The codes found before the kernel runs, in precedence order, with the
 # kernel arguments each one tests.
@@ -441,12 +442,17 @@ def sweep(base: SystemParams, axes, *,
                        i_signed, codes, meta)
 
 
-def direction_labels(i_signed_db, tol_db: float = 1e-9) -> np.ndarray:
-    """Object array of the direction of each isolation: "" where nan,
-    "reciprocal" within ``tol_db`` of 0, else "forward" or "backward"."""
+def direction_index(i_signed_db, tol_db: float = 1e-9) -> np.ndarray:
+    """Index into :data:`DIRECTION_LABELS` of the direction of each
+    isolation: "" where nan, "reciprocal" within ``tol_db`` of 0, else
+    "forward" or "backward"."""
     i = np.asarray(i_signed_db)
-    return _DIRECTION_LABELS[(i > tol_db) * 2 + (i < -tol_db) * 3
-                             + (np.abs(i) <= tol_db)]
+    return (i > tol_db) * 2 + (i < -tol_db) * 3 + (np.abs(i) <= tol_db)
+
+
+def direction_labels(i_signed_db, tol_db: float = 1e-9) -> np.ndarray:
+    """Object array of the :func:`direction_index` labels."""
+    return _DIRECTION_LABELS[direction_index(i_signed_db, tol_db)]
 
 
 def _mark(codes: np.ndarray, mask: np.ndarray, name: str,

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +23,10 @@ from magnon_sagnac import (
     sweep,
     with_delta_f,
 )
-from magnon_sagnac import serialize
+from magnon_sagnac import e16, serialize
 from magnon_sagnac.serialize import (
     CSV_HEADER,
-    _float_text,
-    _json_quoted,
-    _unsigned,
+    _json_signed_and_abs,
     csv_text,
     json_records,
     json_text,
@@ -147,6 +146,12 @@ class TestByteIdentity:
             assert csv_text(res) == _oracle_csv(res), name
             assert json_text(res) == _oracle_json(res), name
 
+    @pytest.mark.parametrize("step", [5, 16, 64])
+    def test_grids_in_steps(self, base_params, monkeypatch, step):
+        monkeypatch.setattr(serialize, "_STEP", step)
+        for name, res in _byte_identity_grids(base_params):
+            assert csv_text(res) == _oracle_csv(res), name
+
     def test_grid_kinds_are_covered(self, base_params):
         grids = dict(_byte_identity_grids(base_params))
         codes = {name: set(res.error_codes.values())
@@ -219,18 +224,22 @@ class TestStreamedWriters:
     @pytest.mark.parametrize("writer", [write_csv, write_json])
     def test_failure_leaves_no_file(self, small_result, monkeypatch,
                                     tmp_path, writer):
-        columns = serialize._text_columns
+        steps = serialize._steps
+        made = []
 
-        def fail_after_first_step(result, as_json):
-            steps = columns(result, as_json)
-            yield next(steps)
-            raise OSError("disk full")
+        def fail_after_first_step(result):
+            for step in steps(result):
+                if made:
+                    raise OSError("disk full")
+                made.append(step)
+                yield step
 
         monkeypatch.setattr(serialize, "_STEP", 3)
-        monkeypatch.setattr(serialize, "_text_columns", fail_after_first_step)
+        monkeypatch.setattr(serialize, "_steps", fail_after_first_step)
         path = tmp_path / "out"
         with pytest.raises(OSError, match="disk full"):
             writer(small_result, path)
+        assert made == [(0, 1)]
         assert list(tmp_path.iterdir()) == []
 
     def test_peak_memory_is_one_step(self, base_params, tmp_path):
@@ -251,6 +260,72 @@ class TestStreamedWriters:
         assert peaks[1] < 40e6
 
 
+def _slot_text(slots) -> list[str]:
+    return [bytes(slot).replace(b"\0", b"").decode() for slot in slots]
+
+
+def _assert_formats_like_python(values):
+    x = np.array(values, dtype=float)
+    assert _slot_text(e16.slots(x)) == [format(v, ".16e") for v in
+                                         x.tolist()]
+
+
+class TestE16:
+    """The numpy %.16e formatter against ``format(v, ".16e")``."""
+
+    @given(st.lists(st.floats(), max_size=50))
+    def test_any_float(self, values):
+        _assert_formats_like_python(values)
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=50))
+    def test_any_bit_pattern(self, bits):
+        _assert_formats_like_python(np.array(bits, np.uint64).view(float))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # float(10**m) and its neighbours lie closest to a decade: here
+        # log10 misses by one and the digits round up to the next decade.
+        powers = np.array([float(Fraction(10) ** m)
+                           for m in range(-320, 309)])
+        values = np.concatenate([powers, np.nextafter(powers, 0),
+                                 np.nextafter(powers, np.inf)])
+        _assert_formats_like_python(np.concatenate([values, -values]))
+
+    def test_edges(self):
+        tiny = np.finfo(float).tiny
+        _assert_formats_like_python([
+            9.999999999999999e99, 1e100, 1e-99, 1e-100, -1e100,
+            9.999999999999999e-100, 1e290, 1e-290, 1.0000000000000002e290,
+            tiny, -tiny, 5e-324, -5e-324, 2.5e-320, np.nextafter(tiny, 0),
+            np.finfo(float).max, -np.finfo(float).max, 0.0, -0.0, math.nan,
+            -math.nan, np.copysign(np.nan, -1.0), math.inf, -math.inf,
+            1000000000000000.25, 1000000000000000.75, 0.5, 1.0,
+            99999999999999999.0, 1e-243, -1e-176])
+        # The decade round-up: 1e-243 lies below 10**-243.
+        assert Fraction(1e-243) < Fraction(10) ** -243
+        assert format(1e-243, ".16e") == "1.0000000000000000e-243"
+
+    def test_fallback_branches_run(self, monkeypatch):
+        # An exact tie in the 17th digit, and magnitudes outside the range
+        # of the double-double product, go to Python; nothing else does.
+        python = e16._python_format
+        seen = []
+
+        def recording(values):
+            seen.extend(values.tolist())
+            return python(values)
+
+        monkeypatch.setattr(e16, "_python_format", recording)
+        ties = [1000000000000000.25, -1000000000000000.75]
+        outside = [1e300, -1e-300, 5e-324, np.finfo(float).max]
+        inside = [1.0, -2.5, 0.0, -0.0, math.nan, -math.inf, 1e-243, 1e290]
+        values = [*ties, *outside, *inside]
+        assert _slot_text(e16.slots(np.array(values))) == [
+            format(v, ".16e") for v in values]
+        assert [format(v, ".16e") for v in ties] == [
+            "1.0000000000000002e+15", "-1.0000000000000008e+15"]
+        assert sorted(seen) == sorted([*ties, *outside])
+
+
 _SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan,
                    float(np.copysign(np.nan, -1.0)), math.inf, -math.inf,
                    5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310)
@@ -260,22 +335,30 @@ _SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan,
                 min_size=1, max_size=30))
 def test_abs_text_is_signed_text_without_its_minus(values):
     x = np.array(values, dtype=float)
-    for as_json in (False, True):
-        derived = _unsigned(_float_text(x, as_json))
-        assert derived == _float_text(np.abs(x), as_json)
-    assert _unsigned(_float_text(x, False)) == [
-        _oracle_fmt(abs(v)) for v in values]
-    assert _json_quoted(_unsigned(_float_text(x, True)), x) == [
-        json.dumps(_oracle_jsonable(abs(v))) for v in values]
+    slots = e16.slots(x)
+    assert _slot_text(slots) == [_oracle_fmt(v) for v in values]
+    slots[:, 0] = 0  # the sign byte, as the CSV writer clears it for I_abs
+    assert _slot_text(slots) == [_oracle_fmt(abs(v)) for v in values]
+    assert _slot_text(slots) == _slot_text(e16.slots(np.abs(x)))
+    signed, unsigned = _json_signed_and_abs(x)
+    assert signed == [json.dumps(_oracle_jsonable(v)) for v in values]
+    assert unsigned == [json.dumps(_oracle_jsonable(abs(v))) for v in values]
 
 
-# sha256 of the preset files, as the row-by-row writer wrote them.  The
-# slow fig3/fig4 presets are left to the benchmark's correctness gate.
+# sha256 of the preset files, as the row-by-row writer wrote them.
 _PRESET_DIGESTS = {
     "fig2a.csv": "412110adc3766047cd607c9826a70ca9ae3d8d295da2ee39752f71f0397cbff8",
     "fig2a.svg": "363c3b243f60161a4e73e4ea476470862aaa48c61e646fa86ed064eec08bb816",
     "fig2b.csv": "412110adc3766047cd607c9826a70ca9ae3d8d295da2ee39752f71f0397cbff8",
     "fig2b.svg": "016ca0d1331d3410374e5602feffc2f34ec45c521dfffcd6c137d727240ec8bf",
+    "fig3a.csv": "e7a362359429e1a69106b687e0433df1102d5bc230a00928c46b1b6f48538d03",
+    "fig3a.svg": "62fbe028a9faa13e3d89c88b53a964104b2407d44090c3c417fb7fbdd6dfd5c4",
+    "fig3b.csv": "8dc41d55ede59b0a4294e08dc2d60631c27c54647062ffc9940b575484949a06",
+    "fig3b.svg": "c7835977fc3fb3c1692cd414263cc5bfca1366b1f83cb6bc43101e53537c3db1",
+    "fig4a.csv": "a030e23167fa8d97e53f1ece5857da175dcf1c4e14432ab32e91199f16406a94",
+    "fig4a.svg": "bdf918e568cb3d803da9ae3f647c4e5626db51ad1a040e269e8b27f8f2192154",
+    "fig4b.csv": "655be981f0e9d82a63c22357228e450e16c99ea0b7b4813b45ccb8587e94fd43",
+    "fig4b.svg": "1b5b780b6f62fccba66758cb2a7da230005e6a7a07a06e1ee1a283b865849fb5",
     "fig5a.csv": "c613b8be5bf4c35f3fac962e9d0c03b90c76082eae4c02765615ed783ccdaa35",
     "fig5a.svg": "fe898044ae0361393afd8e5616e22611346d3a87c4b09abd0cf4bfdaa9b12d4b",
     "fig5b.csv": "db2d3f5c4b76cb89453f666ab2b746f3609ff4da63836d894d3952751f2451d0",
@@ -289,7 +372,8 @@ _PRESET_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig5a", "fig5b", "fig6",
+@pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig3a", "fig3b",
+                                  "fig4a", "fig4b", "fig5a", "fig5b", "fig6",
                                   "fig7a", "fig7b"])
 def test_preset_files_are_byte_identical(name, tmp_path):
     preset, res = run_preset(name)
