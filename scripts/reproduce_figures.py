@@ -18,7 +18,8 @@ import time
 from pathlib import Path
 
 from magnon_sagnac import PRESET_NAMES, run_preset
-from magnon_sagnac.cli import UsageError, _expand_presets
+from magnon_sagnac.cli import (UsageError, _expand_presets,
+                               _keep_freed_memory)
 from magnon_sagnac.serialize import write_preset_outputs
 
 
@@ -34,6 +35,7 @@ def expand(tokens: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("presets", nargs="*",
                         help="preset or group names (default: all)")

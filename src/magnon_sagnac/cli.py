@@ -9,7 +9,9 @@ default and a JSON object with ``--format json``; sweep output goes to
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -331,7 +333,29 @@ def run(argv=None) -> int:
         return 2
 
 
+def _keep_freed_memory() -> bool:
+    """Have glibc keep freed memory for reuse; returns whether it was set.
+
+    By default glibc gives a block's freed temporaries back to the system
+    and the next block faults them in again, which made up most of a
+    large ``reproduce``.  A 32 MB mmap threshold keeps them on the heap
+    and a 256 MB trim threshold keeps the heap; both are needed.  Only
+    CLI processes set this: library callers keep the defaults.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):  # not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1); 0 means refused.
+    return bool(mallopt(-3, 32 << 20) and mallopt(-1, 256 << 20))
+
+
 def main() -> None:
+    _keep_freed_memory()
     sys.exit(run())
 
 

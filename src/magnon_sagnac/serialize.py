@@ -238,8 +238,9 @@ _WIDTH, _HEIGHT = 720, 480
 _LEFT, _RIGHT, _TOP, _BOTTOM = 76, 20, 20, 48
 _PALETTE = ("#c1121f", "#003049", "#588157", "#bc6c25", "#6a4c93",
             "#118ab2", "#9c6644", "#ef476f")
-_HEAT_LOW = (29, 53, 87)      # #1d3557
-_HEAT_HIGH = (230, 57, 70)    # #e63946
+_HEAT_LOW = np.array([29, 53, 87])      # #1d3557
+_HEAT_HIGH = np.array([230, 57, 70])    # #e63946
+_HEX = tuple(f"{k:02x}" for k in range(256))
 _HEAT_NAN = "#adb5bd"
 _MAX_HEAT_CELLS = 120
 
@@ -313,13 +314,6 @@ def _series_for(result: SweepResult, plot: str):
     return [("|I| (dB)", result.i_abs_db)], "|I| (dB)"
 
 
-def _heat_color(v: float) -> str:
-    v = min(max(v, 0.0), 1.0)
-    rgb = tuple(round(lo + v * (hi - lo))
-                for lo, hi in zip(_HEAT_LOW, _HEAT_HIGH))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
-
-
 def svg_text(result: SweepResult, plot: str = "i_abs") -> str:
     body: list[str] = []
     fields, y_label = _series_for(result, plot)
@@ -377,16 +371,21 @@ def svg_text(result: SweepResult, plot: str = "i_abs") -> str:
                                 result.axes[1].label()))
         cell_w = (_WIDTH - _LEFT - _RIGHT) / len(x_vals)
         cell_h = (_HEIGHT - _TOP - _BOTTOM) / len(y_vals)
-        for i, xv in enumerate(x_vals):
-            px = _LEFT + i * cell_w
-            for j, yv in enumerate(y_vals):
-                v = sub[i, j]
-                fill = (_heat_color((v - lo) / (hi - lo))
-                        if math.isfinite(v) else _HEAT_NAN)
-                py = _HEIGHT - _BOTTOM - (j + 1) * cell_h
-                body.append(f'<rect x="{px:.2f}" y="{py:.2f}" '
-                            f'width="{cell_w:.2f}" height="{cell_h:.2f}" '
-                            f'fill="{fill}"/>')
+        finite = np.isfinite(sub)
+        level = np.clip((np.where(finite, sub, lo) - lo) / (hi - lo), 0.0, 1.0)
+        # np.rint rounds half to even, as round() does.
+        rgb = np.rint(_HEAT_LOW + level[..., None] * (_HEAT_HIGH - _HEAT_LOW))
+        fills = [[f"#{_HEX[r]}{_HEX[g]}{_HEX[b]}" for r, g, b in row]
+                 for row in rgb.astype(np.intp).tolist()]
+        for i, j in zip(*np.nonzero(~finite)):
+            fills[i][j] = _HEAT_NAN
+        rows = [f'" y="{_HEIGHT - _BOTTOM - (j + 1) * cell_h:.2f}" '
+                f'width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
+                for j in range(len(y_vals))]
+        for i, column in enumerate(fills):
+            head = f'<rect x="{_LEFT + i * cell_w:.2f}'
+            body.extend(f'{head}{row}{fill}"/>'
+                        for row, fill in zip(rows, column))
         body.append(f'<text x="{_WIDTH - _RIGHT}" y="{_TOP - 6}" '
                     f'font-size="11" text-anchor="end" fill="#333333">'
                     f'{y_label}: {lo:.6g} (dark) to {hi:.6g} (red)</text>')

@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import types
 
 import pytest
 
-from magnon_sagnac import Axis, SweepParameter
+from magnon_sagnac import Axis, SweepParameter, cli
 from magnon_sagnac.cli import UsageError, parse_axis_spec, run
 from magnon_sagnac.serialize import CSV_HEADER
 
@@ -229,3 +230,55 @@ class TestValidate:
         doc = json.loads(capsys.readouterr().out)
         from magnon_sagnac import parse_config, resolved_document
         assert resolved_document(parse_config(doc)) == doc
+
+
+class TestAllocatorThresholds:
+    def test_main_sets_them_first_and_run_does_not(self, monkeypatch,
+                                                   capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory",
+                            lambda: calls.append("keep"))
+        assert run(["validate"]) == 0
+        assert calls == []
+        monkeypatch.setattr(cli, "run", lambda: calls.append("run") or 0)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 0
+        assert calls == ["keep", "run"]
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A stand-in C library; tests give it a mallopt or none."""
+        lib = types.SimpleNamespace()
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: lib)
+        return lib
+
+    def test_sets_both_thresholds(self, libc):
+        calls = []
+        libc.mallopt = lambda param, value: calls.append((param, value)) or 1
+        assert cli._keep_freed_memory() is True
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_missing_mallopt_does_nothing(self, libc):
+        assert cli._keep_freed_memory() is False
+
+    def test_refused_mmap_threshold_leaves_the_trim_threshold(self, libc):
+        calls = []
+        libc.mallopt = lambda param, value: calls.append((param, value)) or 0
+        assert cli._keep_freed_memory() is False
+        assert calls == [(-3, 32 << 20)]
+
+    @pytest.mark.parametrize("confstr", [None, "musl", ValueError])
+    def test_other_c_libraries_are_left_alone(self, monkeypatch, confstr):
+        def fake_confstr(name):
+            if confstr is ValueError:
+                raise ValueError("unrecognized configuration name")
+            return confstr
+
+        def no_cdll(name):
+            raise AssertionError("looked up the C library")
+
+        monkeypatch.setattr(cli.os, "confstr", fake_confstr)
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_cdll)
+        assert cli._keep_freed_memory() is False

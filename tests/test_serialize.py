@@ -460,6 +460,33 @@ class TestJson:
         assert all(r["axis2"] is None for r in records)
 
 
+def _oracle_heat_cells(res, plot: str) -> list[str]:
+    """Heatmap cells as the renderer once wrote them, one cell at a time."""
+    (_, values), *_ = serialize._series_for(res, plot)[0]
+    n1, n2 = res.shape
+    sub = np.asarray(values, dtype=float)[
+        ::max(1, math.ceil(n1 / 120)), ::max(1, math.ceil(n2 / 120))]
+    lo, hi = serialize._finite_range(sub)
+    cell_w = (720 - 76 - 20) / sub.shape[0]
+    cell_h = (480 - 20 - 48) / sub.shape[1]
+    cells = []
+    for i in range(sub.shape[0]):
+        px = 76 + i * cell_w
+        for j in range(sub.shape[1]):
+            v = sub[i, j]
+            fill = "#adb5bd"
+            if math.isfinite(v):
+                v = min(max((v - lo) / (hi - lo), 0.0), 1.0)
+                fill = "#{:02x}{:02x}{:02x}".format(*(
+                    round(a + v * (b - a))
+                    for a, b in zip((29, 53, 87), (230, 57, 70))))
+            py = 480 - 48 - (j + 1) * cell_h
+            cells.append(f'<rect x="{px:.2f}" y="{py:.2f}" '
+                         f'width="{cell_w:.2f}" height="{cell_h:.2f}" '
+                         f'fill="{fill}"/>')
+    return cells
+
+
 class TestSvg:
     def test_line_plot_for_one_axis(self, base_params):
         res = sweep(base_params, [Axis(SweepParameter.DELTA_F, -30, 30, 41)])
@@ -481,6 +508,20 @@ class TestSvg:
         text = svg_text(sweep(base_params, axes), plot="i_abs")
         ET.fromstring(text)
         assert "<rect" in text and "<polyline" not in text
+
+    @pytest.mark.parametrize("plot", ["i_abs", "i_signed", "transmissions"])
+    def test_heatmap_cells_match_the_per_cell_renderer(self, base_params,
+                                                       plot):
+        grids = dict(_byte_identity_grids(base_params))
+        grids["strided"] = sweep(base_params, [
+            Axis(SweepParameter.DELTA_F, -30.0, 30.0, 250),
+            Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 130)])
+        for name in ("masked 2-D", "OVERFLOW", "strided"):
+            text = svg_text(grids[name], plot)
+            cells = _oracle_heat_cells(grids[name], plot)
+            assert "\n" + "\n".join(cells) + "\n" in text, name
+            assert text.count("<rect") == len(cells) + 2, name
+            assert 'fill="#adb5bd"' in text, name  # a cell that is not finite
 
     def test_masked_points_break_the_line(self, base_params):
         res = sweep(base_params, [Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 21)])

@@ -1,9 +1,11 @@
 """Tests for grid sweeps, shift policies, error masking and presets."""
 
+import concurrent.futures
 import dataclasses
 import importlib
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -467,6 +469,30 @@ class TestThreading:
             assert getattr(single, name).tobytes() == \
                 getattr(threaded, name).tobytes()
         assert single.error_codes == threaded.error_codes
+
+    def test_pool_is_capped_at_the_cores(self, base_params, monkeypatch):
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(self)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(sweep_module, "_BLOCK", 8)  # 16 blocks
+        axes = [Axis(SweepParameter.DELTA_F, -30.0, 30.0, 16),
+                Axis(SweepParameter.GAMMA_M, 1.0, 9.0, 8)]
+        single = sweep(base_params, axes, threads=1)
+        wide = sweep(base_params, axes, threads=64)
+        assert wide.meta["threads"] == 64
+        assert len(pools) == (1 if os.cpu_count() > 1 else 0)
+        for pool in pools:
+            assert pool._max_workers <= os.cpu_count()
+            assert len(pool._threads) <= os.cpu_count()
+        for name in _COLUMNS:
+            assert getattr(single, name).tobytes() == \
+                getattr(wide, name).tobytes()
 
     def test_env_variable_is_honored(self, base_params, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "2")

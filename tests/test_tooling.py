@@ -4,9 +4,12 @@ import hashlib
 import importlib
 import importlib.util
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from test_serialize import _PRESET_DIGESTS
 
@@ -49,3 +52,53 @@ def test_reproduce_figures_writes_the_pinned_csv(tmp_path):
                                                           "fig2a.svg"]
     digest = hashlib.sha256((tmp_path / "fig2a.csv").read_bytes()).hexdigest()
     assert digest == _PRESET_DIGESTS["fig2a.csv"]
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=_src_env(), check=True)
+
+
+def test_cli_module_writes_the_pinned_csv(tmp_path):
+    _python("-m", "magnon_sagnac.cli", "reproduce", "fig2a",
+            "--out", str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "fig2a.csv").read_bytes()).hexdigest()
+    assert digest == _PRESET_DIGESTS["fig2a.csv"]
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    done = _python("-c", "import sys, magnon_sagnac.cli; "
+                         "print('concurrent.futures' in sys.modules)")
+    assert done.stdout.strip() == "False"
+
+
+def test_cli_process_keeps_its_freed_memory(tmp_path):
+    """``python -m magnon_sagnac.cli`` sets glibc's thresholds, so a 2-D
+    grid written through the streamed writers no longer faults in each
+    block's temporaries again; ``cli.run`` in a process of its own keeps
+    glibc's defaults.
+
+    With the defaults, how much of the churn glibc's own threshold
+    adjustment removes depends on incidental allocation history: fig3a
+    took 40k or 122k faults depending on the length of its output path.
+    fig4a (1.29e6 points, about 365k faults) keeps a wide margin.
+    """
+    found = _python("-c", "from magnon_sagnac import cli; "
+                          "print(cli._keep_freed_memory())")
+    if found.stdout.strip() != "True":
+        pytest.skip("no glibc mallopt")
+    argv = ["reproduce", "fig4a", "--out"]
+    in_run = ("import sys; from magnon_sagnac import cli; "
+              "sys.exit(cli.run(sys.argv[1:]))")
+    faults = []
+    for out, args in ((tmp_path / "main", ["-m", "magnon_sagnac.cli"]),
+                      (tmp_path / "run", ["-c", in_run])):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        _python(*args, *argv, str(out))
+        faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+                      - before)
+        csv = out / "fig4a.csv"
+        digest = hashlib.sha256(csv.read_bytes()).hexdigest()
+        csv.unlink()  # 220 MB that pytest would keep
+        assert digest == _PRESET_DIGESTS["fig4a.csv"], out.name
+    assert faults[0] <= faults[1] / 4, faults
