@@ -47,6 +47,10 @@ class Direction(Enum):
 
 def classify_direction(report: TransmissionReport,
                        tol_db: float = 1e-9) -> Direction:
+    """The direction of ``report``'s isolation; a nan isolation has none
+    and raises ``ValueError``."""
+    if math.isnan(report.i_signed_db):
+        raise ValueError("the isolation is nan, so it has no direction")
     if abs(report.i_signed_db) <= tol_db:
         return Direction.RECIPROCAL
     return Direction.FORWARD if report.i_signed_db > 0 else Direction.BACKWARD

@@ -9,9 +9,11 @@ default and a JSON object with ``--format json``; sweep output goes to
 from __future__ import annotations
 
 import argparse
+import cmath
 import ctypes
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +34,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token such as -40:40 or -.5:1 is a value (of --band), not an
+        # option; argparse alone takes only -N and -N.N for numbers.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
 
@@ -168,6 +176,15 @@ def _require_valid(cfg) -> None:
             f"{v.code}: {v.message}" for v in problems))
 
 
+def _require_finite(values: dict) -> None:
+    """Refuse outputs that left the float range, as a sweep codes them."""
+    bad = [name for name, value in values.items()
+           if not cmath.isfinite(value)]
+    if bad:
+        raise PhysicsError("OVERFLOW: " + ", ".join(bad)
+                           + " left the float range")
+
+
 def _emit(args, payload: dict) -> None:
     if args.format == "json":
         print(json.dumps({k: serialize.jsonable(v) if isinstance(v, float)
@@ -200,10 +217,12 @@ def _cmd_steady(args) -> int:
     solver = solve_closed_form if args.method == "closed" else solve_generic
     state = solver(cfg.params, side)
     out = output_fields(state, cfg.params)
+    amplitudes = {"a1": state.a1, "a2": state.a2, "m": state.m,
+                  "a1_out": out.a1_out, "a2_out": out.a2_out}
+    _require_finite(amplitudes)
     res = residuals(state, cfg.params, side)
     payload = {}
-    for name, value in (("a1", state.a1), ("a2", state.a2), ("m", state.m),
-                        ("a1_out", out.a1_out), ("a2_out", out.a2_out)):
+    for name, value in amplitudes.items():
         payload[f"{name}_re"] = value.real
         payload[f"{name}_im"] = value.imag
         payload[f"abs_{name}"] = abs(value)
@@ -216,6 +235,7 @@ def _cmd_isolate(args) -> int:
     cfg = _load(args)
     _require_valid(cfg)
     report = transmissions(cfg.params)
+    _require_finite({"t12": report.t12, "t21": report.t21})
     _emit(args, {"t12": report.t12, "t21": report.t21, "ratio": report.ratio,
                  "i_signed_db": report.i_signed_db,
                  "i_abs_db": report.i_abs_db,

@@ -16,17 +16,17 @@ step as it is made, holding one step's text for any grid, and remove a
 partial file if a write fails; ``csv_text`` and ``json_text`` join the
 steps.
 
-CSV is formatted in numpy, with no Python object per value.
-:func:`.e16.slots` gives the ``%.16e`` bytes of a whole array: the
-digits come from a double-double product with a power of ten, and
-Python's ``format`` is called only for near-ties and magnitudes outside
-1e-290..1e290.  Each step is one ``uint8`` matrix of NUL-padded rows
-(each axis value formatted once, the four float columns in one call,
-directions and codes from byte tables), and its bytes go to the file
-with the NULs dropped.  JSON keeps Python's ``repr`` per value, since
-its shortest round-trip digits need another algorithm: each float
-column is formatted in one ``map`` over ``.tolist()``, each distinct
-axis value once, and the records are joined from the column texts.
+Both are formatted in numpy, with no Python object per value.
+:func:`.e16.slots` gives the ``%.16e`` bytes of a whole array and
+:func:`.e16.repr_slots` the ``repr`` bytes: the digits come from one
+double-double product with a power of ten, ``repr`` keeping the fewest
+that read back, and Python formats only near-ties and magnitudes
+outside 1e-290..1e290.  Each step is one ``uint8`` matrix of NUL-padded
+records, made from the record template of its format (each axis value
+formatted once, the four float columns in one call, directions and
+codes from byte tables), and its bytes go to the file with the NULs
+dropped.  In JSON, quote bytes around each float slot are set where the
+value is not finite.
 
 Two invariants keep both byte-identical to formatting each record on
 its own:
@@ -35,9 +35,9 @@ its own:
   and ``repr``, and prints nan unsigned even with its sign bit set, so
   no value needs a special case before the JSON quoting.
 * Either spelling of ``abs(x)`` is the spelling of ``x`` without its
-  leading ``-``, for -0.0, nan and -inf too, so ``I_abs_db`` is derived
-  from the ``I_signed_db`` text (in CSV, its slot with the sign byte
-  cleared) instead of being formatted again.
+  leading ``-``, for -0.0, nan and -inf too, so the ``I_abs_db`` slot is
+  the ``I_signed_db`` slot with its sign byte cleared instead of being
+  formatted again.
 
 Directions (indexed per step by :func:`.direction_index`) and error
 codes are plain ASCII words and are written verbatim (quoted in JSON).
@@ -52,24 +52,23 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .sweep import (CODE_NAMES, DIRECTION_LABELS, FigurePreset, SweepResult,
-                    direction_index, direction_labels)
+                    direction_index)
 
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
               "direction,error_code")
 
-# One record as json.dumps(records, indent=1) lays it out; %s marks a value.
+# One record of each format; %s marks a value, in the order of the header.
+_CSV_RECORD = "%s,%s,%s,%s,%s,%s,%s,%s,%s\n"
+# As json.dumps(records, indent=1) lays it out, with the ",\n" after it.
 _JSON_RECORD = (' {\n  "axis1": %s,\n  "axis2": %s,\n  "T12": %s,\n'
                 '  "T21": %s,\n  "R": %s,\n  "I_signed_db": %s,\n'
                 '  "I_abs_db": %s,\n  "direction": "%s",\n'
-                '  "error_code": "%s"\n }')
-_JSON_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
-_CODE_TEXT = np.array(CODE_NAMES, dtype=object)  # indexed by SweepResult.codes
+                '  "error_code": "%s"\n },\n')
 _STEP = 1 << 14  # points formatted per step
 
 
@@ -99,104 +98,95 @@ def _byte_table(words) -> np.ndarray:
                          np.uint8).reshape(len(words), width)
 
 
-def _csv_pieces(result: SweepResult):
-    """Yield the header, then each step's CSV as bytes.
+_DIRECTIONS = _byte_table(DIRECTION_LABELS)
+_CODES = _byte_table(CODE_NAMES)  # indexed by SweepResult.codes
 
-    A step is one ``uint8`` matrix of NUL-padded rows: the axis slots,
-    the five float slots (``I_abs_db`` being the ``I_signed_db`` slot
-    without its sign byte), the direction and code words, the commas and
-    the LF.  Dropping the NULs leaves the CSV bytes.
+
+def _json_slots(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each value as NUL-padded ``uint8`` rows: a quote
+    byte, the :func:`.e16.repr_slots` slot, a quote byte.  The quotes are
+    set around nan, inf and -inf only."""
+    from .e16 import REPR_SLOT, repr_slots
+
+    out = np.empty(np.shape(values) + (REPR_SLOT + 2,), np.uint8)
+    out[..., 1:-1] = repr_slots(values)
+    out[..., 0] = out[..., -1] = ~np.isfinite(values) * np.uint8(ord('"'))
+    return out
+
+
+def _record_steps(result: SweepResult, record: str, slots, sign: int,
+                  axis2: np.ndarray):
+    """Yield each step's records as bytes, NULs dropped.
+
+    A step is one ``uint8`` matrix of NUL-padded rows made from
+    ``record``: each %s becomes a slot of ``slots`` (the axes, formatted
+    once each, and the four float columns, formatted in one call), the
+    ``I_abs_db`` slot is the ``I_signed_db`` slot with its sign byte (at
+    ``sign``) cleared, and directions and codes come from byte tables.
+    ``axis2`` holds the slot of each second-axis value, or what stands for
+    it on one axis.
     """
-    # Imported here so that commands writing no CSV do not load it.
-    from .e16 import SLOT, slots
-
-    yield CSV_HEADER.encode() + b"\n"
-    n1, n2 = result.shape[0], _n2(result)
-    two = len(result.axes) == 2
-    axes = slots(np.concatenate(result.axis_values))
-    directions = _byte_table(DIRECTION_LABELS)
-    codes = _byte_table(CODE_NAMES)
-    # Byte offsets in a row: axis1, axis2 (empty on one axis), five floats,
-    # direction, code.
-    a2 = SLOT + 1
-    f0 = a2 + SLOT * two + 1
-    dir0 = f0 + 5 * (SLOT + 1)
-    code0 = dir0 + directions.shape[1] + 1
-    template = np.zeros(code0 + codes.shape[1] + 1, np.uint8)
-    template[[a2 - 1, f0 - 1, *range(f0 + SLOT, dir0, SLOT + 1),
-              code0 - 1]] = ord(",")
-    template[-1] = ord("\n")
+    n2 = _n2(result)
+    axis1 = slots(result.axis_values[0])
+    width = axis1.shape[1]
+    widths = (width, axis2.shape[1], *[width] * 5, _DIRECTIONS.shape[1],
+              _CODES.shape[1])
+    pieces = record.split("%s")
+    template, at = bytearray(pieces[0].encode()), []
+    for size, piece in zip(widths, pieces[1:]):
+        at.append(slice(len(template), len(template) + size))
+        template += bytes(size) + piece.encode()
+    a1, a2, t12, t21, ratio, signed_at, abs_at, direction, code = at
     buffer = None
     for i0, i1 in _steps(result):
         if buffer is None:  # the first step is the longest
-            buffer = np.empty((i1 - i0, n2, template.size), np.uint8)
-            buffer[...] = template
-            if two:
-                buffer[:, :, a2:f0 - 1] = axes[n1:]
-        # Each step writes every byte outside the commas, the LF, axis2
-        # and the sign byte of |I|, so the buffer is reused.
+            buffer = np.empty((i1 - i0, n2, len(template)), np.uint8)
+            buffer[...] = np.frombuffer(template, np.uint8)
+            buffer[:, :, a2] = axis2
+        # Each step writes every byte outside the template and axis2, so
+        # the buffer is reused.
         shape = (i1 - i0, n2)
         rows = buffer[:i1 - i0]
-        rows[:, :, :SLOT] = axes[i0:i1, None]
+        rows[:, :, a1] = axis1[i0:i1, None]
         signed = result.i_signed_db[i0:i1].reshape(shape)
-        floats = rows[:, :, f0:dir0].reshape(shape + (5, SLOT + 1))
-        floats[..., :4, :SLOT] = slots(np.stack(
-            [result.t12[i0:i1].reshape(shape),
-             result.t21[i0:i1].reshape(shape),
-             result.ratio[i0:i1].reshape(shape), signed], axis=2))
-        floats[..., 4, 1:SLOT] = floats[..., 3, 1:SLOT]  # |I|: no sign byte
-        rows[:, :, dir0:code0 - 1] = directions.take(direction_index(signed),
-                                                     axis=0)
-        rows[:, :, code0:-1] = codes.take(result.codes[i0:i1].reshape(shape),
-                                          axis=0)
+        floats = slots(np.stack([result.t12[i0:i1].reshape(shape),
+                                 result.t21[i0:i1].reshape(shape),
+                                 result.ratio[i0:i1].reshape(shape), signed],
+                                axis=2))
+        for i, where in enumerate((t12, t21, ratio, signed_at, abs_at)):
+            rows[:, :, where] = floats[:, :, min(i, 3)]
+        rows[:, :, abs_at.start + sign] = 0  # |I|: no sign byte
+        rows[:, :, direction] = _DIRECTIONS.take(direction_index(signed),
+                                                 axis=0)
+        rows[:, :, code] = _CODES.take(result.codes[i0:i1].reshape(shape),
+                                       axis=0)
+        del floats  # before the next step formats its own
         yield rows.tobytes().translate(None, b"\0")
 
 
-def _json_floats(values: np.ndarray) -> list[str]:
-    """``repr`` of each value, with nan/inf/-inf quoted."""
-    return _json_quoted(list(map(float.__repr__, values.tolist())), values)
+def _csv_pieces(result: SweepResult):
+    """Yield the header, then each step's CSV rows as bytes, with floats
+    as :func:`.e16.slots` (``%.16e``)."""
+    # Imported here so that commands writing no CSV do not load it.
+    from .e16 import slots
 
-
-def _json_signed_and_abs(values: np.ndarray) -> tuple[list[str], list[str]]:
-    """The JSON text of ``values`` and of their absolute values: ``repr``
-    of ``abs(x)`` is that of ``x`` without its leading ``-``."""
-    text = list(map(float.__repr__, values.tolist()))
-    unsigned = list(map(str.lstrip, text, repeat("-")))
-    return _json_quoted(text, values), _json_quoted(unsigned, values)
-
-
-def _json_quoted(text: list[str], values: np.ndarray) -> list[str]:
-    """Quote the nan/inf/-inf entries of ``text``, the text of ``values``."""
-    if np.isfinite(values).all():
-        return text
-    return list(map(_JSON_NONFINITE.get, text, text))
+    yield CSV_HEADER.encode() + b"\n"
+    axis2 = (slots(result.axis_values[1]) if len(result.axes) == 2
+             else np.empty((1, 0), np.uint8))
+    yield from _record_steps(result, _CSV_RECORD, slots, 0, axis2)
 
 
 def _json_pieces(result: SweepResult):
-    # Joining the template's pieces and values beats ``%`` per record.
-    pieces_of = _JSON_RECORD.split("%s")
-    n2 = _n2(result)
-    axis1 = _json_floats(result.axis_values[0])
-    axis2 = (_json_floats(result.axis_values[1]) if len(result.axes) == 2
-             else ["null"])
-    separator = "[\n"
-    for i0, i1 in _steps(result):
-        signed = result.i_signed_db[i0:i1].ravel()
-        columns = (chain.from_iterable(map(repeat, axis1[i0:i1], repeat(n2))),
-                   axis2 * (i1 - i0),
-                   _json_floats(result.t12[i0:i1].ravel()),
-                   _json_floats(result.t21[i0:i1].ravel()),
-                   _json_floats(result.ratio[i0:i1].ravel()),
-                   *_json_signed_and_abs(signed),
-                   direction_labels(signed).tolist(),
-                   _CODE_TEXT[result.codes[i0:i1].ravel()].tolist())
-        parts = [repeat(pieces_of[0])]
-        for column, piece in zip(columns, pieces_of[1:]):
-            parts += (column, repeat(piece))
+    """Yield the JSON array as bytes: "[\n", each step's records with
+    ",\n" between them, "\n]\n"."""
+    axis2 = (_json_slots(result.axis_values[1]) if len(result.axes) == 2
+             else _byte_table(["null"]))
+    separator = b"[\n"
+    for step in _record_steps(result, _JSON_RECORD, _json_slots, 1, axis2):
         yield separator
-        yield ",\n".join(map("".join, zip(*parts)))
-        separator = ",\n"
-    yield "\n]\n"
+        yield memoryview(step)[:-2]  # the record's own ",\n"
+        separator = b",\n"
+    yield b"\n]\n"
 
 
 def _write_pieces(pieces, path) -> None:
@@ -221,7 +211,7 @@ def write_csv(result: SweepResult, path) -> None:
 
 
 def json_text(result: SweepResult) -> str:
-    return "".join(_json_pieces(result))
+    return b"".join(_json_pieces(result)).decode("ascii")
 
 
 def json_records(result: SweepResult) -> list[dict]:
@@ -229,7 +219,7 @@ def json_records(result: SweepResult) -> list[dict]:
 
 
 def write_json(result: SweepResult, path) -> None:
-    _write_pieces(map(str.encode, _json_pieces(result)), path)
+    _write_pieces(_json_pieces(result), path)
 
 
 # SVG rendering ---------------------------------------------------------

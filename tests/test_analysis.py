@@ -11,6 +11,7 @@ from magnon_sagnac import (
     DriveAmplitudes,
     SymmetryRequiredError,
     SystemParams,
+    TransmissionReport,
     brute_force_optimum,
     classify_direction,
     extremal_fizeau_general,
@@ -231,6 +232,12 @@ class TestClassifyDirection:
         assert classify_direction(fwd) is Direction.FORWARD
         assert classify_direction(rec) is Direction.RECIPROCAL
         assert classify_direction(back) is Direction.BACKWARD
+
+    def test_nan_has_no_direction(self):
+        report = TransmissionReport(math.nan, math.nan, math.nan, math.nan,
+                                    math.nan)
+        with pytest.raises(ValueError, match="nan"):
+            classify_direction(report)
 
     def test_tolerance_widens_reciprocal(self, base_params):
         nearly = transmissions(with_delta_f(base_params, 1e-8))

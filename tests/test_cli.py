@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import types
 
@@ -115,6 +116,21 @@ class TestSteadyAndIsolate:
         assert (payload["ratio"], payload["i_signed_db"]) == ("inf", "inf")
         assert payload["direction"] == "forward"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command,names", [
+        (["isolate"], "t12, t21"),
+        (["steady"], "a1, a2, m, a1_out, a2_out"),
+        (["steady", "--side", "right"], "a1, a2, m, a1_out, a2_out")])
+    def test_overflow_is_an_error(self, capsys, command, names, fmt):
+        # At a shift of 1e200 MHz the closed form leaves the float range; a
+        # sweep codes such a point OVERFLOW.
+        argv = command + ["--set", "delta_f_mhz=1e200", "--format", fmt]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: OVERFLOW: {names} left the float "
+                                "range\n")
+
     def test_steady_solvers_agree(self, capsys):
         argv = ["steady", "--set", "delta_f_mhz=10", "--side", "left"]
         closed = run_json(capsys, argv + ["--method", "closed"])
@@ -163,6 +179,17 @@ class TestOptimize:
             analytic["isolation_db"], abs=0.01)
 
 
+    @pytest.mark.parametrize("band", ["-40:40", "-.5:1", "-1e1:-2.5"])
+    def test_negative_band_takes_either_spelling(self, capsys, band):
+        for argv in (["optimize"],
+                     ["sweep", "--axis", "gamma_m=1:12:6",
+                      "--optimal-df", "positive"]):
+            assert run(argv + [f"--band={band}"]) == 0
+            joined = capsys.readouterr().out
+            assert run(argv + ["--band", band]) == 0
+            assert capsys.readouterr().out == joined
+
+
 class TestSweepCommand:
     def test_csv_to_stdout(self, capsys):
         assert run(["sweep", "--axis", "delta_f=-5:5:5"]) == 0
@@ -194,6 +221,21 @@ class TestSweepCommand:
             "--no-clamp", "--set", "G=1"])
         assert all(f["I_signed_db"] >= c
                    for f, c in zip(free, clamped))
+
+    def test_json_file_is_pinned(self, capsys, tmp_path):
+        # A 150 x 150 grid as the benchmark's JSON jobs sweep it; the digest
+        # is that of the file the per-value repr writer wrote.
+        out = tmp_path / "sweep.json"
+        assert run(["sweep", "--axis",
+                    "delta_f=-42.74411714657389:53.02265760983766:150",
+                    "--axis2",
+                    "gamma_m=1.7886498687330021:14.190640271835173:150",
+                    "--format", "json", "--out", str(out),
+                    "--set", "g0_mhz=20.25159423342757",
+                    "--set", "delta_mhz=5.891124362793143"]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "32b4f2fbce0c7c001035d47dd236b83ec7a8448d99c95d47005d012247faba32")
 
     def test_bad_axis_spec(self, capsys):
         assert run(["sweep", "--axis", "delta_f=1:2"]) == 3

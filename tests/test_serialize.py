@@ -26,7 +26,7 @@ from magnon_sagnac import (
 from magnon_sagnac import e16, serialize
 from magnon_sagnac.serialize import (
     CSV_HEADER,
-    _json_signed_and_abs,
+    _json_slots,
     csv_text,
     json_records,
     json_text,
@@ -326,6 +326,84 @@ class TestE16:
         assert sorted(seen) == sorted([*ties, *outside])
 
 
+def _assert_reprs_like_python(values):
+    x = np.array(values, dtype=float)
+    assert _slot_text(e16.repr_slots(x)) == list(map(repr, x.tolist()))
+
+
+class TestRepr:
+    """The numpy shortest-repr formatter against ``float.__repr__``."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    max_size=50))
+    def test_any_finite_float(self, values):
+        _assert_reprs_like_python(values)
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), max_size=50))
+    def test_any_bit_pattern(self, bits):
+        _assert_reprs_like_python(np.array(bits, np.uint64).view(float))
+
+    @given(st.lists(st.decimals(-1e9, 1e9, places=6), max_size=50))
+    def test_short_decimals(self, values):
+        # The values axes and configs hold, with few digits.
+        _assert_reprs_like_python([float(v) for v in values])
+
+    def test_powers_of_two(self):
+        # Below 2**e the gap to the next float is half the gap above it.
+        powers = np.ldexp(1.0, np.arange(-1000, 1001))
+        _assert_reprs_like_python(np.concatenate([powers, -powers]))
+
+    def test_layout_switches(self):
+        # Fixed notation for exponents -4..15, scientific outside, and the
+        # round-up to the next decade; integers up to 2**53.
+        edges = [1e-5, 1e-4, 1e15, 1e16, 9.999999999999999e-05,
+                 9.999999999999999e15, 0.0001, 0.00012345, 1.5e16,
+                 123456789012345.67, 1234567890123456.7, 1e300]
+        values = np.array(edges + [float(Fraction(10) ** m)
+                                   for m in range(-20, 25)])
+        neighbours = np.concatenate([values, np.nextafter(values, 0),
+                                     np.nextafter(values, np.inf)])
+        integers = [float(2 ** m + j) for m in range(0, 54, 3)
+                    for j in (-1, 0, 1)]
+        _assert_reprs_like_python(np.concatenate([neighbours, -neighbours,
+                                                  integers]))
+
+    def test_edges(self):
+        tiny = np.finfo(float).tiny
+        _assert_reprs_like_python([
+            0.0, -0.0, 5e-324, -5e-324, 2.5e-320, tiny, -tiny,
+            np.nextafter(tiny, 0), np.finfo(float).max,
+            -np.finfo(float).max, 1e290, 1e-290, 0.5, 9.5, -9.5, 0.1, 0.3,
+            1 / 3, 2 / 3, 1.0, 100.0, 123.0, 1e22, 1e23, 5e-5, 1e-243,
+            math.nan, np.copysign(np.nan, -1.0), math.inf, -math.inf])
+
+    def test_fallback_branches_run(self, monkeypatch):
+        # Each near-tie test, and magnitudes outside the range of the
+        # double-double product, send their value to Python; nothing else
+        # goes there.
+        python = e16._python_repr
+        seen = []
+
+        def recording(values):
+            seen.extend(values.tolist())
+            return python(values)
+
+        monkeypatch.setattr(e16, "_python_repr", recording)
+        ties = [1000000000000000.25,  # the 17th digit: a tail of one half
+                7e22,  # its 16 digits lie half a gap below
+                1e23,  # its 16 digits lie half a gap above
+                970004173447651.25]  # two 16-digit roundings equally near
+        outside = [1e300, -1e-300, 5e-324, 1.7976931348623157e308]
+        inside = [1.0, -2.5, 0.0, -0.0, math.nan, -math.inf, 1e-243, 1e290,
+                  2.0 ** 100, 0.1]
+        values = [*ties, *outside, *inside]
+        assert _slot_text(e16.repr_slots(np.array(values))) == list(
+            map(repr, values))
+        assert list(map(repr, ties)) == ["1000000000000000.2", "7e+22",
+                                         "1e+23", "970004173447651.2"]
+        assert sorted(seen) == sorted([*ties, *outside])
+
+
 _SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan,
                    float(np.copysign(np.nan, -1.0)), math.inf, -math.inf,
                    5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310)
@@ -340,9 +418,12 @@ def test_abs_text_is_signed_text_without_its_minus(values):
     slots[:, 0] = 0  # the sign byte, as the CSV writer clears it for I_abs
     assert _slot_text(slots) == [_oracle_fmt(abs(v)) for v in values]
     assert _slot_text(slots) == _slot_text(e16.slots(np.abs(x)))
-    signed, unsigned = _json_signed_and_abs(x)
-    assert signed == [json.dumps(_oracle_jsonable(v)) for v in values]
-    assert unsigned == [json.dumps(_oracle_jsonable(abs(v))) for v in values]
+    json_slots = _json_slots(x)
+    assert _slot_text(json_slots) == [json.dumps(_oracle_jsonable(v))
+                                      for v in values]
+    json_slots[:, 1] = 0  # the sign byte, as the JSON writer clears it
+    assert _slot_text(json_slots) == [json.dumps(_oracle_jsonable(abs(v)))
+                                      for v in values]
 
 
 # sha256 of the preset files, as the row-by-row writer wrote them.
