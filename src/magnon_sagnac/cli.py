@@ -12,6 +12,7 @@ import argparse
 import cmath
 import ctypes
 import json
+import math
 import os
 import re
 import sys
@@ -86,6 +87,8 @@ def _parse_band(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"band {text!r} has non-numeric bounds") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"band {text!r} must have finite bounds")
     if not lo < hi:
         raise UsageError("band must satisfy lo < hi")
     return lo, hi
@@ -131,7 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-form extrema")
     p.add_argument("--band", metavar="LO:HI",
                    help="search band in MHz, default from config band_mhz")
-    p.add_argument("--grid-points", type=int, default=2001)
+    p.add_argument("--grid-points", type=int, default=2001,
+                   help="scan points across the band before the "
+                        "golden-section refinement (--brute only, at "
+                        "least 11)")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="transmission over one or two parameter axes")
@@ -263,6 +269,11 @@ def _cmd_optimize(args) -> int:
                              else ext.isolation_minus_db)})
         return 0
     best = brute_force_optimum(cfg.params, band, grid_points=args.grid_points)
+    # -inf: no shift of the band had a finite response.  (+inf is a
+    # vanishing output, which isolate reports as well.)
+    if best.isolation_db == -math.inf:
+        raise PhysicsError("OVERFLOW: isolation_db left the float range "
+                           "at every shift of the band")
     _emit(args, {"delta_f_mhz": best.delta_f_mhz,
                  "isolation_db": best.isolation_db})
     return 0

@@ -225,6 +225,8 @@ def parse_config(raw: dict) -> ResolvedConfig:
         raise ConfigError("band_mhz must be [lo, hi]")
     band = (_as_number(band_raw[0], "band_mhz[0]"),
             _as_number(band_raw[1], "band_mhz[1]"))
+    if not (math.isfinite(band[0]) and math.isfinite(band[1])):
+        raise ConfigError(f"band_mhz must be finite, got {band_raw!r}")
     if not band[0] < band[1]:
         raise ConfigError("band_mhz must satisfy lo < hi")
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from magnon_sagnac import (
     transmissions,
     with_delta_f,
 )
-from magnon_sagnac.analysis import _golden_section_max
+from magnon_sagnac import analysis
+from magnon_sagnac.analysis import OptimumResult, _golden_section_max
+from magnon_sagnac.model import FEASIBLE_FIZEAU_BAND
+from magnon_sagnac.steady_state import kernel_args, transmission_grid
 
 from conftest import random_general, random_symmetric
 
@@ -246,6 +250,65 @@ class TestClassifyDirection:
         assert classify_direction(nearly, tol_db=1.0) is Direction.RECIPROCAL
 
 
+def scalar_scan_optimum(params, band=FEASIBLE_FIZEAU_BAND, grid_points=2001,
+                        refine_tol_mhz=1e-6):
+    """The oracle for brute_force_optimum: one scalar solve per scan point,
+    then the same golden-section refinement."""
+    lo, hi = band
+
+    def objective(delta_f):
+        return transmissions(with_delta_f(params, delta_f)).i_abs_db
+
+    step = (hi - lo) / (grid_points - 1)
+    best_value, best_x, best_index = -math.inf, lo, 0
+    for i in range(grid_points):
+        x = lo + i * step
+        v = objective(x)
+        if v > best_value or (v == best_value and abs(x) < abs(best_x)):
+            best_value, best_x, best_index = v, x, i
+    a = lo + max(best_index - 1, 0) * step
+    b = lo + min(best_index + 1, grid_points - 1) * step
+    x_star, i_star = _golden_section_max(objective, a, b, refine_tol_mhz)
+    if best_value > i_star:
+        x_star, i_star = best_x, best_value
+    return OptimumResult(x_star, i_star)
+
+
+def _outcome(search, params, band, grid_points):
+    """A search's result, or the type and text of its error."""
+    try:
+        return search(params, band, grid_points)
+    except Exception as e:  # the error itself is compared
+        return type(e), str(e)
+
+
+PARITY_BANDS = [(-65.0, 65.0), (0.0, 65.0), (-20.0, 3.0)]
+PARITY_SIZES = [11, 101, 2001]
+
+# Its two mirror shifts tie on the -65:65 scan.  The kernel ranks the
+# positive one higher by 7e-15 dB, the scalar path the negative one.
+MIRROR_TIE = SystemParams.symmetric(g0_mhz=21.0, g_squeeze=0.43,
+                                    kappa_mhz=2.85, gamma_m_mhz=3.7,
+                                    delta_mhz=-11.3)
+
+SPECIAL_CASES = {
+    "demo": SystemParams.symmetric(),
+    "flat_eta3_0": SystemParams.symmetric(eta3=0.0),
+    "mirror_tie": MIRROR_TIE,
+    "g0_0": SystemParams.symmetric(g0_mhz=0.0),
+    "zero_drive": dataclasses.replace(SystemParams.symmetric(),
+                                      drive=DriveAmplitudes(0.0, 1.0, 1.0)),
+}
+
+
+def assert_matches_oracle(params, bands=PARITY_BANDS, sizes=PARITY_SIZES):
+    for band in bands:
+        for n in sizes:
+            got = _outcome(brute_force_optimum, params, band, n)
+            want = _outcome(scalar_scan_optimum, params, band, n)
+            assert got == want, (band, n)
+
+
 class TestBruteForce:
     def test_matches_analytic_extremum(self, base_params):
         opt = brute_force_optimum(base_params, band=(0.0, 65.0))
@@ -271,6 +334,69 @@ class TestBruteForce:
             brute_force_optimum(base_params, band=(5.0, 5.0))
         with pytest.raises(ValueError):
             brute_force_optimum(base_params, grid_points=5)
+        with pytest.raises(ValueError, match="too wide: hi - lo = inf"):
+            brute_force_optimum(base_params, band=(-1e308, 1e308))
+        with pytest.raises(ValueError, match="too wide"):
+            brute_force_optimum(base_params, band=(-math.inf, 0.0))
+
+    def test_a_nan_refinement_keeps_the_scan_best(self, base_params):
+        # Only the scan point at 0 lies below the overflow near 1e155 MHz;
+        # the refinement around it sees only nan.
+        opt = brute_force_optimum(base_params, band=(-1e200, 1e200))
+        assert (opt.delta_f_mhz, opt.isolation_db) == (0.0, 0.0)
+        opt = brute_force_optimum(base_params, band=(1e160, 2e160))
+        assert opt.isolation_db == -math.inf
+
+    @pytest.mark.parametrize("draw", [random_symmetric, random_general])
+    def test_scan_matches_the_scalar_oracle(self, draw):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            assert_matches_oracle(draw(rng))
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_CASES))
+    def test_special_cases_match_the_scalar_oracle(self, name):
+        assert_matches_oracle(SPECIAL_CASES[name])
+
+    def test_mirror_tie_needs_the_scalar_rescoring(self):
+        lo, hi, n = -65.0, 65.0, 2001
+        step = (hi - lo) / (n - 1)
+        x = lo + np.arange(n) * step
+        kernel_db = np.abs(transmission_grid(
+            **dict(kernel_args(MIRROR_TIE), delta_f=x))[3])
+        best = np.flatnonzero(kernel_db == kernel_db.max())
+        assert x[best].tolist() == [36.985]
+        assert brute_force_optimum(MIRROR_TIE, (lo, hi), n).delta_f_mhz < 0.0
+
+    def test_small_scan_blocks_change_nothing(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_SCAN_BLOCK", 7)
+        rng = np.random.default_rng(47)
+        for params in (random_symmetric(rng), random_general(rng),
+                       MIRROR_TIE, SPECIAL_CASES["flat_eta3_0"]):
+            assert_matches_oracle(params, sizes=[11, 101])
+        assert_matches_oracle(MIRROR_TIE, bands=[(-65.0, 65.0)],
+                              sizes=[2001])
+
+    def test_scan_memory_is_bounded(self, base_params):
+        tracemalloc.start()
+        try:
+            brute_force_optimum(base_params, (0.0, 65.0), grid_points=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_few_scalar_solves(self, base_params, monkeypatch):
+        calls = []
+
+        def counted(params):
+            calls.append(params.delta_f_mhz)
+            return transmissions(params)
+
+        monkeypatch.setattr(analysis, "transmissions", counted)
+        for band in ((0.0, 65.0), (-65.0, 65.0)):
+            calls.clear()
+            brute_force_optimum(base_params, band)
+            assert len(calls) <= 50
 
 
 def test_golden_section_finds_simple_maxima():

@@ -179,6 +179,52 @@ class TestOptimize:
             analytic["isolation_db"], abs=0.01)
 
 
+    # Mirror shifts that tie but for rounding; see tests/test_analysis.py.
+    MIRROR_TIE = ["--set", "g0_mhz=21.0", "--set", "G=0.43",
+                  "--set", "kappa_mhz=2.85", "--set", "gamma_m_mhz=3.7",
+                  "--set", "delta_mhz=-11.3"]
+
+    @pytest.mark.parametrize("argv,text,json_text", [
+        (["--band", "0:65"],
+         "delta_f_mhz = 33.1816892562\nisolation_db = 41.6307193185\n",
+         '{\n "delta_f_mhz": 33.18168925621646,\n'
+         ' "isolation_db": 41.63071931849973\n}\n'),
+        (["--band=-65:65"] + MIRROR_TIE,
+         "delta_f_mhz = -37.0043302526\nisolation_db = 34.3061316266\n",
+         '{\n "delta_f_mhz": -37.00433025259326,\n'
+         ' "isolation_db": 34.30613162658666\n}\n'),
+    ], ids=["demo", "mirror_tie"])
+    def test_brute_stdout_is_pinned(self, capsys, argv, text, json_text):
+        for fmt, expected in (("text", text), ("json", json_text)):
+            assert run(["optimize", "--brute", "--format", fmt] + argv) == 0
+            assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (["--band=-inf:0"], 3,
+         "usage error: band '-inf:0' must have finite bounds\n"),
+        (["--set", "band_mhz=[0,1e400]"], 1,
+         "error: band_mhz must be finite, got [0, inf]\n"),
+        (["--band=-1e308:1e308"], 1,
+         "error: band (-1e+308, 1e+308) is too wide: hi - lo = inf\n"),
+    ], ids=["inf_bound", "config_inf_bound", "width_overflows"])
+    def test_brute_refuses_bands_that_are_not_finite(self, capsys, argv,
+                                                     code, err):
+        assert run(["optimize", "--brute"] + argv) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+    def test_brute_never_reports_a_nan_optimum(self, capsys):
+        # Every shift beyond about 1e155 MHz overflows: on the first band
+        # only the scan point at 0 is finite, on the second none is.
+        assert run(["optimize", "--brute", "--band=-1e200:1e200"]) == 0
+        assert capsys.readouterr().out == ("delta_f_mhz = 0\n"
+                                           "isolation_db = 0\n")
+        assert run(["optimize", "--brute", "--band=1e160:2e160"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: OVERFLOW: isolation_db left the "
+                                "float range at every shift of the band\n")
+
     @pytest.mark.parametrize("band", ["-40:40", "-.5:1", "-1e1:-2.5"])
     def test_negative_band_takes_either_spelling(self, capsys, band):
         for argv in (["optimize"],
