@@ -30,7 +30,7 @@ import numpy as np
 from .model import (FEASIBLE_FIZEAU_BAND, PhysicsError, SystemParams,
                     is_symmetric, with_delta_f)
 from .steady_state import (TransmissionReport, kernel_args,
-                           transmission_grid, transmissions)
+                           require_optical_drive, transmissions)
 
 
 class SymmetryRequiredError(PhysicsError):
@@ -173,6 +173,7 @@ def extremal_fizeau_general(
     Reduces to the symmetric result when ports and couplings match.  Both
     shifts are real for every positive linewidth.
     """
+    require_optical_drive(params)
     args = kernel_args(params)
     if min(args["g_1"], args["g_2"], args["eta_3"] * args["eps_3"]) <= 0.0:
         raise ValueError("extremal analysis needs strictly positive couplings "
@@ -222,97 +223,28 @@ class OptimumResult:
     isolation_db: float
 
 
-def _golden_section_max(f, a: float, b: float, tol: float):
-    """Golden-section maximization on [a, b] for a unimodal objective."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-# Points per kernel call of the band scan, so its memory stays bounded.
-_SCAN_BLOCK = 1 << 14
-
-
-def _rescore_margin_db(abs_db):
-    """How far below the kernel's best |I| a scan point may lie and still
-    be the scalar path's best.  The kernel and the scalar closed form round
-    differently.  Over random configurations with rates across six decades
-    their |I| differed by at most 4e-14 * 10**(|I|/20) dB (3.6e-13 dB
-    below 60 dB, 1.3e-9 dB at 132 dB).  Two points can only change places
-    within the sum of their errors; this margin is over ten times that."""
-    with np.errstate(over="ignore"):
-        return 1e-9 + 1e-12 * np.power(10.0, np.divide(abs_db, 20.0))
-
-
 def brute_force_optimum(params: SystemParams,
-                        band: tuple[float, float] = FEASIBLE_FIZEAU_BAND,
-                        grid_points: int = 2001,
-                        refine_tol_mhz: float = 1e-6) -> OptimumResult:
-    """Locate the Fizeau shift maximizing |I| inside ``band`` numerically.
+                        band: tuple[float, float] = FEASIBLE_FIZEAU_BAND
+                        ) -> OptimumResult:
+    """The Fizeau shift of largest |I| inside ``band``, found exactly.
 
-    A uniform scan at ``lo + i * step`` brackets the maximum, then
-    golden-section refinement narrows it down to ``refine_tol_mhz``; a nan
-    from the refinement never replaces the scan's best.  The scan runs the
-    batched kernel over blocks of points, then re-scores with the scalar
-    :func:`.transmissions` every point whose kernel |I| is nan or within
-    the rounding margin of the kernel's best, in index order (ties break
-    toward the smallest |delta_f|, the first one winning).  The result is
-    therefore bit for bit that of a scalar scan of every point, at the
-    cost of a few dozen scalar solves.  ``isolation_db`` is -inf when no
-    scan point has a defined isolation.  Makes no symmetry assumptions;
-    this is the reference against which the closed-form extrema are
-    checked.
+    R is a ratio of two quadratics in delta_f, so on [lo, hi] |I| is
+    largest at a band edge or at one of the two :func:`stationary_shifts`;
+    0 is tried as well, so a response that does not depend on the shift
+    keeps it.  Each candidate inside the band is scored with the scalar
+    :func:`.transmissions`.  A nan never wins, and exact ties break toward
+    the smaller |delta_f|, then the negative one.  ``isolation_db`` is
+    -inf when no candidate has a defined isolation.  Makes no symmetry
+    assumptions.
     """
     lo, hi = band
     if not lo < hi:
         raise ValueError("band must satisfy lo < hi")
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"band ({lo!r}, {hi!r}) is too wide: "
-                         f"hi - lo = {hi - lo!r}")
-    if grid_points < 11:
-        raise ValueError("grid_points must be at least 11")
-
-    def objective(delta_f: float) -> float:
-        return transmissions(with_delta_f(params, delta_f)).i_abs_db
-
-    step = (hi - lo) / (grid_points - 1)
-    args = kernel_args(params)
-    # Keep the points whose |I| plus margin reaches the best so far; the
-    # best only rises, so the final filter drops whatever this one does.
-    kernel_best, kept, reach = -math.inf, [], []
-    for start in range(0, grid_points, _SCAN_BLOCK):
-        index = np.arange(start, min(start + _SCAN_BLOCK, grid_points))
-        abs_db = np.abs(transmission_grid(
-            **dict(args, delta_f=lo + index * step))[3])
-        kernel_best = max(kernel_best,
-                          float(np.fmax.reduce(abs_db, initial=-math.inf)))
-        top = abs_db + _rescore_margin_db(abs_db)
-        near = ~(top < kernel_best)  # nan |I| is always re-scored
-        kept.append(index[near])
-        reach.append(top[near])
-    index = np.concatenate(kept)[~(np.concatenate(reach) < kernel_best)]
-
-    best_value, best_x, best_index = -math.inf, lo, 0
-    for i in index.tolist():
-        x = lo + i * step
-        v = objective(x)
-        if v > best_value or (v == best_value and abs(x) < abs(best_x)):
-            best_value, best_x, best_index = v, x, i
-    a = lo + max(best_index - 1, 0) * step
-    b = lo + min(best_index + 1, grid_points - 1) * step
-    x_star, i_star = _golden_section_max(objective, a, b, refine_tol_mhz)
-    if not i_star >= best_value:
-        x_star, i_star = best_x, best_value
-    return OptimumResult(x_star, i_star)
+    plus, minus = (float(x) for x in stationary_shifts(**kernel_args(params)))
+    best = OptimumResult(lo, -math.inf)
+    inside = [x for x in {0.0, lo, hi, plus, minus} if lo <= x <= hi]
+    for x in sorted(inside, key=lambda x: (abs(x), x)):
+        value = transmissions(with_delta_f(params, x)).i_abs_db
+        if value > best.isolation_db:
+            best = OptimumResult(x, value)
+    return best

@@ -129,15 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Fizeau shift maximizing the isolation")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--brute", action="store_true",
-                       help="numeric band search (default)")
+                       help="exact optimum over the band (default)")
     group.add_argument("--analytic", action="store_true",
                        help="closed-form extrema")
     p.add_argument("--band", metavar="LO:HI",
                    help="search band in MHz, default from config band_mhz")
-    p.add_argument("--grid-points", type=int, default=2001,
-                   help="scan points across the band before the "
-                        "golden-section refinement (--brute only, at "
-                        "least 11)")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="transmission over one or two parameter axes")
@@ -268,8 +264,8 @@ def _cmd_optimize(args) -> int:
             "isolation_db": (ext.isolation_plus_db if best_plus
                              else ext.isolation_minus_db)})
         return 0
-    best = brute_force_optimum(cfg.params, band, grid_points=args.grid_points)
-    # -inf: no shift of the band had a finite response.  (+inf is a
+    best = brute_force_optimum(cfg.params, band)
+    # -inf: no candidate shift of the band had a finite response.  (+inf is a
     # vanishing output, which isolate reports as well.)
     if best.isolation_db == -math.inf:
         raise PhysicsError("OVERFLOW: isolation_db left the float range "
@@ -329,7 +325,7 @@ def _cmd_validate(args) -> int:
     problems = validate(cfg.params) + validate_rotation(cfg.rotation)
     if problems:
         for v in problems:
-            print(f"{v.code}: {v.message}", file=sys.stderr)
+            print(f"error: {v.code}: {v.message}", file=sys.stderr)
         return 1
     if not args.print_resolved:
         print("ok")

@@ -413,6 +413,15 @@ def validate(params: SystemParams,
         out.append(Violation("NONFINITE", "squeeze: non-finite exponent"))
     if spec.omega_s_override_mhz is not None and not _finite(spec.omega_s_override_mhz):
         out.append(Violation("NONFINITE", "squeeze: non-finite omega_s override"))
+    if not out:
+        try:
+            eff = derive_effective(params)
+            finite = _finite(eff.g_eff_1_mhz, eff.g_eff_2_mhz)
+        except OverflowError:  # cosh(2G)
+            finite = False
+        if not finite:
+            out.append(Violation("NONFINITE", "squeeze: effective coupling "
+                                 "g0 cosh(2G) leaves the float range"))
     d = params.drive
     if not _finite(d.eps_1, d.eps_2, d.eps_3_eff):
         out.append(Violation("NONFINITE", "drive: non-finite amplitude"))

@@ -174,15 +174,17 @@ def output_fields(state: SteadyState, params: SystemParams) -> OutputFields:
 _SOLVERS = {"closed": solve_closed_form, "generic": solve_generic}
 
 
-def transmissions(params: SystemParams, method: str = "closed") -> TransmissionReport:
-    """Solve both drive sides and report T12, T21 and the isolation.
-
-    Requires strictly positive optical drive amplitudes, since the
-    transmissions are normalized by them.
-    """
+def require_optical_drive(params: SystemParams) -> None:
+    """Refuse non-positive optical drive amplitudes, which T12 and T21 are
+    normalized by."""
     if params.drive.eps_1 <= 0.0 or params.drive.eps_2 <= 0.0:
         raise NoTransmissionError(
             "both optical drive amplitudes must be positive to define T12 and T21")
+
+
+def transmissions(params: SystemParams, method: str = "closed") -> TransmissionReport:
+    """Solve both drive sides and report T12, T21 and the isolation."""
+    require_optical_drive(params)
     try:
         solver = _SOLVERS[method]
     except KeyError:

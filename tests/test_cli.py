@@ -69,6 +69,19 @@ class TestExitCodes:
                     "--axis2", "gamma_m=1:2:1000000"]) == 1
         assert "1000000000000 points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["isolate"], ["steady"], ["optimize"],
+        ["optimize", "--analytic"], ["sweep", "--axis", "delta_f=-1:1:3"]],
+        ids=["validate", "isolate", "steady", "optimize", "analytic",
+             "sweep"])
+    def test_effective_coupling_out_of_float_range(self, capsys, command):
+        # cosh(2G) overflows at G = 400.
+        assert run(command + ["--set", "G=400"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "NONFINITE: squeeze" in line
+
     def test_csv_format_outside_sweep(self, capsys):
         assert run(["isolate", "--format", "csv"]) == 3
         capsys.readouterr()
@@ -186,12 +199,12 @@ class TestOptimize:
 
     @pytest.mark.parametrize("argv,text,json_text", [
         (["--band", "0:65"],
-         "delta_f_mhz = 33.1816892562\nisolation_db = 41.6307193185\n",
-         '{\n "delta_f_mhz": 33.18168925621646,\n'
-         ' "isolation_db": 41.63071931849973\n}\n'),
+         "delta_f_mhz = 33.1816893263\nisolation_db = 41.6307193185\n",
+         '{\n "delta_f_mhz": 33.18168932631133,\n'
+         ' "isolation_db": 41.630719318499786\n}\n'),
         (["--band=-65:65"] + MIRROR_TIE,
-         "delta_f_mhz = -37.0043302526\nisolation_db = 34.3061316266\n",
-         '{\n "delta_f_mhz": -37.00433025259326,\n'
+         "delta_f_mhz = -37.0043302463\nisolation_db = 34.3061316266\n",
+         '{\n "delta_f_mhz": -37.004330246310424,\n'
          ' "isolation_db": 34.30613162658666\n}\n'),
     ], ids=["demo", "mirror_tie"])
     def test_brute_stdout_is_pinned(self, capsys, argv, text, json_text):
@@ -199,31 +212,42 @@ class TestOptimize:
             assert run(["optimize", "--brute", "--format", fmt] + argv) == 0
             assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("argv,code,err", [
-        (["--band=-inf:0"], 3,
+    @pytest.mark.parametrize("argv,code,out,err", [
+        (["--band=-inf:0"], 3, "",
          "usage error: band '-inf:0' must have finite bounds\n"),
-        (["--set", "band_mhz=[0,1e400]"], 1,
+        (["--set", "band_mhz=[0,1e400]"], 1, "",
          "error: band_mhz must be finite, got [0, inf]\n"),
-        (["--band=-1e308:1e308"], 1,
-         "error: band (-1e+308, 1e+308) is too wide: hi - lo = inf\n"),
+        # Finite bounds whose width hi - lo overflows are accepted: the
+        # optimum scores candidate shifts only, never the width.
+        (["--band=-1e308:1e308"], 0,
+         "delta_f_mhz = -33.1816893263\nisolation_db = 41.6307193185\n", ""),
     ], ids=["inf_bound", "config_inf_bound", "width_overflows"])
     def test_brute_refuses_bands_that_are_not_finite(self, capsys, argv,
-                                                     code, err):
+                                                     code, out, err):
         assert run(["optimize", "--brute"] + argv) == code
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", err)
+        assert (captured.out, captured.err) == (out, err)
 
     def test_brute_never_reports_a_nan_optimum(self, capsys):
         # Every shift beyond about 1e155 MHz overflows: on the first band
-        # only the scan point at 0 is finite, on the second none is.
+        # only the edges do, so the stationary shifts win (the negative
+        # one on a tie); on the second band every shift does.
         assert run(["optimize", "--brute", "--band=-1e200:1e200"]) == 0
-        assert capsys.readouterr().out == ("delta_f_mhz = 0\n"
-                                           "isolation_db = 0\n")
+        assert capsys.readouterr().out == (
+            "delta_f_mhz = -33.1816893263\nisolation_db = 41.6307193185\n")
         assert run(["optimize", "--brute", "--band=1e160:2e160"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: OVERFLOW: isolation_db left the "
                                 "float range at every shift of the band\n")
+
+    def test_analytic_refuses_a_silent_optical_drive(self, capsys):
+        assert run(["optimize", "--analytic",
+                    "--set", "drive.eps=[0,1,1]"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: both optical drive amplitudes must be positive to "
+                "define T12 and T21\n")
 
     @pytest.mark.parametrize("band", ["-40:40", "-.5:1", "-1e1:-2.5"])
     def test_negative_band_takes_either_spelling(self, capsys, band):

@@ -280,6 +280,15 @@ class TestValidate:
         p = dataclasses.replace(base_params, delta_mhz=math.nan)
         assert "NONFINITE" in codes(validate(p))
 
+    @pytest.mark.parametrize("g0,g_squeeze", [(41.0, 400.0), (41.0, -400.0),
+                                              (1e300, 10.0)])
+    def test_effective_coupling_out_of_float_range(self, g0, g_squeeze):
+        """cosh(2G) or g0 cosh(2G) overflows; derive_effective would raise
+        or give inf."""
+        p = SystemParams.symmetric(g0_mhz=g0, g_squeeze=g_squeeze)
+        assert [v.code for v in validate(p)] == ["NONFINITE"]
+        assert validate(SystemParams.symmetric(g_squeeze=100.0)) == []
+
     def test_collects_multiple(self, base_params):
         p = dataclasses.replace(base_params, g0_1_mhz=-1.0,
                                 drive=DriveAmplitudes(-1.0, 1.0, 1.0))

@@ -400,8 +400,7 @@ class TestDeltaFPolicies:
         for k, gm in enumerate(ax.values()):
             point = apply_parameter(lopsided, SweepParameter.GAMMA_M,
                                     float(gm))
-            opt = brute_force_optimum(point, band=(0.0, 65.0),
-                                      grid_points=301)
+            opt = brute_force_optimum(point, band=(0.0, 65.0))
             assert res.delta_f_mhz[k] == pytest.approx(opt.delta_f_mhz,
                                                        abs=1e-5)
             assert abs(res.i_signed_db[k]) == pytest.approx(opt.isolation_db,

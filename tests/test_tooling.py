@@ -1,8 +1,10 @@
-"""The benchmark's trace hooks and the bundled scripts fit the package."""
+"""The benchmark's trace hooks and gate, and the bundled scripts, fit
+the package."""
 
 import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import resource
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from magnon_sagnac import cli
 from test_serialize import _PRESET_DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,15 +25,40 @@ def _src_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
+def _perfbench(name: str):
+    """A perfbench module, loaded from its file without perfbench/ on
+    the import path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_trace_targets_resolve():
     """Every name perfbench/spans.py wraps for ``--trace 1`` exists."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench("spans")
     missing = [f"{module}.{attr}" for module, attr, *_ in spans.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_optimize_passes_the_benchmark_gate(tmp_path, capsys, seed):
+    """The ``optimize`` query jobs of the benchmark, run as it runs them,
+    pass its correctness gate."""
+    gate, jobs = _perfbench("gate"), _perfbench("jobs")
+    for job in jobs.query_jobs(seed):
+        if job["kind"] not in ("brute", "analytic"):
+            continue
+        path = tmp_path / f"{job['id'].replace(':', '_')}.json"
+        path.write_text(json.dumps(job["config"]), encoding="utf-8")
+        argv = [*job["argv"], "--config", str(path)]
+        for s in job["sets"]:
+            argv += ["--set", s]
+        rc = cli.run(argv)
+        out = capsys.readouterr().out
+        assert gate.check_query(job, path, rc, out) == [], (job["id"], argv)
 
 
 def test_spin_rate_study_runs():
