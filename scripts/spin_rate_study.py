@@ -17,7 +17,7 @@ from pathlib import Path
 from magnon_sagnac import (
     RotationSpec,
     SystemParams,
-    extremal_fizeau_symmetric,
+    extremal_fizeau_general,
     fizeau_shift,
     transmissions,
     with_delta_f,
@@ -37,9 +37,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max-hz must be positive and --steps at least 2")
 
     system = SystemParams.symmetric()
-    best = extremal_fizeau_symmetric(system)
+    best = extremal_fizeau_general(system)
     print(f"# extremal shift {best.delta_f_plus_mhz:.3f} MHz "
-          f"({best.isolation_db:.2f} dB); scanning spin rates")
+          f"({best.isolation_plus_db:.2f} dB); scanning spin rates")
     header = "omega_rot_hz,delta_f_mhz,t12,t21,i_signed_db"
     rows = [header]
     print(f"{'Hz':>10s} {'shift MHz':>10s} {'T12':>9s} {'T21':>9s} "

@@ -22,10 +22,9 @@ from .steady_state import (DegenerateSystemError, DriveSide,
                            solve_closed_form, solve_generic, transmission_grid,
                            transmissions)
 from .analysis import (Direction, GeneralExtrema, OptimumResult,
-                       ReciprocalPoints, SymmetricExtrema,
-                       SymmetryRequiredError, brute_force_optimum,
-                       classify_direction, extremal_fizeau_general,
-                       extremal_fizeau_symmetric, reciprocal_points)
+                       ReciprocalPoints, SymmetryRequiredError,
+                       brute_force_optimum, classify_direction,
+                       extremal_fizeau_general, reciprocal_points)
 from .sweep import (Axis, DeltaFPolicy, FigurePreset, PRESET_NAMES,
                     SweepError, SweepParameter, SweepResult, apply_parameter,
                     figure_preset, parameter_value, run_preset, sweep)
@@ -44,12 +43,12 @@ __all__ = [
     "PhysicalConstants", "PhysicsError", "ReciprocalPoints", "ResolvedConfig",
     "RotationDirection", "RotationSpec", "SqueezeMode", "SqueezeSpec",
     "SqueezingInstabilityError", "SteadyState", "SweepError",
-    "SweepParameter", "SweepResult", "SymmetricExtrema",
-    "SymmetryRequiredError", "SystemParams", "TransmissionReport",
+    "SweepParameter", "SweepResult", "SymmetryRequiredError",
+    "SystemParams", "TransmissionReport",
     "Violation", "apply_overrides", "apply_parameter", "brute_force_optimum",
     "classify_direction", "default_document", "default_params",
     "derive_effective", "drive_amplitude", "extremal_fizeau_general",
-    "extremal_fizeau_symmetric", "figure_preset", "fizeau_shift",
+    "figure_preset", "fizeau_shift",
     "has_uniform_ports", "is_symmetric", "load_config", "output_fields",
     "parameter_value", "parse_config", "reciprocal_points", "residuals",
     "resolved_document", "run_preset", "solve_closed_form", "solve_generic",

@@ -57,36 +57,6 @@ def classify_direction(report: TransmissionReport,
     return Direction.FORWARD if report.i_signed_db > 0 else Direction.BACKWARD
 
 
-@dataclass(frozen=True)
-class SymmetricExtrema:
-    """Extremal shifts of a symmetric system; the plus branch maximizes R
-    and the minus branch minimizes it, with ratio_minus = 1/ratio_plus and
-    a common isolation magnitude."""
-
-    delta_f_plus_mhz: float
-    delta_f_minus_mhz: float
-    ratio_plus: float
-    ratio_minus: float
-    isolation_db: float
-    in_band_plus: bool
-    in_band_minus: bool
-
-
-def extremal_fizeau_symmetric(
-        params: SystemParams,
-        band: tuple[float, float] = FEASIBLE_FIZEAU_BAND) -> SymmetricExtrema:
-    """:func:`extremal_fizeau_general` for a fully symmetric system."""
-    if not is_symmetric(params):
-        raise SymmetryRequiredError(
-            "extremal_fizeau_symmetric needs equal ports and equal couplings; "
-            "see extremal_fizeau_general")
-    ex = extremal_fizeau_general(params, band)
-    return SymmetricExtrema(ex.delta_f_plus_mhz, ex.delta_f_minus_mhz,
-                            ex.ratio_plus, ex.ratio_minus,
-                            ex.isolation_plus_db, ex.in_band_plus,
-                            ex.in_band_minus)
-
-
 def stationary_shifts(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
                       eta_2, eta_3, eps_1, eps_2, eps_3, delta_f=None,
                       omega_s=None):
@@ -170,8 +140,11 @@ def extremal_fizeau_general(
         band: tuple[float, float] = FEASIBLE_FIZEAU_BAND) -> GeneralExtrema:
     """Closed-form extremal Fizeau shifts for any ports and couplings.
 
-    Reduces to the symmetric result when ports and couplings match.  Both
-    shifts are real for every positive linewidth.
+    For a symmetric system (:func:`.is_symmetric`) the shifts are mirror
+    images, ratio_minus = 1/ratio_plus, and both branches share one
+    isolation magnitude.  Both shifts are real for every positive
+    linewidth.  An isolation ratio that leaves the float range at either
+    shift raises ``PhysicsError`` with an ``OVERFLOW`` message.
     """
     require_optical_drive(params)
     args = kernel_args(params)
@@ -182,6 +155,9 @@ def extremal_fizeau_general(
     plus, minus = (float(x) for x in stationary_shifts(**args))
     ratio_plus, ratio_minus = (float(isolation_ratio(**dict(args, delta_f=x)))
                                for x in (plus, minus))
+    if math.isnan(ratio_plus) or math.isnan(ratio_minus):
+        raise PhysicsError("OVERFLOW: the isolation ratio left the float "
+                           "range at a stationary shift")
     return GeneralExtrema(plus + minus, -4.0 * plus * minus, plus, minus,
                           ratio_plus, ratio_minus, band[0] <= plus <= band[1],
                           band[0] <= minus <= band[1])

@@ -9,10 +9,12 @@ system per drive side:
     i g_1 a_1 + i g_2 a_2 + (gamma_m/2 + i omega_s) m = sqrt(eta_3 gamma_m) eps_3'
 
 where g_j are the squeeze-enhanced couplings and eps_3' the squeezed-frame
-magnon drive.  Two solution routes are provided, a closed-form evaluation
-and a generic elimination solver; they are algebraically identical and
-serve as cross-checks on each other.  Output fields follow from
-a_out = sqrt(eta kappa) a.
+magnon drive.  Two solution routes are provided: the closed form
+(:func:`solve_closed_form`), and ``np.linalg.solve`` on the same 3x3
+matrix (:func:`solve_generic`) as its cross-check.  The matrix is
+diag(d) + i G with G real symmetric and Re d > 0 for every valid input,
+so its Hermitian part is positive definite and it is never singular
+there.  Output fields follow from a_out = sqrt(eta kappa) a.
 
 Transmissions are amplitude ratios: T12 = |a1_out / eps_2| with the drive
 on port 2, T21 = |a2_out / eps_1| with the drive on port 1.  The
@@ -106,53 +108,25 @@ def solve_closed_form(params: SystemParams, side: DriveSide) -> SteadyState:
     return SteadyState(a1, a2, m)
 
 
-def _solve_complex_3x3(a: list[list[complex]], b: list[complex],
-                       pivot_floor: float = 1e-14) -> list[complex]:
-    """Gaussian elimination with scaled partial pivoting.
-
-    Raises DegenerateSystemError when the best available pivot falls below
-    ``pivot_floor`` relative to its row scale, i.e. the system is singular
-    to roughly working precision.
-    """
-    n = len(b)
-    a = [list(row) for row in a]
-    b = list(b)
-    scale = [max(abs(v) for v in row) for row in a]
-    if min(scale) == 0.0:
-        raise DegenerateSystemError("zero row in system matrix")
-    for k in range(n - 1):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]) / scale[i])
-        if abs(a[p][k]) <= pivot_floor * scale[p]:
-            raise DegenerateSystemError("system matrix numerically singular")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            b[k], b[p] = b[p], b[k]
-            scale[k], scale[p] = scale[p], scale[k]
-        for i in range(k + 1, n):
-            factor = a[i][k] / a[k][k]
-            for j in range(k + 1, n):
-                a[i][j] -= factor * a[k][j]
-            b[i] -= factor * b[k]
-    if abs(a[n - 1][n - 1]) <= pivot_floor * scale[n - 1]:
-        raise DegenerateSystemError("system matrix numerically singular")
-    x = [0j] * n
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n):
-            acc -= a[i][j] * x[j]
-        x[i] = acc / a[i][i]
-    return x
-
-
 def solve_generic(params: SystemParams, side: DriveSide) -> SteadyState:
-    """Eliminate the full 3x3 system; an independent route to the same
-    steady state as :func:`solve_closed_form`."""
+    """Solve the 3x3 system with ``np.linalg.solve``; an independent route
+    to the same steady state as :func:`solve_closed_form`.
+
+    The system is first scaled to a unit-modulus diagonal, so that rates
+    decades apart do not defeat LAPACK's partial pivoting.  Every entry
+    is divided by the same rounded r_i r_j (d_i / r_i / r_i, not
+    d_i / |d_i|), which measurably answers more extreme systems right.
+    """
     d1, d2, dm, g1, g2, f1, f2, f3 = _coefficients(params, side)
-    matrix = [[d1, 0j, 1j * g1],
-              [0j, d2, 1j * g2],
-              [1j * g1, 1j * g2, dm]]
-    a1, a2, m = _solve_complex_3x3(matrix, [f1, f2, f3])
-    return SteadyState(a1, a2, m)
+    r1, r2, r3 = (math.sqrt(abs(d)) for d in (d1, d2, dm))
+    try:
+        c1, c2 = 1j * g1 / (r1 * r3), 1j * g2 / (r2 * r3)
+        x1, x2, x3 = np.linalg.solve(
+            [[d1 / r1 / r1, 0j, c1], [0j, d2 / r2 / r2, c2],
+             [c1, c2, dm / r3 / r3]], [f1 / r1, f2 / r2, f3 / r3]).tolist()
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        raise DegenerateSystemError("singular system matrix") from None
+    return SteadyState(x1 / r1, x2 / r2, x3 / r3)
 
 
 def residuals(state: SteadyState, params: SystemParams,

@@ -23,9 +23,9 @@ processor caches.  A grid of more than ``_MAX_POINTS`` (2**25) points
 raises :class:`SweepError` before anything is allocated.
 
 Results are deterministic: the block size and the thread count change
-no bit.  ``MAGNON_SAGNAC_THREADS`` (or the ``threads`` argument) hands
-the blocks to a thread pool, which writes the same disjoint rows; the
-pool has no more workers than cores or blocks.
+no bit.  The ``threads`` argument hands the blocks to a thread pool,
+which writes the same disjoint rows; the pool has no more workers than
+cores or blocks.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .steady_state import TransmissionReport, kernel_args, transmission_grid
 from .analysis import isolation_ratio, stationary_shifts
 # Not called here; perfbench/spans.py wraps this name for --trace 1.
 from .analysis import brute_force_optimum  # noqa: F401
-
-THREADS_ENV_VAR = "MAGNON_SAGNAC_THREADS"
 
 # Per-point codes in precedence order: a point keeps the first that applies.
 # The codes up to NONFINITE, found before the kernel runs, set the point's
@@ -204,14 +202,7 @@ def parameter_value(params: SystemParams, parameter: SweepParameter) -> float:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, "
-                             f"got {raw!r}") from None
+        return 1
     if threads < 0:
         raise ValueError("thread count must be >= 0 (0 means single pass)")
     return threads if threads > 1 else 1

@@ -22,7 +22,6 @@ from magnon_sagnac import (
     SystemParams,
     brute_force_optimum,
     extremal_fizeau_general,
-    extremal_fizeau_symmetric,
     fizeau_shift,
     run_preset,
     solve_closed_form,
@@ -60,9 +59,9 @@ def test_c1_optimal_shift_by_brute_force(demo, optimum):
     gamma_m = demo.magnon.gamma_m_mhz
     assert optimum.delta_f_mhz / gamma_m == pytest.approx(8.295, abs=0.005)
     assert optimum.isolation_db == pytest.approx(41.63, abs=0.01)
-    analytic = extremal_fizeau_symmetric(demo)
+    analytic = extremal_fizeau_general(demo)
     assert abs(optimum.delta_f_mhz - analytic.delta_f_plus_mhz) <= 1e-6
-    assert abs(optimum.isolation_db - analytic.isolation_db) <= 1e-9
+    assert abs(optimum.isolation_db - analytic.isolation_plus_db) <= 1e-9
 
 
 def test_c2_transmissions_at_the_optimum(demo, optimum):
@@ -87,9 +86,9 @@ def test_c3_peak_isolation_across_linewidth_maps(linewidth_maps):
          50.542, 0.05),
     )
     for name, kwargs, target_db, tol_db in cases:
-        analytic = extremal_fizeau_symmetric(SystemParams.symmetric(**kwargs))
-        assert analytic.isolation_db == pytest.approx(target_db, abs=tol_db), \
-            f"{name}: closed-form peak"
+        analytic = extremal_fizeau_general(SystemParams.symmetric(**kwargs))
+        assert analytic.isolation_plus_db == pytest.approx(
+            target_db, abs=tol_db), f"{name}: closed-form peak"
         grid_peak = float(linewidth_maps[name].i_abs_db.max())
         assert grid_peak == pytest.approx(target_db, abs=tol_db), \
             f"{name}: grid peak"
@@ -105,7 +104,7 @@ def test_c4_transmission_pairs_off_the_sweet_spot():
     )
     for delta, gamma_m, t12, tol12, t21, tol21 in cases:
         p = SystemParams.symmetric(delta_mhz=delta, gamma_m_mhz=gamma_m)
-        df = extremal_fizeau_symmetric(p).delta_f_plus_mhz
+        df = extremal_fizeau_general(p).delta_f_plus_mhz
         report = transmissions(with_delta_f(p, df))
         label = f"delta={delta}, gamma_m={gamma_m}"
         assert report.t12 == pytest.approx(t12, abs=tol12), label
@@ -228,18 +227,18 @@ def test_c7e_transmissions_invariant_under_rate_scaling():
 def test_c7f_isolation_monotonic_in_the_knobs():
     """Extremal isolation grows with squeezing and falls with either
     damping rate."""
-    by_squeeze = [extremal_fizeau_symmetric(
-        SystemParams.symmetric(g_squeeze=g)).isolation_db
+    by_squeeze = [extremal_fizeau_general(
+        SystemParams.symmetric(g_squeeze=g)).isolation_plus_db
         for g in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(b > a for a, b in zip(by_squeeze, by_squeeze[1:]))
 
-    by_gamma = [extremal_fizeau_symmetric(
-        SystemParams.symmetric(gamma_m_mhz=gm)).isolation_db
+    by_gamma = [extremal_fizeau_general(
+        SystemParams.symmetric(gamma_m_mhz=gm)).isolation_plus_db
         for gm in range(1, 13)]
     assert all(b < a for a, b in zip(by_gamma, by_gamma[1:]))
 
-    by_kappa = [extremal_fizeau_symmetric(
-        SystemParams.symmetric(kappa_mhz=k)).isolation_db
+    by_kappa = [extremal_fizeau_general(
+        SystemParams.symmetric(kappa_mhz=k)).isolation_plus_db
         for k in (0.2, 0.5, 1.1, 2.0)]
     assert all(b < a for a, b in zip(by_kappa, by_kappa[1:]))
 
@@ -267,9 +266,9 @@ def test_c8_strong_squeezing_leaves_the_feasible_band():
     """At G = 1 the extremum sits at 80.89 MHz, beyond feasible spin
     rates, with 49.4 +/- 0.1 dB; clamping to the band gives less."""
     strong = SystemParams.symmetric(g_squeeze=1.0)
-    ex = extremal_fizeau_symmetric(strong)
+    ex = extremal_fizeau_general(strong)
     assert ex.delta_f_plus_mhz == pytest.approx(80.891, abs=0.01)
     assert not ex.in_band_plus
-    assert ex.isolation_db == pytest.approx(49.4, abs=0.1)
+    assert ex.isolation_plus_db == pytest.approx(49.4, abs=0.1)
     clamped = transmissions(with_delta_f(strong, 65.0))
-    assert clamped.i_abs_db < ex.isolation_db
+    assert clamped.i_abs_db < ex.isolation_plus_db

@@ -9,13 +9,13 @@ import pytest
 from magnon_sagnac import (
     Direction,
     DriveAmplitudes,
+    PhysicsError,
     SymmetryRequiredError,
     SystemParams,
     TransmissionReport,
     brute_force_optimum,
     classify_direction,
     extremal_fizeau_general,
-    extremal_fizeau_symmetric,
     reciprocal_points,
     transmissions,
     with_delta_f,
@@ -34,17 +34,18 @@ REF_ISOLATION_DB = 41.63071931849793
 
 class TestSymmetricExtrema:
     def test_reference_values(self, base_params):
-        ex = extremal_fizeau_symmetric(base_params)
+        ex = extremal_fizeau_general(base_params)
         assert ex.delta_f_plus_mhz == pytest.approx(REF_DF_PLUS, rel=1e-12)
         assert ex.delta_f_minus_mhz == -ex.delta_f_plus_mhz
-        assert ex.isolation_db == pytest.approx(REF_ISOLATION_DB, abs=1e-9)
+        assert ex.isolation_plus_db == pytest.approx(REF_ISOLATION_DB,
+                                                     abs=1e-9)
         assert ex.in_band_plus and ex.in_band_minus
 
     def test_branch_ratios_are_reciprocal(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             p = random_symmetric(rng)
-            ex = extremal_fizeau_symmetric(p)
+            ex = extremal_fizeau_general(p)
             assert ex.ratio_plus * ex.ratio_minus == pytest.approx(1.0,
                                                                    rel=1e-9)
 
@@ -52,16 +53,17 @@ class TestSymmetricExtrema:
         rng = np.random.default_rng(19)
         for _ in range(50):
             p = random_symmetric(rng)
-            ex = extremal_fizeau_symmetric(p)
+            ex = extremal_fizeau_general(p)
             report = transmissions(with_delta_f(p, ex.delta_f_plus_mhz))
             assert report.ratio == pytest.approx(ex.ratio_plus, rel=1e-9)
-            assert report.i_abs_db == pytest.approx(ex.isolation_db, abs=1e-8)
+            assert report.i_abs_db == pytest.approx(ex.isolation_plus_db,
+                                                    abs=1e-8)
 
     def test_extrema_are_stationary(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             p = random_symmetric(rng)
-            ex = extremal_fizeau_symmetric(p)
+            ex = extremal_fizeau_general(p)
             for df in (ex.delta_f_plus_mhz, ex.delta_f_minus_mhz):
                 here = transmissions(with_delta_f(p, df)).ratio
                 left = transmissions(with_delta_f(p, df - 1e-4)).ratio
@@ -74,29 +76,30 @@ class TestSymmetricExtrema:
     def test_out_of_band_flag(self):
         # strong squeezing pushes the extremum beyond feasible spin rates
         p = SystemParams.symmetric(g_squeeze=1.0)
-        ex = extremal_fizeau_symmetric(p)
+        ex = extremal_fizeau_general(p)
         assert ex.delta_f_plus_mhz == pytest.approx(80.89126446739945,
                                                     rel=1e-10)
-        assert ex.isolation_db == pytest.approx(49.37127821944106, abs=1e-8)
+        assert ex.isolation_plus_db == pytest.approx(49.37127821944106,
+                                                     abs=1e-8)
         assert not ex.in_band_plus and not ex.in_band_minus
-
-    def test_requires_symmetry(self, base_params):
-        p = dataclasses.replace(base_params, g0_2_mhz=61.5)
-        with pytest.raises(SymmetryRequiredError):
-            extremal_fizeau_symmetric(p)
 
 
 class TestGeneralExtrema:
-    def test_reduces_to_symmetric(self, base_params):
-        sym = extremal_fizeau_symmetric(base_params)
-        gen = extremal_fizeau_general(base_params)
-        assert gen.delta_f_plus_mhz == pytest.approx(sym.delta_f_plus_mhz,
-                                                     rel=1e-12)
-        assert gen.delta_f_minus_mhz == pytest.approx(sym.delta_f_minus_mhz,
-                                                      rel=1e-12)
-        assert gen.ratio_plus == pytest.approx(sym.ratio_plus, rel=1e-9)
-        assert gen.isolation_plus_db == pytest.approx(sym.isolation_db,
-                                                      abs=1e-8)
+    def test_reduces_to_symmetric(self):
+        # Equal ports and couplings: x = +/- sqrt(kappa^2/4 + u^2) with
+        # u = delta - g sqrt(kappa / gamma_m).
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            p = random_symmetric(rng)
+            g = p.effective().g_eff_1_mhz
+            kappa, gamma_m = p.mode_1.kappa_mhz, p.magnon.gamma_m_mhz
+            u = p.delta_mhz - g * math.sqrt(kappa / gamma_m)
+            ex = extremal_fizeau_general(p)
+            root = math.sqrt(0.25 * kappa * kappa + u * u)
+            assert ex.delta_f_plus_mhz == pytest.approx(root, rel=1e-9)
+            assert ex.delta_f_minus_mhz == pytest.approx(-root, rel=1e-9)
+            assert ex.isolation_minus_db == pytest.approx(
+                ex.isolation_plus_db, rel=1e-9)
 
     def test_reference_unequal_couplings(self, base_params):
         p = dataclasses.replace(base_params, g0_2_mhz=1.5 * 41.0)
@@ -184,6 +187,12 @@ class TestGeneralExtrema:
                                      drive=DriveAmplitudes(1.0, 1.0, 0.0))
         with pytest.raises(ValueError):
             extremal_fizeau_general(silent)
+
+    def test_ratio_outside_the_float_range_is_an_overflow(self):
+        # g_1 is about 2e153 here, so R is nan at both shifts of 7.3e152.
+        p = SystemParams.symmetric(g_squeeze=175.0, kappa_mhz=0.5)
+        with pytest.raises(PhysicsError, match="^OVERFLOW: "):
+            extremal_fizeau_general(p)
 
 
 class TestReciprocalPoints:

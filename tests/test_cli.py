@@ -144,6 +144,14 @@ class TestSteadyAndIsolate:
         assert captured.err == (f"error: OVERFLOW: {names} left the float "
                                 "range\n")
 
+    def test_generic_steady_state_far_off_resonance(self, capsys):
+        # Where the closed form's determinant overflows, the 3x3 solve
+        # still answers, as a scaled-pivoting elimination does.
+        payload = run_json(capsys, ["steady", "--method", "generic",
+                                    "--set", "delta_f_mhz=1e200"])
+        assert payload["abs_a1"] == pytest.approx(4.47421807602e-199,
+                                                  rel=1e-12)
+
     def test_steady_solvers_agree(self, capsys):
         argv = ["steady", "--set", "delta_f_mhz=10", "--side", "left"]
         closed = run_json(capsys, argv + ["--method", "closed"])
@@ -248,6 +256,15 @@ class TestOptimize:
         assert (captured.out, captured.err) == (
             "", "error: both optical drive amplitudes must be positive to "
                 "define T12 and T21\n")
+
+    def test_analytic_overflow_is_an_error(self, capsys):
+        # g_1 is about 2e153, so R is nan at both stationary shifts.
+        assert run(["optimize", "--analytic", "--set", "G=175",
+                    "--set", "kappa_mhz=0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: OVERFLOW: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("band", ["-40:40", "-.5:1", "-1e1:-2.5"])
     def test_negative_band_takes_either_spelling(self, capsys, band):

@@ -20,7 +20,7 @@ from magnon_sagnac import (
     transmissions,
     with_delta_f,
 )
-from magnon_sagnac.steady_state import _solve_complex_3x3
+from magnon_sagnac.steady_state import _coefficients
 
 from conftest import random_general, random_symmetric
 
@@ -198,22 +198,23 @@ def test_grid_handles_blocked_direction():
 
 class TestLinearSolver:
     def test_singular_matrix_raises(self):
-        a = [[1.0 + 0j, 2.0 + 0j, 3.0 + 0j],
-             [2.0 + 0j, 4.0 + 0j, 6.0 + 0j],
-             [0.0 + 0j, 0.0 + 0j, 1.0 + 0j]]
-        with pytest.raises(DegenerateSystemError):
-            _solve_complex_3x3(a, [1.0 + 0j, 2.0 + 0j, 3.0 + 0j])
-
-    def test_zero_row_raises(self):
-        a = [[0.0 + 0j] * 3 for _ in range(3)]
-        with pytest.raises(DegenerateSystemError):
-            _solve_complex_3x3(a, [0j, 0j, 0j])
+        # Without couplings or magnon damping the magnon row is zero: the
+        # only singular system that the parameters can express.
+        p = SystemParams.symmetric(g0_mhz=0.0, gamma_m_mhz=0.0)
+        for side in DriveSide:
+            for solver in (solve_closed_form, solve_generic):
+                with pytest.raises(DegenerateSystemError):
+                    solver(p, side)
 
     def test_recovers_known_solution(self):
+        # Uncoupled, each mode is a driven damped oscillator on its own.
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-            x = rng.normal(size=3) + 1j * rng.normal(size=3)
-            b = a @ x
-            got = _solve_complex_3x3([list(row) for row in a], list(b))
-            assert np.allclose(got, x, rtol=1e-10, atol=1e-12)
+            p = dataclasses.replace(random_general(rng), g0_1_mhz=0.0,
+                                    g0_2_mhz=0.0)
+            for side in DriveSide:
+                d1, d2, dm, _, _, f1, f2, f3 = _coefficients(p, side)
+                state = solve_generic(p, side)
+                for got, want in ((state.a1, f1 / d1), (state.a2, f2 / d2),
+                                  (state.m, f3 / dm)):
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)

@@ -22,7 +22,7 @@ from magnon_sagnac import (
     SystemParams,
     apply_parameter,
     brute_force_optimum,
-    extremal_fizeau_symmetric,
+    extremal_fizeau_general,
     figure_preset,
     parameter_value,
     run_preset,
@@ -33,7 +33,7 @@ from magnon_sagnac import (
 )
 from magnon_sagnac.analysis import stationary_shifts
 from magnon_sagnac.steady_state import kernel_args
-from magnon_sagnac.sweep import CODE_NAMES, THREADS_ENV_VAR, _resolve_threads
+from magnon_sagnac.sweep import CODE_NAMES, _resolve_threads
 
 from conftest import random_general, random_symmetric
 
@@ -119,16 +119,8 @@ class TestResolveThreads:
         assert _resolve_threads(1) == 1
         assert _resolve_threads(0) == 1
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "6")
-        assert _resolve_threads(None) == 6
-        monkeypatch.delenv(THREADS_ENV_VAR)
+    def test_none_means_one_thread(self):
         assert _resolve_threads(None) == 1
-
-    def test_invalid_env(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            _resolve_threads(None)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -354,10 +346,10 @@ class TestDeltaFPolicies:
         for k, gm in enumerate(ax.values()):
             point = apply_parameter(base_params, SweepParameter.GAMMA_M,
                                     float(gm))
-            ex = extremal_fizeau_symmetric(point)
+            ex = extremal_fizeau_general(point)
             assert res.delta_f_mhz[k] == pytest.approx(ex.delta_f_plus_mhz,
                                                        rel=1e-9)
-            assert res.i_signed_db[k] == pytest.approx(ex.isolation_db,
+            assert res.i_signed_db[k] == pytest.approx(ex.isolation_plus_db,
                                                        abs=1e-8)
 
     def test_extremal_negative_is_the_mirror(self, base_params):
@@ -492,12 +484,6 @@ class TestThreading:
         for name in _COLUMNS:
             assert getattr(single, name).tobytes() == \
                 getattr(wide, name).tobytes()
-
-    def test_env_variable_is_honored(self, base_params, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        ax = Axis(SweepParameter.DELTA_F, -5.0, 5.0, 8)
-        res = sweep(base_params, [ax])
-        assert res.meta["threads"] == 2
 
 
 def _blocking_cases():

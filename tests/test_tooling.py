@@ -94,6 +94,17 @@ def test_cli_module_writes_the_pinned_csv(tmp_path):
     assert digest == _PRESET_DIGESTS["fig2a.csv"]
 
 
+def test_public_names_resolve():
+    """Every name in ``__all__`` exists once, and a star import of the
+    package works in a fresh process, so a removal leaves no stale
+    export behind."""
+    import magnon_sagnac
+    names = magnon_sagnac.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(magnon_sagnac, n)] == []
+    _python("-c", "from magnon_sagnac import *")
+
+
 def test_cli_import_leaves_out_the_thread_pool():
     # Nor the number formatters, which only commands writing a sweep use.
     done = _python("-c", "import sys, magnon_sagnac.cli; "
