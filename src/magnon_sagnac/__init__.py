@@ -7,15 +7,14 @@ between them induced by the rotation (Fizeau) shift, closed-form extremal
 shifts, and parameter sweeps for the bundled demonstration datasets.
 """
 
-from .model import (CONSTANTS, FEASIBLE_FIZEAU_BAND, CavityMode,
-                    DriveAmplitudes, EffectiveParams, MagnonMode,
+from .model import (CONSTANTS, FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB,
+                    CavityMode, DriveAmplitudes, EffectiveParams, MagnonMode,
                     PhysicalConstants, PhysicsError, RotationDirection,
                     RotationSpec, SqueezeMode, SqueezeSpec,
                     SqueezingInstabilityError, SystemParams, Violation,
-                    default_params, derive_effective, drive_amplitude,
-                    fizeau_shift, has_uniform_ports, is_symmetric,
-                    squeeze_exponent, validate, validate_rotation,
-                    with_delta_f)
+                    derive_effective, drive_amplitude, fizeau_shift,
+                    has_uniform_ports, is_symmetric, squeeze_exponent,
+                    validate, validate_rotation, with_delta_f)
 from .steady_state import (DegenerateSystemError, DriveSide,
                            NoTransmissionError, OutputFields, SteadyState,
                            TransmissionReport, output_fields, residuals,
@@ -35,10 +34,10 @@ from .config import (ConfigError, ResolvedConfig, apply_overrides,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS", "FEASIBLE_FIZEAU_BAND", "PRESET_NAMES", "Axis",
-    "CavityMode", "ConfigError", "DegenerateSystemError", "DeltaFPolicy",
-    "Direction", "DriveAmplitudes", "DriveSide", "EffectiveParams",
-    "FigurePreset", "GeneralExtrema", "MagnonMode",
+    "CONSTANTS", "FEASIBLE_FIZEAU_BAND", "PRESET_NAMES", "RECIPROCAL_TOL_DB",
+    "Axis", "CavityMode", "ConfigError", "DegenerateSystemError",
+    "DeltaFPolicy", "Direction", "DriveAmplitudes", "DriveSide",
+    "EffectiveParams", "FigurePreset", "GeneralExtrema", "MagnonMode",
     "NoTransmissionError", "OptimumResult", "OutputFields",
     "PhysicalConstants", "PhysicsError", "ReciprocalPoints", "ResolvedConfig",
     "RotationDirection", "RotationSpec", "SqueezeMode", "SqueezeSpec",
@@ -46,7 +45,7 @@ __all__ = [
     "SweepParameter", "SweepResult", "SymmetryRequiredError",
     "SystemParams", "TransmissionReport",
     "Violation", "apply_overrides", "apply_parameter", "brute_force_optimum",
-    "classify_direction", "default_document", "default_params",
+    "classify_direction", "default_document",
     "derive_effective", "drive_amplitude", "extremal_fizeau_general",
     "figure_preset", "fizeau_shift",
     "has_uniform_ports", "is_symmetric", "load_config", "output_fields",

@@ -27,10 +27,10 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (FEASIBLE_FIZEAU_BAND, PhysicsError, SystemParams,
-                    is_symmetric, with_delta_f)
-from .steady_state import (TransmissionReport, kernel_args,
-                           require_optical_drive, transmissions)
+from .model import (FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB, PhysicsError,
+                    SystemParams, _close, is_symmetric, with_delta_f)
+from .steady_state import (NoTransmissionError, TransmissionReport,
+                           kernel_args, require_optical_drive, transmissions)
 
 
 class SymmetryRequiredError(PhysicsError):
@@ -46,13 +46,13 @@ class Direction(Enum):
     RECIPROCAL = "reciprocal"
 
 
-def classify_direction(report: TransmissionReport,
-                       tol_db: float = 1e-9) -> Direction:
-    """The direction of ``report``'s isolation; a nan isolation has none
-    and raises ``ValueError``."""
+def classify_direction(report: TransmissionReport) -> Direction:
+    """The direction of ``report``'s isolation, reciprocal within
+    ``RECIPROCAL_TOL_DB``; a nan isolation has none and raises
+    ``ValueError``."""
     if math.isnan(report.i_signed_db):
         raise ValueError("the isolation is nan, so it has no direction")
-    if abs(report.i_signed_db) <= tol_db:
+    if abs(report.i_signed_db) <= RECIPROCAL_TOL_DB:
         return Direction.RECIPROCAL
     return Direction.FORWARD if report.i_signed_db > 0 else Direction.BACKWARD
 
@@ -109,16 +109,9 @@ def isolation_ratio(*, delta, delta_f, kappa_1, kappa_2, gamma_m, g_1, g_2,
 
 @dataclass(frozen=True)
 class GeneralExtrema:
-    """Both stationary Fizeau shifts of R and the ratio at each.
+    """Both stationary Fizeau shifts of R and the ratio at each; the plus
+    branch is the larger shift."""
 
-    ``u1_mhz`` and ``u2_mhz2`` are the linear and constant coefficients of
-    the extremum quadratic delta_f^2 - u1 delta_f - u2/4 = 0 (the sum of
-    the shifts and -4 times their product), kept for inspection; the plus
-    branch is the larger shift.
-    """
-
-    u1_mhz: float
-    u2_mhz2: float
     delta_f_plus_mhz: float
     delta_f_minus_mhz: float
     ratio_plus: float
@@ -158,8 +151,8 @@ def extremal_fizeau_general(
     if math.isnan(ratio_plus) or math.isnan(ratio_minus):
         raise PhysicsError("OVERFLOW: the isolation ratio left the float "
                            "range at a stationary shift")
-    return GeneralExtrema(plus + minus, -4.0 * plus * minus, plus, minus,
-                          ratio_plus, ratio_minus, band[0] <= plus <= band[1],
+    return GeneralExtrema(plus, minus, ratio_plus, ratio_minus,
+                          band[0] <= plus <= band[1],
                           band[0] <= minus <= band[1])
 
 
@@ -186,8 +179,7 @@ def reciprocal_points(params: SystemParams) -> ReciprocalPoints:
     kappa = params.mode_1.kappa_mhz
     gamma_m = params.magnon.gamma_m_mhz
     delta = params.delta_mhz
-    w = g * math.sqrt(kappa / gamma_m)
-    matched = abs(delta - w) <= 1e-9 * max(1.0, abs(delta), w)
+    matched = _close(delta, g * math.sqrt(kappa / gamma_m))
     gamma_0 = g * g * kappa / delta ** 2 if delta != 0.0 else math.inf
     kappa_0 = delta ** 2 * gamma_m / (g * g) if g != 0.0 else math.inf
     return ReciprocalPoints(gamma_0, kappa_0, matched)
@@ -208,19 +200,27 @@ def brute_force_optimum(params: SystemParams,
     largest at a band edge or at one of the two :func:`stationary_shifts`;
     0 is tried as well, so a response that does not depend on the shift
     keeps it.  Each candidate inside the band is scored with the scalar
-    :func:`.transmissions`.  A nan never wins, and exact ties break toward
-    the smaller |delta_f|, then the negative one.  ``isolation_db`` is
-    -inf when no candidate has a defined isolation.  Makes no symmetry
-    assumptions.
+    :func:`.transmissions`.  A nan or a ``NoTransmissionError`` never
+    wins, and exact ties break toward the smaller |delta_f|, then the
+    negative one.  The first such error is raised only when every
+    candidate raised one; ``isolation_db`` is -inf when none has a
+    defined isolation.  Makes no symmetry assumptions.
     """
     lo, hi = band
     if not lo < hi:
         raise ValueError("band must satisfy lo < hi")
+    require_optical_drive(params)
     plus, minus = (float(x) for x in stationary_shifts(**kernel_args(params)))
-    best = OptimumResult(lo, -math.inf)
+    best, failed = OptimumResult(lo, -math.inf), []
     inside = [x for x in {0.0, lo, hi, plus, minus} if lo <= x <= hi]
     for x in sorted(inside, key=lambda x: (abs(x), x)):
-        value = transmissions(with_delta_f(params, x)).i_abs_db
+        try:
+            value = transmissions(with_delta_f(params, x)).i_abs_db
+        except NoTransmissionError as e:
+            failed.append(e)
+            continue
         if value > best.isolation_db:
             best = OptimumResult(x, value)
+    if len(failed) == len(inside):
+        raise failed[0]
     return best

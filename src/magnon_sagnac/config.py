@@ -46,7 +46,7 @@ from pathlib import Path
 
 from .model import (CONSTANTS, CavityMode, DriveAmplitudes, MagnonMode,
                     RotationDirection, RotationSpec, SqueezeSpec,
-                    SystemParams, drive_amplitude)
+                    SystemParams)
 
 
 class ConfigError(Exception):
@@ -168,22 +168,15 @@ def _parse_drive(doc: dict, g_squeeze: float,
     omega_p = (_as_number(drive["omega_p_mhz"], "drive.omega_p_mhz")
                if "omega_p_mhz" in drive else rotation.omega0_mhz)
     try:
-        return DriveAmplitudes(
-            drive_amplitude(values[0], omega_p),
-            drive_amplitude(values[1], omega_p),
-            math.exp(-g_squeeze) * drive_amplitude(values[2], omega_p))
-    except ValueError as e:
+        return DriveAmplitudes.from_powers(*values, omega_p,
+                                           math.exp(-g_squeeze))
+    except (ValueError, OverflowError) as e:  # OverflowError: e^-G
         raise ConfigError(f"drive: {e}") from None
 
 
 def _parse_rotation(doc: dict) -> RotationSpec:
-    rot = doc["rotation"]
-    if not isinstance(rot, dict):
-        raise ConfigError("rotation must be an object")
+    rot = doc["rotation"]  # parse_config merged it over the full default
     _check_keys(rot, _ROTATION_KEYS, "rotation")
-    missing = sorted(_ROTATION_KEYS - set(rot))
-    if missing:
-        raise ConfigError(f"rotation is missing: {', '.join(missing)}")
     direction = rot["direction"]
     try:
         direction = RotationDirection(direction)

@@ -45,6 +45,9 @@ CONSTANTS = PhysicalConstants()
 # Used as the default search window for extremal analysis; advisory only.
 FEASIBLE_FIZEAU_BAND = (-65.0, 65.0)
 
+# An isolation within this many dB of 0 counts as reciprocal.
+RECIPROCAL_TOL_DB = 1e-9
+
 
 class RotationDirection(Enum):
     CW = "cw"
@@ -70,8 +73,8 @@ class RotationSpec:
     omega0_mhz: float = 1.93e8
 
 
-def fizeau_shift(rotation: RotationSpec, first_term_only: bool = False,
-                 constants: PhysicalConstants = CONSTANTS) -> float:
+def fizeau_shift(rotation: RotationSpec,
+                 first_term_only: bool = False) -> float:
     """Fizeau drag shift of cavity mode 1, in MHz.
 
     A resonator spinning at Omega drags the counter-propagating resonances
@@ -97,10 +100,13 @@ def fizeau_shift(rotation: RotationSpec, first_term_only: bool = False,
     n = rotation.refractive_index
     bracket = 1.0
     if not first_term_only:
-        bracket = (1.0 - 1.0 / n ** 2
+        # n ** 2 overflows above n = 1.3e154; from 1e154 on, 1/n^2 is too
+        # small to change the bracket.
+        inverse_square = 1.0 / n ** 2 if n < 1e154 else 0.0
+        bracket = (1.0 - inverse_square
                    - (rotation.wavelength_m / n) * rotation.dn_dwavelength_per_m)
     return (sign * 2.0 * math.pi * rotation.omega_rot_hz * n * rotation.radius_m
-            * rotation.omega0_mhz / constants.c_m_per_s * bracket)
+            * rotation.omega0_mhz / CONSTANTS.c_m_per_s * bracket)
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,6 @@ class EffectiveParams:
 
     g_eff_1_mhz: float
     g_eff_2_mhz: float
-    eps3_factor: float  # e^{-G}; scales a bare magnon drive amplitude
     omega_s_mhz: float
 
 
@@ -211,12 +216,10 @@ def derive_effective(params: "SystemParams") -> EffectiveParams:
     if spec.omega_s_override_mhz is not None:
         omega_s = spec.omega_s_override_mhz
     ch = math.cosh(2.0 * g)
-    return EffectiveParams(params.g0_1_mhz * ch, params.g0_2_mhz * ch,
-                           math.exp(-g), omega_s)
+    return EffectiveParams(params.g0_1_mhz * ch, params.g0_2_mhz * ch, omega_s)
 
 
-def drive_amplitude(power_w: float, omega_p_mhz: float,
-                    constants: PhysicalConstants = CONSTANTS) -> float:
+def drive_amplitude(power_w: float, omega_p_mhz: float) -> float:
     """Input-field amplitude sqrt(P / (hbar * omega_p)), in s^-1/2.
 
     ``omega_p_mhz`` is the pump's linear frequency.  Only ratios of drive
@@ -226,7 +229,7 @@ def drive_amplitude(power_w: float, omega_p_mhz: float,
         raise ValueError("pump power must be non-negative")
     if omega_p_mhz <= 0.0:
         raise ValueError("pump frequency must be positive")
-    return math.sqrt(power_w / (constants.hbar_j_s * 2.0 * math.pi
+    return math.sqrt(power_w / (CONSTANTS.hbar_j_s * 2.0 * math.pi
                                 * omega_p_mhz * 1e6))
 
 
@@ -243,17 +246,13 @@ class DriveAmplitudes:
     eps_3_eff: float = 1.0
 
     @classmethod
-    def equal(cls, value: float = 1.0) -> "DriveAmplitudes":
-        return cls(value, value, value)
-
-    @classmethod
     def from_powers(cls, p1_w: float, p2_w: float, p3_w: float,
-                    omega_p_mhz: float, eps3_factor: float = 1.0,
-                    constants: PhysicalConstants = CONSTANTS) -> "DriveAmplitudes":
+                    omega_p_mhz: float,
+                    eps3_factor: float = 1.0) -> "DriveAmplitudes":
         """Powers in W at a common pump frequency; ``eps3_factor`` is e^{-G}."""
-        return cls(drive_amplitude(p1_w, omega_p_mhz, constants),
-                   drive_amplitude(p2_w, omega_p_mhz, constants),
-                   eps3_factor * drive_amplitude(p3_w, omega_p_mhz, constants))
+        return cls(drive_amplitude(p1_w, omega_p_mhz),
+                   drive_amplitude(p2_w, omega_p_mhz),
+                   eps3_factor * drive_amplitude(p3_w, omega_p_mhz))
 
 
 @dataclass(frozen=True)
@@ -304,39 +303,35 @@ class SystemParams:
         return cls(mode_1=mode, mode_2=mode,
                    magnon=MagnonMode(omega_m_mhz, gamma_m_mhz, eta3),
                    squeeze=SqueezeSpec.direct(g_squeeze, omega_s_mhz),
-                   drive=DriveAmplitudes.equal(eps),
+                   drive=DriveAmplitudes(eps, eps, eps),
                    g0_1_mhz=g0_mhz, g0_2_mhz=g0_mhz,
                    delta_mhz=delta_mhz, delta_f_mhz=delta_f_mhz)
-
-
-def default_params() -> SystemParams:
-    """The demonstration parameter set (zero detuning, zero shift)."""
-    return SystemParams.symmetric()
 
 
 def with_delta_f(params: SystemParams, delta_f_mhz: float) -> SystemParams:
     return replace(params, delta_f_mhz=delta_f_mhz)
 
 
-def _close(a: float, b: float, rel: float) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    """Equal to 1e-9, relative above magnitude 1 and absolute below."""
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
-def has_uniform_ports(params: SystemParams, rel: float = 1e-9) -> bool:
+def has_uniform_ports(params: SystemParams) -> bool:
     """Equal optical linewidths, equal coupling fractions on all three
     ports, and equal drive amplitudes.  The two couplings may differ."""
     d = params.drive
-    return (_close(params.mode_1.kappa_mhz, params.mode_2.kappa_mhz, rel)
-            and _close(params.mode_1.eta, params.mode_2.eta, rel)
-            and _close(params.mode_1.eta, params.magnon.eta3, rel)
-            and _close(d.eps_1, d.eps_2, rel)
-            and _close(d.eps_1, d.eps_3_eff, rel))
+    return (_close(params.mode_1.kappa_mhz, params.mode_2.kappa_mhz)
+            and _close(params.mode_1.eta, params.mode_2.eta)
+            and _close(params.mode_1.eta, params.magnon.eta3)
+            and _close(d.eps_1, d.eps_2)
+            and _close(d.eps_1, d.eps_3_eff))
 
 
-def is_symmetric(params: SystemParams, rel: float = 1e-9) -> bool:
+def is_symmetric(params: SystemParams) -> bool:
     """Uniform ports and equal bare couplings."""
-    return (has_uniform_ports(params, rel)
-            and _close(params.g0_1_mhz, params.g0_2_mhz, rel))
+    return (has_uniform_ports(params)
+            and _close(params.g0_1_mhz, params.g0_2_mhz))
 
 
 @dataclass(frozen=True)
@@ -349,8 +344,7 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def validate(params: SystemParams,
-             constants: PhysicalConstants = CONSTANTS) -> list[Violation]:
+def validate(params: SystemParams) -> list[Violation]:
     """Collect every constraint violation; an empty list means valid.
 
     Violations are returned as data rather than raised so that parameter
@@ -386,8 +380,8 @@ def validate(params: SystemParams,
             out.append(Violation("ETA_RANGE",
                                  "magnon: drive coupling fraction outside [0, 1]"))
         if mag.bias_field_t is not None:
-            expected = constants.gyro_mhz_per_t * mag.bias_field_t
-            if not _close(mag.omega_m_mhz, expected, 1e-9):
+            expected = CONSTANTS.gyro_mhz_per_t * mag.bias_field_t
+            if not _close(mag.omega_m_mhz, expected):
                 out.append(Violation(
                     "BIAS_FIELD_MISMATCH",
                     f"magnon: omega_m = {mag.omega_m_mhz} MHz but the bias "

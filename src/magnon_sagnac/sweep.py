@@ -40,8 +40,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import (FEASIBLE_FIZEAU_BAND, CavityMode, SqueezeMode,
-                    SystemParams, has_uniform_ports, validate, with_delta_f)
+from .model import (FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB, CavityMode,
+                    SqueezeMode, SystemParams, has_uniform_ports, validate,
+                    with_delta_f)
 from .steady_state import TransmissionReport, kernel_args, transmission_grid
 from .analysis import isolation_ratio, stationary_shifts
 # Not called here; perfbench/spans.py wraps this name for --trace 1.
@@ -54,7 +55,6 @@ CODE_NAMES = ("", "RATE_POSITIVE", "COUPLING_NEGATIVE", "NONFINITE",
               "OVERFLOW", "NO_TRANSMISSION", "INF_ISOLATION")
 _INF_ISOLATION = CODE_NAMES.index("INF_ISOLATION")
 DIRECTION_LABELS = ("", "reciprocal", "forward", "backward")
-_DIRECTION_LABELS = np.array(DIRECTION_LABELS, object)
 
 # The codes found before the kernel runs, in precedence order, with the
 # kernel arguments each one tests.
@@ -267,9 +267,9 @@ class SweepResult:
     def error_code_at(self, *idx: int) -> str | None:
         return CODE_NAMES[self.codes[idx]] or None
 
-    def directions(self, tol_db: float = 1e-9) -> np.ndarray:
+    def directions(self) -> np.ndarray:
         """Per-point direction labels; failed points come back empty."""
-        return direction_labels(self.i_signed_db, tol_db).astype("<U10")
+        return np.array(DIRECTION_LABELS)[direction_index(self.i_signed_db)]
 
     def params_at(self, *idx: int) -> SystemParams:
         """Reconstruct the full parameter set behind one grid point."""
@@ -436,17 +436,12 @@ def sweep(base: SystemParams, axes, *,
                        i_signed, codes, meta)
 
 
-def direction_index(i_signed_db, tol_db: float = 1e-9) -> np.ndarray:
+def direction_index(i_signed_db) -> np.ndarray:
     """Index into :data:`DIRECTION_LABELS` of the direction of each
-    isolation: "" where nan, "reciprocal" within ``tol_db`` of 0, else
-    "forward" or "backward"."""
-    i = np.asarray(i_signed_db)
-    return (i > tol_db) * 2 + (i < -tol_db) * 3 + (np.abs(i) <= tol_db)
-
-
-def direction_labels(i_signed_db, tol_db: float = 1e-9) -> np.ndarray:
-    """Object array of the :func:`direction_index` labels."""
-    return _DIRECTION_LABELS[direction_index(i_signed_db, tol_db)]
+    isolation: "" where nan, "reciprocal" within ``RECIPROCAL_TOL_DB`` of
+    0, else "forward" or "backward"."""
+    i, tol = np.asarray(i_signed_db), RECIPROCAL_TOL_DB
+    return (i > tol) * 2 + (i < -tol) * 3 + (np.abs(i) <= tol)
 
 
 def _mark(codes: np.ndarray, mask: np.ndarray, name: str,

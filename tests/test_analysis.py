@@ -10,6 +10,7 @@ from magnon_sagnac import (
     Direction,
     DriveAmplitudes,
     PhysicsError,
+    RECIPROCAL_TOL_DB,
     SymmetryRequiredError,
     SystemParams,
     TransmissionReport,
@@ -23,6 +24,7 @@ from magnon_sagnac import (
 from magnon_sagnac import analysis
 from magnon_sagnac.analysis import OptimumResult
 from magnon_sagnac.model import FEASIBLE_FIZEAU_BAND
+from magnon_sagnac.sweep import direction_index
 
 from conftest import random_general, random_symmetric
 
@@ -104,8 +106,9 @@ class TestGeneralExtrema:
     def test_reference_unequal_couplings(self, base_params):
         p = dataclasses.replace(base_params, g0_2_mhz=1.5 * 41.0)
         ex = extremal_fizeau_general(p)
-        assert ex.u1_mhz == pytest.approx(-16.588565, abs=1e-4)
-        assert ex.u2_mhz2 == pytest.approx(6605.542, abs=1e-2)
+        plus, minus = ex.delta_f_plus_mhz, ex.delta_f_minus_mhz
+        assert plus + minus == pytest.approx(-16.588565, abs=1e-4)
+        assert -4.0 * plus * minus == pytest.approx(6605.542, abs=1e-2)
         assert ex.delta_f_plus_mhz == pytest.approx(33.18078, abs=1e-4)
         assert ex.delta_f_minus_mhz == pytest.approx(-49.76934, abs=1e-4)
         back = transmissions(with_delta_f(p, ex.delta_f_minus_mhz))
@@ -250,11 +253,21 @@ class TestClassifyDirection:
         with pytest.raises(ValueError, match="nan"):
             classify_direction(report)
 
-    def test_tolerance_widens_reciprocal(self, base_params):
-        nearly = transmissions(with_delta_f(base_params, 1e-8))
-        assert classify_direction(nearly) is not Direction.RECIPROCAL or \
-            abs(nearly.i_signed_db) <= 1e-9
-        assert classify_direction(nearly, tol_db=1.0) is Direction.RECIPROCAL
+    def test_tolerance_widens_reciprocal(self):
+        """RECIPROCAL_TOL_DB is the inclusive edge of the reciprocal
+        band, on both sides of 0."""
+        def report(i_db):
+            return TransmissionReport(1.0, 1.0, 1.0, i_db, abs(i_db))
+        tol = RECIPROCAL_TOL_DB
+        assert tol == 1e-9
+        above = math.nextafter(tol, math.inf)
+        for sign, outside in ((1.0, Direction.FORWARD),
+                              (-1.0, Direction.BACKWARD)):
+            assert classify_direction(report(sign * tol)) is \
+                Direction.RECIPROCAL
+            assert classify_direction(report(sign * above)) is outside
+        i = np.array([-above, -tol, 0.0, tol, above, math.nan])
+        assert direction_index(i).tolist() == [3, 1, 1, 1, 2, 0]
 
 
 def _golden_section_max(f, a: float, b: float, tol: float):

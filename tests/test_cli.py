@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnon_sagnac import Axis, SweepParameter, cli
 from magnon_sagnac.cli import UsageError, parse_axis_spec, run
@@ -81,6 +85,17 @@ class TestExitCodes:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and "NONFINITE: squeeze" in line
+
+    @pytest.mark.parametrize("argv,err", [
+        (["optimize", "--band=1:2:3"], "band '1:2:3' must be lo:hi"),
+        (["optimize", "--band=a:b"], "band 'a:b' has non-numeric bounds"),
+        (["optimize", "--band=2:1"], "band must satisfy lo < hi"),
+        (["sweep", "--axis", "gamma_m=nan:2:5"],
+         "axis spec 'gamma_m=nan:2:5': axis bounds must be finite"),
+    ], ids=["three_parts", "not_numbers", "reversed", "axis_not_finite"])
+    def test_malformed_band_or_axis(self, capsys, argv, err):
+        assert run(argv) == 3
+        assert capsys.readouterr() == ("", f"usage error: {err}\n")
 
     def test_csv_format_outside_sweep(self, capsys):
         assert run(["isolate", "--format", "csv"]) == 3
@@ -249,6 +264,27 @@ class TestOptimize:
         assert captured.err == ("error: OVERFLOW: isolation_db left the "
                                 "float range at every shift of the band\n")
 
+    def test_brute_skips_a_shift_without_transmission(self, capsys):
+        # Both outputs vanish at the upper edge alone (its determinant
+        # overflows); the lower edge and both stationary shifts answer.
+        assert run(["optimize", "--band=-65:1.2e154"]) == 0
+        assert capsys.readouterr() == (
+            "delta_f_mhz = -33.1816893263\nisolation_db = 41.6307193185\n",
+            "")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["--band=1.1e154:1.3e154"], "both output amplitudes vanish"),
+        (["--set", "g0_mhz=[41,0]", "--set", "eta3=0"],
+         "both output amplitudes vanish"),
+        (["--set", "drive.eps=[0,1,1]"], "both optical drive amplitudes "
+         "must be positive to define T12 and T21"),
+    ], ids=["band_without_transmission", "nothing_reaches_port_1",
+            "silent_optical_drive"])
+    def test_brute_without_any_transmission_is_an_error(self, capsys, argv,
+                                                        err):
+        assert run(["optimize"] + argv) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_analytic_refuses_a_silent_optical_drive(self, capsys):
         assert run(["optimize", "--analytic",
                     "--set", "drive.eps=[0,1,1]"]) == 1
@@ -411,3 +447,65 @@ class TestAllocatorThresholds:
         monkeypatch.setattr(cli.os, "confstr", fake_confstr)
         monkeypatch.setattr(cli.ctypes, "CDLL", no_cdll)
         assert cli._keep_freed_memory() is False
+
+
+# Config keys and how the property draws their values: log-uniform
+# magnitudes over 1e-300..1e300 of either sign, except where a key has a
+# natural range.
+_MAGNITUDE = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                       st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0))
+_FRACTION = st.floats(0.0, 1.0)
+_SET_VALUES = {
+    "G": st.floats(-400.0, 400.0),
+    "eta": _FRACTION,
+    "eta3": _FRACTION,
+    "band_mhz": st.lists(_MAGNITUDE, min_size=2, max_size=2).map(sorted),
+    **{key: _MAGNITUDE for key in (
+        "g0_mhz", "kappa_mhz", "gamma_m_mhz", "omega_m_mhz", "delta_mhz",
+        "delta_f_mhz", "omega_s_mhz", "rotation.omega_rot_hz", "rotation.n",
+        "rotation.r_m", "rotation.omega0_thz")},
+}
+_COMMANDS = {
+    "isolate": ["isolate"],
+    "steady_closed": ["steady", "--method", "closed"],
+    "steady_generic": ["steady", "--method", "generic", "--side", "right"],
+    "optimize_brute": ["optimize", "--brute"],
+    "optimize_analytic": ["optimize", "--analytic"],
+    "validate": ["validate"],
+    "fizeau": ["fizeau"],
+    "sweep_fixed": ["sweep", "--axis", "delta_f=-40:40:5"],
+    "sweep_optimal": ["sweep", "--axis", "gamma_m=1:12:4",
+                      "--optimal-df", "positive"],
+}
+
+
+@st.composite
+def _overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_SET_VALUES)), min_size=1,
+                         max_size=3, unique=True))
+    return [f"{key}={json.dumps(draw(_SET_VALUES[key]))}" for key in keys]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(sorted(_COMMANDS)),
+       fmt=st.sampled_from(["text", "json"]), overrides=_overrides())
+def test_every_command_answers_or_names_its_error(command, fmt, overrides):
+    """Any command, with any 1-3 extreme but finite ``--set`` values,
+    returns 0 with finite numbers or exits 1 or 3 with one error line
+    (``validate`` may list several); it never raises."""
+    argv = list(_COMMANDS[command]) + ["--format", fmt]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], argv
+        assert command.startswith("sweep") or "nan" not in out.getvalue(), \
+            argv
+    else:
+        assert code in (1, 3), argv
+        assert lines and all(line.startswith(("error:", "usage error:"))
+                             for line in lines), argv
+        assert command == "validate" or len(lines) == 1, argv

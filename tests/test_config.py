@@ -127,6 +127,21 @@ class TestDrive:
             parse_config({"drive": {"power_w": [-0.1, 0.1, 0.1]}})
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"drive": 5}, "drive must be an object"),
+    ({"drive": {"power_w": [0.1, 0.1]}},
+     "drive.power_w must be a list of three powers"),
+    ({"rotation": 5}, "rotation must be an object"),
+    # e^-G leaves the float range before cosh(2G) can be validated.
+    ({"G": -800.0, "drive": {"power_w": [0.1, 0.1, 0.1]}},
+     "drive: math range error"),
+], ids=["drive_scalar", "two_powers", "rotation_scalar", "power_e_minus_G"])
+def test_malformed_blocks_are_refused(raw, message):
+    with pytest.raises(ConfigError) as refused:
+        parse_config(raw)
+    assert str(refused.value) == message
+
+
 class TestRotationAndBand:
     def test_partial_rotation_merges_defaults(self):
         cfg = parse_config({"rotation": {"omega_rot_hz": 1.0e4}})

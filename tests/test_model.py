@@ -22,6 +22,7 @@ from magnon_sagnac import (
     derive_effective,
     drive_amplitude,
     fizeau_shift,
+    parse_config,
     squeeze_exponent,
     validate,
     validate_rotation,
@@ -82,6 +83,13 @@ class TestFizeauShift:
         # normal dispersion reduces the drag term below its first-order value
         assert fizeau_shift(rot) < fizeau_shift(rot, first_term_only=True)
 
+    def test_huge_refractive_index_leaves_the_bracket_at_one(self):
+        # n ** 2 overflows at 1e200; at both, 1/n^2 is far below the
+        # rounding of the bracket.
+        for n in (1e154, 1e200):
+            rot = RotationSpec(refractive_index=n)
+            assert fizeau_shift(rot) == fizeau_shift(rot, first_term_only=True)
+
     def test_validate_rotation(self):
         assert validate_rotation(RotationSpec()) == []
         bad = RotationSpec(refractive_index=1.0)
@@ -129,9 +137,6 @@ class TestDrive:
         assert d.eps_1 == d.eps_2
         assert d.eps_3_eff == pytest.approx(factor * d.eps_1, rel=1e-12)
 
-    def test_equal(self):
-        assert DriveAmplitudes.equal(2.0) == DriveAmplitudes(2.0, 2.0, 2.0)
-
 
 class TestSqueezing:
     @given(delta_m=st.floats(1e-3, 1e4), g=st.floats(0.0, 2.0))
@@ -153,7 +158,6 @@ class TestSqueezing:
                                                 rel=1e-12)
         assert eff.g_eff_1_mhz == pytest.approx(63.26630602742499, rel=1e-12)
         assert eff.g_eff_2_mhz == eff.g_eff_1_mhz
-        assert eff.eps3_factor == pytest.approx(math.exp(-0.5), rel=1e-12)
         assert eff.omega_s_mhz == 0.0
 
     def test_from_pump_effective(self):
@@ -189,7 +193,7 @@ class TestSystemParams:
         assert p.magnon.omega_m_mhz == 10_100.0
         assert p.delta_mhz == 0.0 and p.delta_f_mhz == 0.0
         assert p.squeeze.g_squeeze == 0.5
-        assert p.drive == DriveAmplitudes.equal(1.0)
+        assert p.drive == DriveAmplitudes(1.0, 1.0, 1.0)
         assert validate(p) == []
 
     def test_detuning_split(self):
@@ -288,6 +292,43 @@ class TestValidate:
         p = SystemParams.symmetric(g0_mhz=g0, g_squeeze=g_squeeze)
         assert [v.code for v in validate(p)] == ["NONFINITE"]
         assert validate(SystemParams.symmetric(g_squeeze=100.0)) == []
+
+    @pytest.mark.parametrize("overrides,found", [
+        ({"kappa_mhz": math.nan},
+         [("NONFINITE", "mode_1: non-finite linewidth"),
+          ("NONFINITE", "mode_2: non-finite linewidth")]),
+        ({"gamma_m_mhz": math.inf}, [("NONFINITE",
+                                      "magnon: non-finite parameter")]),
+        ({"g0_mhz": math.nan}, [("NONFINITE", "g0_1: non-finite coupling"),
+                                ("NONFINITE", "g0_2: non-finite coupling")]),
+        ({"G": math.nan}, [("NONFINITE", "squeeze: non-finite exponent")]),
+        ({"omega_s_mhz": math.nan}, [("NONFINITE", "squeeze: non-finite "
+                                      "omega_s override")]),
+        ({"drive": {"eps": [math.nan, 1.0, 1.0]}},
+         [("NONFINITE", "drive: non-finite amplitude")]),
+        # FROM_PUMP squeezing has no config spelling: built in Python.
+        (None, [("NONFINITE", "squeeze: non-finite pump parameter")]),
+        ({"rotation": {"omega_rot_hz": -1.0}},
+         [("ROTATION_RANGE", "rotation: spin rate must be >= 0 (use "
+           "direction to flip the sign)")]),
+        ({"rotation": {"lambda_m": 0.0}},
+         [("ROTATION_RANGE", "rotation: wavelength must be positive")]),
+        ({"rotation": {"omega0_thz": 0.0}},
+         [("ROTATION_RANGE", "rotation: optical frequency must be positive")]),
+    ], ids=["kappa_nan", "gamma_m_inf", "g0_nan", "G_nan", "omega_s_nan",
+            "eps_nan", "pump_nan", "spin_rate_negative", "wavelength_zero",
+            "optical_frequency_zero"])
+    def test_rejections_are_named(self, overrides, found):
+        """Each rejection branch of validate and validate_rotation names
+        its code and what it refused, for configs spelled as --set
+        values."""
+        cfg = parse_config(overrides or {})
+        params = cfg.params
+        if overrides is None:
+            params = dataclasses.replace(
+                params, squeeze=SqueezeSpec.from_pump(math.nan, 1.0))
+        problems = validate(params) + validate_rotation(cfg.rotation)
+        assert [(v.code, v.message) for v in problems] == found
 
     def test_collects_multiple(self, base_params):
         p = dataclasses.replace(base_params, g0_1_mhz=-1.0,

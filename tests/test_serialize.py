@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -184,9 +185,10 @@ class TestByteIdentity:
         assert json_text(res) == _oracle_json(res)
 
 
-def _old_directions(result, tol_db=1e-9):
+def _old_directions(result):
     # SweepResult.directions() as it was before it shared its labels with
     # the streamed writers.
+    tol_db = 1e-9
     out = np.full(result.shape, "", dtype="<U10")
     i = result.i_signed_db
     finite = ~np.isnan(i)
@@ -213,12 +215,11 @@ class TestStreamedWriters:
     def test_directions_keep_their_labels(self, base_params):
         labels = set()
         for name, res in _byte_identity_grids(base_params):
-            for tol_db in (1e-9, 1.0):
-                old = _old_directions(res, tol_db)
-                new = res.directions(tol_db)
-                assert new.dtype == old.dtype and new.shape == old.shape
-                assert new.tolist() == old.tolist(), name
-                labels.update(new.ravel().tolist())
+            old = _old_directions(res)
+            new = res.directions()
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tolist() == old.tolist(), name
+            labels.update(new.ravel().tolist())
         assert labels == {"", "reciprocal", "forward", "backward"}
 
     @pytest.mark.parametrize("writer", [write_csv, write_json])
@@ -609,6 +610,25 @@ class TestSvg:
         text = svg_text(res, plot="transmissions")
         ET.fromstring(text)
         assert "nan" not in text  # masked coordinates never reach the markup
+
+    @pytest.mark.parametrize("g0_2,masked,chunks,y_ticks", [
+        # g_2 = 0: nothing reaches port 2, so |I| is inf at every point
+        # and the y axis falls back to 0..1.
+        (0.0, [], [], (-0.05, 1.05)),
+        (41.0, [4, 5], [4, 3], None),
+    ], ids=["all_inf", "broken_line"])
+    def test_points_without_a_finite_value(self, base_params, g0_2, masked,
+                                           chunks, y_ticks):
+        res = sweep(replace(base_params, g0_2_mhz=g0_2),
+                    [Axis(SweepParameter.DELTA_F, -40.0, 40.0, 9)])
+        res.i_signed_db[masked] = math.nan  # as sweep() blanks masked points
+        text = svg_text(res, plot="i_abs")
+        ET.fromstring(text)
+        lines = re.findall(r'<polyline points="([^"]*)"', text)
+        assert [len(points.split()) for points in lines] == chunks
+        if y_ticks is not None:
+            for tick in y_ticks:
+                assert f'text-anchor="end" fill="#333333">{tick:.6g}<' in text
 
     def test_deterministic(self, small_result, tmp_path):
         assert svg_text(small_result) == svg_text(small_result)

@@ -187,6 +187,12 @@ class TestSweepGrid:
             sweep(base_params, [Axis(SweepParameter.GAMMA_M, 1, 2, 3),
                                 Axis(SweepParameter.GAMMA_M, 3, 4, 3)])
 
+    @pytest.mark.parametrize("band", [(1.0, 0.0), (0.0, 0.0)])
+    def test_rejects_an_empty_delta_f_band(self, base_params, band):
+        with pytest.raises(SweepError, match="delta_f_band must satisfy"):
+            sweep(base_params, [Axis(SweepParameter.GAMMA_M, 1.0, 2.0, 3)],
+                  delta_f_policy="extremal_positive", delta_f_band=band)
+
     def test_grid_size_is_bounded_before_allocation(self, base_params):
         huge = [Axis(SweepParameter.DELTA_F, -1.0, 1.0, 10**6),
                 Axis(SweepParameter.GAMMA_M, 1.0, 2.0, 10**6)]

@@ -1,6 +1,7 @@
 """The benchmark's trace hooks and gate, and the bundled scripts, fit
 the package."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -40,6 +41,48 @@ def test_trace_targets_resolve():
     spans = _perfbench("spans")
     missing = [f"{module}.{attr}" for module, attr, *_ in spans.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
+    assert not missing
+
+
+def _package_names_used_by(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for each ``from magnon_sagnac... import name`` in
+    ``path``, and each attribute read on a name that
+    ``importlib.import_module("magnon_sagnac...")`` bound."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used, bound = set(), {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "magnon_sagnac"):
+            used.update((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and ast.unparse(node.value.func) == "importlib.import_module"
+              and isinstance(node.value.args[0], ast.Constant)
+              and node.value.args[0].value.startswith("magnon_sagnac")):
+            bound.update((target.id, node.value.args[0].value)
+                         for target in node.targets
+                         if isinstance(target, ast.Name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound):
+            used.add((bound[node.value.id], node.attr))
+    return used
+
+
+def test_benchmark_names_resolve():
+    """Every package name a perfbench/*.py file imports or reads off an
+    imported package module exists, including those of files no test
+    runs (record.py's ``sweep_module._base_kernel_args``)."""
+    used = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _package_names_used_by(path)
+    missing = []
+    for module, name in sorted(used):
+        if not hasattr(importlib.import_module(module), name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{module}.{name}")
     assert not missing
 
 
