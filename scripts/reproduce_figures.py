@@ -44,6 +44,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threads", type=int, default=None,
                         help="worker threads for the grid evaluation")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 0:
+        parser.error("--threads must be >= 0 (0 means single pass)")
 
     args.out.mkdir(parents=True, exist_ok=True)
     for name in expand(args.presets):

@@ -10,7 +10,7 @@ shifts, and parameter sweeps for the bundled demonstration datasets.
 from .model import (CONSTANTS, FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB,
                     CavityMode, DriveAmplitudes, EffectiveParams, MagnonMode,
                     PhysicalConstants, PhysicsError, RotationDirection,
-                    RotationSpec, SqueezeMode, SqueezeSpec,
+                    RotationSpec, SqueezeSpec,
                     SqueezingInstabilityError, SystemParams, Violation,
                     derive_effective, drive_amplitude, fizeau_shift,
                     has_uniform_ports, is_symmetric, squeeze_exponent,
@@ -40,7 +40,7 @@ __all__ = [
     "EffectiveParams", "FigurePreset", "GeneralExtrema", "MagnonMode",
     "NoTransmissionError", "OptimumResult", "OutputFields",
     "PhysicalConstants", "PhysicsError", "ReciprocalPoints", "ResolvedConfig",
-    "RotationDirection", "RotationSpec", "SqueezeMode", "SqueezeSpec",
+    "RotationDirection", "RotationSpec", "SqueezeSpec",
     "SqueezingInstabilityError", "SteadyState", "SweepError",
     "SweepParameter", "SweepResult", "SymmetryRequiredError",
     "SystemParams", "TransmissionReport",

@@ -151,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="leave the extremal shift unclamped")
     p.add_argument("--threads", type=int, default=None)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    # Presets fix every parameter: no --config, --set or --format.
+    p = sub.add_parser("reproduce",
                        help="write a bundled demonstration dataset")
     p.add_argument("preset",
                    help="preset name (fig2a..fig7b) or group (fig2..fig7)")

@@ -53,11 +53,6 @@ class ConfigError(Exception):
     """Structurally invalid config document."""
 
 
-_TOP_KEYS = {"g0_mhz", "G", "kappa_mhz", "eta", "gamma_m_mhz", "eta3",
-             "omega_m_mhz", "bias_field_t", "delta_mhz", "delta_f_mhz",
-             "omega_s_mhz", "drive", "rotation", "band_mhz"}
-_ROTATION_KEYS = {"omega_rot_hz", "direction", "n", "r_m", "lambda_m",
-                  "dn_dlambda", "omega0_thz"}
 _DRIVE_KEYS = {"eps", "power_w", "omega_p_mhz"}
 _KAPPA_KEYS = {"total", "external"}
 
@@ -81,6 +76,10 @@ def default_document() -> dict:
                      "dn_dlambda": 0.0, "omega0_thz": 193.0},
         "band_mhz": [-65.0, 65.0],
     }
+
+
+_TOP_KEYS = set(default_document()) | {"bias_field_t"}
+_ROTATION_KEYS = set(default_document()["rotation"])
 
 
 @dataclass(frozen=True)

@@ -144,40 +144,41 @@ class MagnonMode:
     bias_field_t: float | None = None
 
 
-class SqueezeMode(Enum):
-    DIRECT = "direct"
-    FROM_PUMP = "from_pump"
-
-
 @dataclass(frozen=True)
 class SqueezeSpec:
-    """Magnon squeezing, given directly or derived from a two-magnon pump.
+    """Magnon squeezing: the exponent G and the squeezed-mode frequency.
 
-    In FROM_PUMP mode the exponent follows from the pump detuning delta_m
-    and strength e_pump as G = (1/4) ln((delta_m + e_pump)/(delta_m - e_pump))
-    and the squeezed mode oscillates at omega_s = sqrt(delta_m^2 - e_pump^2).
-    In DIRECT mode G is given and omega_s defaults to zero, the rotating
-    frame used throughout the bundled demonstration datasets;
-    ``omega_s_override_mhz`` pins it to any other value.  Isolation is
-    independent of omega_s, the individual transmissions are not.
+    omega_s defaults to zero, the rotating frame used throughout the
+    bundled demonstration datasets; ``omega_s_override_mhz`` pins it to any
+    other value.  Isolation is independent of omega_s, the individual
+    transmissions are not.
     """
 
-    mode: SqueezeMode = SqueezeMode.DIRECT
     g_squeeze: float = 0.0
-    delta_m_mhz: float | None = None
-    e_pump_mhz: float | None = None
     omega_s_override_mhz: float | None = None
 
     @classmethod
     def direct(cls, g_squeeze: float,
                omega_s_mhz: float | None = None) -> "SqueezeSpec":
-        return cls(SqueezeMode.DIRECT, g_squeeze, omega_s_override_mhz=omega_s_mhz)
+        return cls(g_squeeze, omega_s_mhz)
 
     @classmethod
     def from_pump(cls, delta_m_mhz: float, e_pump_mhz: float,
                   omega_s_override_mhz: float | None = None) -> "SqueezeSpec":
-        return cls(SqueezeMode.FROM_PUMP, 0.0, delta_m_mhz, e_pump_mhz,
-                   omega_s_override_mhz)
+        """Squeezing set by a two-magnon pump of detuning delta_m and
+        strength e_pump: G = (1/4) ln((delta_m + e_pump)/(delta_m - e_pump))
+        and omega_s = sqrt(delta_m^2 - e_pump^2), inf where a square leaves
+        the float range.  Raises SqueezingInstabilityError at or beyond the
+        threshold |e_pump| >= |delta_m|.
+        """
+        g = squeeze_exponent(delta_m_mhz, e_pump_mhz)
+        if omega_s_override_mhz is None:
+            try:
+                omega_s_override_mhz = math.sqrt(delta_m_mhz ** 2
+                                                 - e_pump_mhz ** 2)
+            except OverflowError:
+                omega_s_override_mhz = math.inf
+        return cls(g, omega_s_override_mhz)
 
 
 @dataclass(frozen=True)
@@ -199,24 +200,12 @@ def squeeze_exponent(delta_m_mhz: float, e_pump_mhz: float) -> float:
 
 
 def derive_effective(params: "SystemParams") -> EffectiveParams:
-    """Resolve squeezing into effective couplings g0_j * cosh(2G).
-
-    Raises SqueezingInstabilityError in FROM_PUMP mode at or beyond the
-    parametric threshold.
-    """
+    """Resolve squeezing into effective couplings g0_j * cosh(2G)."""
     spec = params.squeeze
-    if spec.mode is SqueezeMode.FROM_PUMP:
-        if spec.delta_m_mhz is None or spec.e_pump_mhz is None:
-            raise ValueError("FROM_PUMP squeezing needs delta_m_mhz and e_pump_mhz")
-        g = squeeze_exponent(spec.delta_m_mhz, spec.e_pump_mhz)
-        omega_s = math.sqrt(spec.delta_m_mhz ** 2 - spec.e_pump_mhz ** 2)
-    else:
-        g = spec.g_squeeze
-        omega_s = 0.0
-    if spec.omega_s_override_mhz is not None:
-        omega_s = spec.omega_s_override_mhz
-    ch = math.cosh(2.0 * g)
-    return EffectiveParams(params.g0_1_mhz * ch, params.g0_2_mhz * ch, omega_s)
+    omega_s = spec.omega_s_override_mhz
+    ch = math.cosh(2.0 * spec.g_squeeze)
+    return EffectiveParams(params.g0_1_mhz * ch, params.g0_2_mhz * ch,
+                           0.0 if omega_s is None else omega_s)
 
 
 def drive_amplitude(power_w: float, omega_p_mhz: float) -> float:
@@ -393,17 +382,7 @@ def validate(params: SystemParams) -> list[Violation]:
             out.append(Violation("COUPLING_NEGATIVE",
                                  f"{label}: coupling must be >= 0"))
     spec = params.squeeze
-    if spec.mode is SqueezeMode.FROM_PUMP:
-        if spec.delta_m_mhz is None or spec.e_pump_mhz is None:
-            out.append(Violation("SQUEEZE_ARGS",
-                                 "FROM_PUMP squeezing needs delta_m_mhz and "
-                                 "e_pump_mhz"))
-        elif not _finite(spec.delta_m_mhz, spec.e_pump_mhz):
-            out.append(Violation("NONFINITE", "squeeze: non-finite pump parameter"))
-        elif abs(spec.e_pump_mhz) >= abs(spec.delta_m_mhz):
-            out.append(Violation("SQUEEZE_UNSTABLE",
-                                 "two-magnon pump at or beyond threshold"))
-    elif not _finite(spec.g_squeeze):
+    if not _finite(spec.g_squeeze):
         out.append(Violation("NONFINITE", "squeeze: non-finite exponent"))
     if spec.omega_s_override_mhz is not None and not _finite(spec.omega_s_override_mhz):
         out.append(Violation("NONFINITE", "squeeze: non-finite omega_s override"))

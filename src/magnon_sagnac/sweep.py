@@ -3,7 +3,7 @@
 Grids are evaluated through the vectorized closed-form kernel in
 :mod:`.steady_state`, one or two axes at a time, from one table of what
 each :class:`SweepParameter` means.  Points that fail validation
-(non-positive damping rate, unstable squeezing input, overflow,
+(non-positive damping rate, negative coupling, overflow,
 vanishing transmission) get a code in a ``uint8`` array over the grid;
 only a sweep in which every point fails raises.
 
@@ -41,7 +41,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .model import (FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB, CavityMode,
-                    SqueezeMode, SystemParams, has_uniform_ports, validate,
+                    SystemParams, has_uniform_ports, validate,
                     with_delta_f)
 from .steady_state import TransmissionReport, kernel_args, transmission_grid
 from .analysis import isolation_ratio, stationary_shifts
@@ -98,7 +98,6 @@ class _Quantity:
     get: Callable[[SystemParams], float]
     set: Callable[[SystemParams, float], SystemParams]
     kernel: Callable[[dict, SystemParams, np.ndarray], dict]  # args to replace
-    direct_only: bool = False  # defined with DIRECT squeezing only
 
 
 def _squeezed_couplings(args: dict, base: SystemParams, grid) -> dict:
@@ -129,7 +128,7 @@ _QUANTITIES = {
     SweepParameter.SQUEEZE: _Quantity(
         lambda p: p.squeeze.g_squeeze,
         lambda p, v: replace(p, squeeze=replace(p.squeeze, g_squeeze=v)),
-        _squeezed_couplings, direct_only=True),
+        _squeezed_couplings),
     SweepParameter.COUPLING_RATIO: _Quantity(
         lambda p: p.g0_2_mhz / p.g0_1_mhz,
         lambda p, v: replace(p, g0_2_mhz=v * p.g0_1_mhz),
@@ -140,13 +139,6 @@ _QUANTITIES = {
                                                 omega_s_override_mhz=v)),
         lambda args, base, grid: {"omega_s": grid}),
 }
-
-
-def _quantity(params: SystemParams, parameter: SweepParameter) -> _Quantity:
-    quantity = _QUANTITIES[parameter]
-    if quantity.direct_only and params.squeeze.mode is not SqueezeMode.DIRECT:
-        raise SweepError("the squeeze exponent requires DIRECT squeezing")
-    return quantity
 
 
 @dataclass(frozen=True)
@@ -192,12 +184,12 @@ class Axis:
 def apply_parameter(params: SystemParams, parameter: SweepParameter,
                     value: float) -> SystemParams:
     """Copy of ``params`` with one physical quantity replaced."""
-    return _quantity(params, parameter).set(params, value)
+    return _QUANTITIES[parameter].set(params, value)
 
 
 def parameter_value(params: SystemParams, parameter: SweepParameter) -> float:
     """Current value of a sweepable quantity, mirror of apply_parameter."""
-    return _quantity(params, parameter).get(params)
+    return _QUANTITIES[parameter].get(params)
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -333,22 +325,10 @@ def sweep(base: SystemParams, axes, *,
     physical = tuple(vals * ax.scale(base) for ax, vals in zip(axes, display))
     grids = np.meshgrid(*physical, indexing="ij", copy=False)
     order = list(_QUANTITIES)
-    substitutions = [(_quantity(base, ax.parameter).kernel, grid)
+    substitutions = [(_QUANTITIES[ax.parameter].kernel, grid)
                      for ax, grid in sorted(zip(axes, grids), key=lambda pair:
                                             order.index(pair[0].parameter))]
-    base_args = kernel_args(base)  # raises on unstable FROM_PUMP input
-    # Kernel arguments no axis replaces are the same at every point: they
-    # are checked once here, the others in every block.
-    probe = dict(base_args)
-    for kernel, grid in substitutions:
-        probe.update(kernel(probe, base, grid[:0]))
-    checks = []
-    for name, keys, test in _INPUT_CHECKS:
-        for key in keys:
-            if isinstance(probe[key], np.ndarray):
-                checks.append((name, key, test))
-            elif test(probe[key]):
-                raise SweepError("every grid point failed validation")
+    base_args = kernel_args(base)
     extremal = policy is not DeltaFPolicy.FIXED
     positive = policy is DeltaFPolicy.EXTREMAL_POSITIVE
     uniform = has_uniform_ports(base)
@@ -368,8 +348,11 @@ def sweep(base: SystemParams, axes, *,
             for kernel, grid in substitutions:
                 args.update(kernel(args, base, grid[sl]))
         tally = [0] * len(CODE_NAMES)  # points given each code
-        for name, key, test in checks:
-            _mark(code, test(args[key]), name, tally)
+        # Arguments no axis replaced are scalars that validate(base) passed.
+        for name, keys, test in _INPUT_CHECKS:
+            for key in keys:
+                if isinstance(args[key], np.ndarray):
+                    _mark(code, test(args[key]), name, tally)
         blank = code != 0  # the codes found before the kernel runs
 
         clamped = 0

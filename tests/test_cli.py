@@ -105,6 +105,25 @@ class TestExitCodes:
         assert run(["reproduce", "fig9", "--out", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("option", [
+        ["--set", "G=0.1"], ["--config", "cfg.json"], ["--format", "json"]],
+        ids=["set", "config", "format"])
+    def test_reproduce_refuses_config_options(self, capsys, tmp_path, option):
+        """A preset fixes every parameter, so these options are not taken
+        rather than silently ignored."""
+        assert run(["reproduce", "fig2a", "--out", str(tmp_path)]
+                   + option) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unrecognized arguments")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_refuses_a_silent_optical_drive(self, capsys):
+        assert run(["sweep", "--axis", "gamma_m=1:2:3",
+                    "--set", "drive.eps=[0,1,1]"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: optical drive amplitudes must be positive\n")
+
 
 class TestFizeau:
     def test_text_output(self, capsys):

@@ -15,7 +15,6 @@ from magnon_sagnac import (
     PhysicalConstants,
     RotationDirection,
     RotationSpec,
-    SqueezeMode,
     SqueezeSpec,
     SqueezingInstabilityError,
     SystemParams,
@@ -176,11 +175,20 @@ class TestSqueezing:
         params = SystemParams.symmetric(omega_s_mhz=123.0)
         assert params.effective().omega_s_mhz == 123.0
 
-    def test_from_pump_missing_args(self):
-        bad = dataclasses.replace(SystemParams.symmetric(),
-                                  squeeze=SqueezeSpec(mode=SqueezeMode.FROM_PUMP))
-        with pytest.raises(ValueError):
-            derive_effective(bad)
+    def test_from_pump_refuses_the_threshold(self):
+        with pytest.raises(SqueezingInstabilityError):
+            SqueezeSpec.from_pump(1.0, 2.0)
+
+    def test_from_pump_square_beyond_the_float_range(self, base_params):
+        """delta_m ** 2 overflows: omega_s is stored as inf, which validate
+        names; a given omega_s is kept without the square."""
+        spec = SqueezeSpec.from_pump(1e200, 1e199)
+        assert spec.omega_s_override_mhz == math.inf
+        p = dataclasses.replace(base_params, squeeze=spec)
+        assert [(v.code, v.message) for v in validate(p)] == [
+            ("NONFINITE", "squeeze: non-finite omega_s override")]
+        assert SqueezeSpec.from_pump(1e200, 1e199, 5.0) == SqueezeSpec(
+            spec.g_squeeze, 5.0)
 
 
 class TestSystemParams:
@@ -267,14 +275,6 @@ class TestValidate:
         p = dataclasses.replace(base_params, g0_1_mhz=-1.0)
         assert "COUPLING_NEGATIVE" in codes(validate(p))
 
-    def test_squeeze_args_and_threshold(self, base_params):
-        p = dataclasses.replace(base_params,
-                                squeeze=SqueezeSpec(mode=SqueezeMode.FROM_PUMP))
-        assert "SQUEEZE_ARGS" in codes(validate(p))
-        p = dataclasses.replace(base_params,
-                                squeeze=SqueezeSpec.from_pump(1.0, 2.0))
-        assert "SQUEEZE_UNSTABLE" in codes(validate(p))
-
     def test_drive_negative(self, base_params):
         p = dataclasses.replace(base_params,
                                 drive=DriveAmplitudes(1.0, -1.0, 1.0))
@@ -306,8 +306,9 @@ class TestValidate:
                                       "omega_s override")]),
         ({"drive": {"eps": [math.nan, 1.0, 1.0]}},
          [("NONFINITE", "drive: non-finite amplitude")]),
-        # FROM_PUMP squeezing has no config spelling: built in Python.
-        (None, [("NONFINITE", "squeeze: non-finite pump parameter")]),
+        # Pump-built squeezing has no config spelling: built in Python.
+        (None, [("NONFINITE", "squeeze: non-finite exponent"),
+                ("NONFINITE", "squeeze: non-finite omega_s override")]),
         ({"rotation": {"omega_rot_hz": -1.0}},
          [("ROTATION_RANGE", "rotation: spin rate must be >= 0 (use "
            "direction to flip the sign)")]),

@@ -4,15 +4,19 @@ import concurrent.futures
 import dataclasses
 import importlib
 import itertools
+import json
 import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
 
 from magnon_sagnac import (
     Axis,
+    ConfigError,
     DeltaFPolicy,
     DriveAmplitudes,
     PRESET_NAMES,
@@ -20,22 +24,26 @@ from magnon_sagnac import (
     SweepError,
     SweepParameter,
     SystemParams,
+    apply_overrides,
     apply_parameter,
     brute_force_optimum,
     extremal_fizeau_general,
     figure_preset,
     parameter_value,
+    parse_config,
     run_preset,
     sweep,
     transmission_grid,
     transmissions,
+    validate,
     with_delta_f,
 )
 from magnon_sagnac.analysis import stationary_shifts
 from magnon_sagnac.steady_state import kernel_args
-from magnon_sagnac.sweep import CODE_NAMES, _resolve_threads
+from magnon_sagnac.sweep import CODE_NAMES, _INPUT_CHECKS, _resolve_threads
 
 from conftest import random_general, random_symmetric
+from test_cli import _MAGNITUDE, _SET_VALUES
 
 # The package exports the function sweep under its submodule's name.
 sweep_module = importlib.import_module("magnon_sagnac.sweep")
@@ -102,15 +110,22 @@ class TestApplyParameter:
             assert mode.kappa_mhz == 0.3
             assert mode.eta == pytest.approx(0.5, rel=1e-12)
 
-    def test_squeeze_requires_direct_mode(self, base_params):
-        pumped = dataclasses.replace(base_params,
-                                     squeeze=SqueezeSpec.from_pump(10.0, 5.0))
-        with pytest.raises(SweepError):
-            apply_parameter(pumped, SweepParameter.SQUEEZE, 0.3)
-        with pytest.raises(SweepError):
-            parameter_value(pumped, SweepParameter.SQUEEZE)
-        with pytest.raises(SweepError):
-            sweep(pumped, [Axis(SweepParameter.SQUEEZE, 0.0, 1.0, 3)])
+    def test_squeeze_axis_sweeps_a_pump_built_base(self, base_params):
+        """A pump-built squeeze stores G as a number, so a G axis replaces
+        it as in a direct one and keeps the pump's omega_s."""
+        spec = SqueezeSpec.from_pump(10.0, 5.0)
+        pumped = dataclasses.replace(base_params, squeeze=spec)
+        assert parameter_value(pumped, SweepParameter.SQUEEZE) == \
+            spec.g_squeeze
+        assert apply_parameter(pumped, SweepParameter.SQUEEZE, 0.3).squeeze \
+            == SqueezeSpec(0.3, spec.omega_s_override_mhz)
+        res = sweep(with_delta_f(pumped, 20.0),
+                    [Axis(SweepParameter.SQUEEZE, 0.0, 1.0, 5)])
+        assert res.n_failed == 0
+        for k in range(5):
+            report = transmissions(res.params_at(k))
+            assert res.t12[k] == pytest.approx(report.t12, rel=1e-12)
+            assert res.t21[k] == pytest.approx(report.t21, rel=1e-12)
 
 
 class TestResolveThreads:
@@ -211,6 +226,46 @@ class TestSweepGrid:
         bad = dataclasses.replace(base_params, g0_1_mhz=-5.0)
         with pytest.raises(SweepError):
             sweep(bad, [Axis(SweepParameter.DELTA_F, -1.0, 1.0, 3)])
+
+    def test_rejects_a_silent_optical_drive(self, base_params):
+        dark = dataclasses.replace(base_params,
+                                   drive=DriveAmplitudes(0.0, 1.0, 1.0))
+        with pytest.raises(SweepError) as caught:
+            sweep(dark, [Axis(SweepParameter.GAMMA_M, 1.0, 2.0, 3)])
+        assert str(caught.value) == "optical drive amplitudes must be positive"
+
+
+# Extreme configs as the CLI property draws them, or 0, and a pump-built
+# squeeze for about half of them.
+@st.composite
+def _extreme_bases(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_SET_VALUES)), min_size=1,
+                         max_size=3, unique=True))
+    try:
+        params = parse_config(apply_overrides(
+            {}, [f"{key}={json.dumps(draw(_SET_VALUES[key] | st.just(0)))}"
+                 for key in keys])).params
+    except ConfigError:
+        reject()
+    if draw(st.booleans()):
+        e_pump, delta_m = sorted((draw(_MAGNITUDE), draw(_MAGNITUDE)), key=abs)
+        assume(abs(e_pump) < abs(delta_m))
+        params = dataclasses.replace(
+            params, squeeze=SqueezeSpec.from_pump(delta_m, e_pump))
+    return params
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(base=_extreme_bases())
+def test_valid_bases_pass_every_scalar_input_check(base):
+    """sweep() tests only the kernel arguments its axes replace: those it
+    keeps from a base that validate() passed must pass every input check."""
+    if validate(base):
+        return
+    args = kernel_args(base)
+    for name, keys, test in _INPUT_CHECKS:
+        for key in keys:
+            assert not test(args[key]), (name, key, args[key])
 
 
 class TestErrorMasking:

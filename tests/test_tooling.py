@@ -125,6 +125,18 @@ def test_reproduce_figures_writes_the_pinned_csv(tmp_path):
     assert digest == _PRESET_DIGESTS["fig2a.csv"]
 
 
+def test_reproduce_figures_refuses_negative_threads(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"),
+         "--out", str(tmp_path), "--threads", "-1", "fig2a"],
+        capture_output=True, text=True, timeout=60, env=_src_env())
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].endswith(
+        "error: --threads must be >= 0 (0 means single pass)")
+    assert list(tmp_path.iterdir()) == []
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120, env=_src_env(), check=True)
