@@ -12,7 +12,7 @@ from .model import (CONSTANTS, FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB,
                     PhysicalConstants, PhysicsError, RotationDirection,
                     RotationSpec, SqueezeSpec,
                     SqueezingInstabilityError, SystemParams, Violation,
-                    derive_effective, drive_amplitude, fizeau_shift,
+                    drive_amplitude, fizeau_shift,
                     has_uniform_ports, is_symmetric, squeeze_exponent,
                     validate, validate_rotation, with_delta_f)
 from .steady_state import (DegenerateSystemError, DriveSide,
@@ -46,7 +46,7 @@ __all__ = [
     "SystemParams", "TransmissionReport",
     "Violation", "apply_overrides", "apply_parameter", "brute_force_optimum",
     "classify_direction", "default_document",
-    "derive_effective", "drive_amplitude", "extremal_fizeau_general",
+    "drive_amplitude", "extremal_fizeau_general",
     "figure_preset", "fizeau_shift",
     "has_uniform_ports", "is_symmetric", "load_config", "output_fields",
     "parameter_value", "parse_config", "reciprocal_points", "residuals",

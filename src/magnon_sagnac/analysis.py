@@ -27,8 +27,9 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB, PhysicsError,
-                    SystemParams, _close, is_symmetric, with_delta_f)
+from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, PhysicsError,
+                    SystemParams, _close, direction_index, is_symmetric,
+                    with_delta_f)
 from .steady_state import (NoTransmissionError, TransmissionReport,
                            kernel_args, require_optical_drive, transmissions)
 
@@ -52,9 +53,7 @@ def classify_direction(report: TransmissionReport) -> Direction:
     ``ValueError``."""
     if math.isnan(report.i_signed_db):
         raise ValueError("the isolation is nan, so it has no direction")
-    if abs(report.i_signed_db) <= RECIPROCAL_TOL_DB:
-        return Direction.RECIPROCAL
-    return Direction.FORWARD if report.i_signed_db > 0 else Direction.BACKWARD
+    return Direction(DIRECTION_LABELS[direction_index(report.i_signed_db)])
 
 
 def stationary_shifts(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,

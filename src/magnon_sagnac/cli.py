@@ -145,10 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimal-df", choices=("off", "positive", "negative"),
                    default="off",
                    help="re-derive the extremal Fizeau shift per point")
-    p.add_argument("--band", metavar="LO:HI",
-                   help="clamp band for --optimal-df, default band_mhz")
-    p.add_argument("--no-clamp", action="store_true",
-                   help="leave the extremal shift unclamped")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--band", metavar="LO:HI",
+                       help="clamp band for --optimal-df, default band_mhz")
+    group.add_argument("--no-clamp", action="store_true",
+                       help="leave the extremal shift unclamped")
     p.add_argument("--threads", type=int, default=None)
 
     # Presets fix every parameter: no --config, --set or --format.
@@ -277,6 +278,9 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.optimal_df == "off" and (args.band is not None or args.no_clamp):
+        raise UsageError("--band and --no-clamp need --optimal-df positive "
+                         "or negative")
     cfg = _load(args)
     _require_valid(cfg)
     axes = [parse_axis_spec(args.axis)]

@@ -233,7 +233,7 @@ def parse_config(raw: dict) -> ResolvedConfig:
     omega_s = _as_number(doc["omega_s_mhz"], "omega_s_mhz")
     params = SystemParams(
         mode_1=mode_1, mode_2=mode_2, magnon=magnon,
-        squeeze=SqueezeSpec.direct(g_squeeze, omega_s),
+        squeeze=SqueezeSpec(g_squeeze, omega_s),
         drive=drive,
         g0_1_mhz=g0[0], g0_2_mhz=g0[1],
         delta_mhz=_as_number(doc["delta_mhz"], "delta_mhz"),

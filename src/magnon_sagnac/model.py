@@ -47,6 +47,15 @@ FEASIBLE_FIZEAU_BAND = (-65.0, 65.0)
 
 # An isolation within this many dB of 0 counts as reciprocal.
 RECIPROCAL_TOL_DB = 1e-9
+DIRECTION_LABELS = ("", "reciprocal", "forward", "backward")
+
+
+def direction_index(i_signed_db):
+    """Index into :data:`DIRECTION_LABELS` of the direction of an isolation
+    (a float or an array): "" where nan, "reciprocal" within
+    ``RECIPROCAL_TOL_DB`` of 0, else "forward" or "backward"."""
+    i, tol = i_signed_db, RECIPROCAL_TOL_DB
+    return (i > tol) * 2 + (i < -tol) * 3 + (abs(i) <= tol)
 
 
 class RotationDirection(Enum):
@@ -149,45 +158,37 @@ class SqueezeSpec:
     """Magnon squeezing: the exponent G and the squeezed-mode frequency.
 
     omega_s defaults to zero, the rotating frame used throughout the
-    bundled demonstration datasets; ``omega_s_override_mhz`` pins it to any
-    other value.  Isolation is independent of omega_s, the individual
-    transmissions are not.
+    bundled demonstration datasets.  Isolation is independent of omega_s,
+    the individual transmissions are not.
     """
 
     g_squeeze: float = 0.0
-    omega_s_override_mhz: float | None = None
-
-    @classmethod
-    def direct(cls, g_squeeze: float,
-               omega_s_mhz: float | None = None) -> "SqueezeSpec":
-        return cls(g_squeeze, omega_s_mhz)
+    omega_s_mhz: float = 0.0
 
     @classmethod
     def from_pump(cls, delta_m_mhz: float, e_pump_mhz: float,
-                  omega_s_override_mhz: float | None = None) -> "SqueezeSpec":
+                  omega_s_mhz: float | None = None) -> "SqueezeSpec":
         """Squeezing set by a two-magnon pump of detuning delta_m and
         strength e_pump: G = (1/4) ln((delta_m + e_pump)/(delta_m - e_pump))
-        and omega_s = sqrt(delta_m^2 - e_pump^2), inf where a square leaves
-        the float range.  Raises SqueezingInstabilityError at or beyond the
-        threshold |e_pump| >= |delta_m|.
+        and omega_s = sqrt(delta_m^2 - e_pump^2) unless given, inf where a
+        square leaves the float range.  Raises SqueezingInstabilityError at
+        or beyond the threshold |e_pump| >= |delta_m|.
         """
         g = squeeze_exponent(delta_m_mhz, e_pump_mhz)
-        if omega_s_override_mhz is None:
+        if omega_s_mhz is None:
             try:
-                omega_s_override_mhz = math.sqrt(delta_m_mhz ** 2
-                                                 - e_pump_mhz ** 2)
+                omega_s_mhz = math.sqrt(delta_m_mhz ** 2 - e_pump_mhz ** 2)
             except OverflowError:
-                omega_s_override_mhz = math.inf
-        return cls(g, omega_s_override_mhz)
+                omega_s_mhz = math.inf
+        return cls(g, omega_s_mhz)
 
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Bogoliubov-transformed couplings and squeezed-frame frequency."""
+    """Bogoliubov-transformed couplings g0_j * cosh(2G)."""
 
     g_eff_1_mhz: float
     g_eff_2_mhz: float
-    omega_s_mhz: float
 
 
 def squeeze_exponent(delta_m_mhz: float, e_pump_mhz: float) -> float:
@@ -197,15 +198,6 @@ def squeeze_exponent(delta_m_mhz: float, e_pump_mhz: float) -> float:
             f"two-magnon pump unstable: |e_pump| = {abs(e_pump_mhz)} MHz >= "
             f"|delta_m| = {abs(delta_m_mhz)} MHz")
     return 0.25 * math.log((delta_m_mhz + e_pump_mhz) / (delta_m_mhz - e_pump_mhz))
-
-
-def derive_effective(params: "SystemParams") -> EffectiveParams:
-    """Resolve squeezing into effective couplings g0_j * cosh(2G)."""
-    spec = params.squeeze
-    omega_s = spec.omega_s_override_mhz
-    ch = math.cosh(2.0 * spec.g_squeeze)
-    return EffectiveParams(params.g0_1_mhz * ch, params.g0_2_mhz * ch,
-                           0.0 if omega_s is None else omega_s)
 
 
 def drive_amplitude(power_w: float, omega_p_mhz: float) -> float:
@@ -272,7 +264,9 @@ class SystemParams:
         return self.delta_mhz - self.delta_f_mhz
 
     def effective(self) -> EffectiveParams:
-        return derive_effective(self)
+        """Resolve squeezing into effective couplings g0_j * cosh(2G)."""
+        ch = math.cosh(2.0 * self.squeeze.g_squeeze)
+        return EffectiveParams(self.g0_1_mhz * ch, self.g0_2_mhz * ch)
 
     @classmethod
     def symmetric(cls, *, g0_mhz: float = 41.0, g_squeeze: float = 0.5,
@@ -291,7 +285,7 @@ class SystemParams:
         mode = CavityMode.from_eta(kappa_mhz, eta)
         return cls(mode_1=mode, mode_2=mode,
                    magnon=MagnonMode(omega_m_mhz, gamma_m_mhz, eta3),
-                   squeeze=SqueezeSpec.direct(g_squeeze, omega_s_mhz),
+                   squeeze=SqueezeSpec(g_squeeze, omega_s_mhz),
                    drive=DriveAmplitudes(eps, eps, eps),
                    g0_1_mhz=g0_mhz, g0_2_mhz=g0_mhz,
                    delta_mhz=delta_mhz, delta_f_mhz=delta_f_mhz)
@@ -384,11 +378,11 @@ def validate(params: SystemParams) -> list[Violation]:
     spec = params.squeeze
     if not _finite(spec.g_squeeze):
         out.append(Violation("NONFINITE", "squeeze: non-finite exponent"))
-    if spec.omega_s_override_mhz is not None and not _finite(spec.omega_s_override_mhz):
+    if not _finite(spec.omega_s_mhz):
         out.append(Violation("NONFINITE", "squeeze: non-finite omega_s override"))
     if not out:
         try:
-            eff = derive_effective(params)
+            eff = params.effective()
             finite = _finite(eff.g_eff_1_mhz, eff.g_eff_2_mhz)
         except OverflowError:  # cosh(2G)
             finite = False

@@ -10,11 +10,11 @@ floats as their shortest round-trip ``repr``, non-finite values as the
 quoted strings "nan" / "inf" / "-inf", since strict JSON has no tokens
 for them.
 
-Both text formats are built in steps of whole first-axis rows of about
-``_STEP`` (16k) points.  ``write_csv`` and ``write_json`` write each
-step as it is made, holding one step's text for any grid, and remove a
-partial file if a write fails; ``csv_text`` and ``json_text`` join the
-steps.
+Both text formats are built in steps, the :func:`.row_blocks` (whole
+first-axis rows of about 16k points) that :func:`.sweep` evaluates.
+``write_csv`` and ``write_json`` write each step as it is made, holding
+one step's text for any grid, and remove a partial file if a write
+fails; ``csv_text`` and ``json_text`` join the steps.
 
 Both are formatted in numpy, with no Python object per value.
 :func:`.e16.slots` gives the ``%.16e`` bytes of a whole array and
@@ -50,14 +50,13 @@ same determinism reason.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .sweep import (CODE_NAMES, DIRECTION_LABELS, FigurePreset, SweepResult,
-                    direction_index)
+from .model import DIRECTION_LABELS, direction_index
+from .sweep import CODE_NAMES, FigurePreset, SweepResult, row_blocks
 
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
               "direction,error_code")
@@ -69,25 +68,11 @@ _JSON_RECORD = (' {\n  "axis1": %s,\n  "axis2": %s,\n  "T12": %s,\n'
                 '  "T21": %s,\n  "R": %s,\n  "I_signed_db": %s,\n'
                 '  "I_abs_db": %s,\n  "direction": "%s",\n'
                 '  "error_code": "%s"\n },\n')
-_STEP = 1 << 14  # points formatted per step
 
 
 def jsonable(x: float):
     """A float if finite, else its nan/inf string (strict JSON has neither)."""
     return x if math.isfinite(x) else str(float(x))
-
-
-def _steps(result: SweepResult):
-    """Yield ``(i0, i1)``: steps of whole first-axis rows, about ``_STEP``
-    points each."""
-    n1, n2 = result.shape[0], _n2(result)
-    rows = max(1, _STEP // n2)
-    for i0 in range(0, n1, rows):
-        yield i0, min(i0 + rows, n1)
-
-
-def _n2(result: SweepResult) -> int:
-    return result.shape[1] if len(result.axes) == 2 else 1
 
 
 def _byte_table(words) -> np.ndarray:
@@ -126,7 +111,7 @@ def _record_steps(result: SweepResult, record: str, slots, sign: int,
     ``axis2`` holds the slot of each second-axis value, or what stands for
     it on one axis.
     """
-    n2 = _n2(result)
+    n2 = math.prod(result.shape[1:])
     axis1 = slots(result.axis_values[0])
     width = axis1.shape[1]
     widths = (width, axis2.shape[1], *[width] * 5, _DIRECTIONS.shape[1],
@@ -138,27 +123,27 @@ def _record_steps(result: SweepResult, record: str, slots, sign: int,
         template += bytes(size) + piece.encode()
     a1, a2, t12, t21, ratio, signed_at, abs_at, direction, code = at
     buffer = None
-    for i0, i1 in _steps(result):
+    for sl in row_blocks(result.shape):
+        shape = (sl.stop - sl.start, n2)
         if buffer is None:  # the first step is the longest
-            buffer = np.empty((i1 - i0, n2, len(template)), np.uint8)
+            buffer = np.empty(shape + (len(template),), np.uint8)
             buffer[...] = np.frombuffer(template, np.uint8)
             buffer[:, :, a2] = axis2
         # Each step writes every byte outside the template and axis2, so
         # the buffer is reused.
-        shape = (i1 - i0, n2)
-        rows = buffer[:i1 - i0]
-        rows[:, :, a1] = axis1[i0:i1, None]
-        signed = result.i_signed_db[i0:i1].reshape(shape)
-        floats = slots(np.stack([result.t12[i0:i1].reshape(shape),
-                                 result.t21[i0:i1].reshape(shape),
-                                 result.ratio[i0:i1].reshape(shape), signed],
+        rows = buffer[:shape[0]]
+        rows[:, :, a1] = axis1[sl, None]
+        signed = result.i_signed_db[sl].reshape(shape)
+        floats = slots(np.stack([result.t12[sl].reshape(shape),
+                                 result.t21[sl].reshape(shape),
+                                 result.ratio[sl].reshape(shape), signed],
                                 axis=2))
         for i, where in enumerate((t12, t21, ratio, signed_at, abs_at)):
             rows[:, :, where] = floats[:, :, min(i, 3)]
         rows[:, :, abs_at.start + sign] = 0  # |I|: no sign byte
         rows[:, :, direction] = _DIRECTIONS.take(direction_index(signed),
                                                  axis=0)
-        rows[:, :, code] = _CODES.take(result.codes[i0:i1].reshape(shape),
+        rows[:, :, code] = _CODES.take(result.codes[sl].reshape(shape),
                                        axis=0)
         del floats  # before the next step formats its own
         yield rows.tobytes().translate(None, b"\0")
@@ -212,10 +197,6 @@ def write_csv(result: SweepResult, path) -> None:
 
 def json_text(result: SweepResult) -> str:
     return b"".join(_json_pieces(result)).decode("ascii")
-
-
-def json_records(result: SweepResult) -> list[dict]:
-    return json.loads(json_text(result))
 
 
 def write_json(result: SweepResult, path) -> None:

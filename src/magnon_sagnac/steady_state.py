@@ -82,7 +82,7 @@ def _coefficients(params: SystemParams, side: DriveSide):
     m1, m2, mag = params.mode_1, params.mode_2, params.magnon
     d1 = 0.5 * m1.kappa_mhz + 1j * params.delta_1_mhz
     d2 = 0.5 * m2.kappa_mhz + 1j * params.delta_2_mhz
-    dm = 0.5 * mag.gamma_m_mhz + 1j * eff.omega_s_mhz
+    dm = 0.5 * mag.gamma_m_mhz + 1j * params.squeeze.omega_s_mhz
     eps_1 = params.drive.eps_1 if side is DriveSide.LEFT else 0.0
     eps_2 = params.drive.eps_2 if side is DriveSide.RIGHT else 0.0
     f1 = math.sqrt(m1.eta * m1.kappa_mhz) * eps_1
@@ -189,7 +189,7 @@ def kernel_args(params: SystemParams) -> dict:
         "kappa_1": params.mode_1.kappa_mhz,
         "kappa_2": params.mode_2.kappa_mhz,
         "gamma_m": params.magnon.gamma_m_mhz,
-        "omega_s": eff.omega_s_mhz,
+        "omega_s": params.squeeze.omega_s_mhz,
         "g_1": eff.g_eff_1_mhz,
         "g_2": eff.g_eff_2_mhz,
         "eta_1": params.mode_1.eta,

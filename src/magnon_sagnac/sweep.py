@@ -14,13 +14,13 @@ uniform ports the root of the chosen sign, otherwise the shift of
 largest |I| on that sign's half of the band.  A clamp band, when given,
 bounds the shift.
 
-A grid is evaluated in blocks of whole first-axis rows, about
-``_BLOCK`` (16k) points each.  Each block substitutes its axis values,
-marks its input codes, computes its extremal shift, runs the kernel and
-marks its output codes, writing into result arrays allocated once, so no
-temporary spans the whole grid and a block's temporaries stay in the
-processor caches.  A grid of more than ``_MAX_POINTS`` (2**25) points
-raises :class:`SweepError` before anything is allocated.
+A grid is evaluated in the blocks of :func:`row_blocks`, whole first-axis
+rows of about ``_BLOCK`` (16k) points that the writers share.  Each block
+substitutes its axis values, marks its input codes, computes its extremal
+shift, runs the kernel and marks its output codes, writing into result
+arrays allocated once, so no temporary spans the whole grid and a block's
+temporaries stay in the processor caches.  A grid of more than ``_MAX_POINTS``
+(2**25) points raises :class:`SweepError` before anything is allocated.
 
 Results are deterministic: the block size and the thread count change
 no bit.  The ``threads`` argument hands the blocks to a thread pool,
@@ -40,9 +40,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import (FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB, CavityMode,
-                    SystemParams, has_uniform_ports, validate,
-                    with_delta_f)
+from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, CavityMode,
+                    SystemParams, direction_index, has_uniform_ports,
+                    validate, with_delta_f)
 from .steady_state import TransmissionReport, kernel_args, transmission_grid
 from .analysis import isolation_ratio, stationary_shifts
 # Not called here; perfbench/spans.py wraps this name for --trace 1.
@@ -54,7 +54,6 @@ from .analysis import brute_force_optimum  # noqa: F401
 CODE_NAMES = ("", "RATE_POSITIVE", "COUPLING_NEGATIVE", "NONFINITE",
               "OVERFLOW", "NO_TRANSMISSION", "INF_ISOLATION")
 _INF_ISOLATION = CODE_NAMES.index("INF_ISOLATION")
-DIRECTION_LABELS = ("", "reciprocal", "forward", "backward")
 
 # The codes found before the kernel runs, in precedence order, with the
 # kernel arguments each one tests.
@@ -134,9 +133,8 @@ _QUANTITIES = {
         lambda p, v: replace(p, g0_2_mhz=v * p.g0_1_mhz),
         lambda args, base, grid: {"g_2": grid * np.asarray(args["g_1"])}),
     SweepParameter.OMEGA_S: _Quantity(
-        lambda p: p.effective().omega_s_mhz,
-        lambda p, v: replace(p, squeeze=replace(p.squeeze,
-                                                omega_s_override_mhz=v)),
+        lambda p: p.squeeze.omega_s_mhz,
+        lambda p, v: replace(p, squeeze=replace(p.squeeze, omega_s_mhz=v)),
         lambda args, base, grid: {"omega_s": grid}),
 }
 
@@ -336,12 +334,10 @@ def sweep(base: SystemParams, axes, *,
     # t12, t21, ratio, i_signed_db and delta_f_mhz, filled block by block.
     columns = tuple(np.empty(shape) for _ in range(5))
     codes = np.zeros(shape, dtype=np.uint8)
-    rows = max(1, _BLOCK * shape[0] // n_points)  # first-axis rows a block
 
-    def block(i0: int) -> tuple[list[int], int]:
-        """Evaluate rows i0 to i0 + rows; returns its code counts and
-        clamped points."""
-        sl = slice(i0, i0 + rows)
+    def block(sl: slice) -> tuple[list[int], int]:
+        """Evaluate the rows ``sl``; returns its code counts and clamped
+        points."""
         code = codes[sl]
         args = dict(base_args)
         with np.errstate(over="ignore"):  # overflowed values are marked below
@@ -394,15 +390,15 @@ def sweep(base: SystemParams, axes, *,
                 out[blank] = math.nan
         return tally, clamped
 
-    starts = range(0, shape[0], rows)
-    workers = min(n_threads, os.cpu_count() or 1, len(starts))
+    blocks = row_blocks(shape)
+    workers = min(n_threads, os.cpu_count() or 1, len(blocks))
     if workers > 1:  # the blocks write disjoint rows
         # Imported here: with logging it adds ~6 ms to every CLI start.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(block, starts))
+            tallies = list(pool.map(block, blocks))
     else:
-        tallies = list(map(block, starts))
+        tallies = list(map(block, blocks))
     counts = [sum(column) for column in zip(*(tally for tally, _ in tallies))]
 
     meta = {"delta_f_policy": policy.value,
@@ -419,12 +415,12 @@ def sweep(base: SystemParams, axes, *,
                        i_signed, codes, meta)
 
 
-def direction_index(i_signed_db) -> np.ndarray:
-    """Index into :data:`DIRECTION_LABELS` of the direction of each
-    isolation: "" where nan, "reciprocal" within ``RECIPROCAL_TOL_DB`` of
-    0, else "forward" or "backward"."""
-    i, tol = np.asarray(i_signed_db), RECIPROCAL_TOL_DB
-    return (i > tol) * 2 + (i < -tol) * 3 + (np.abs(i) <= tol)
+def row_blocks(shape: tuple[int, ...]) -> list[slice]:
+    """The blocks of whole first-axis rows, about ``_BLOCK`` points each,
+    that :func:`sweep` evaluates and the writers format a grid in."""
+    rows = max(1, _BLOCK // math.prod(shape[1:]))
+    return [slice(i0, min(i0 + rows, shape[0]))
+            for i0 in range(0, shape[0], rows)]
 
 
 def _mark(codes: np.ndarray, mask: np.ndarray, name: str,

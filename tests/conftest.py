@@ -54,7 +54,7 @@ def random_general(rng: np.random.Generator) -> SystemParams:
             gamma_m_mhz=10.0 ** rng.uniform(-1.0, 1.5),
             eta3=rng.uniform(0.05, 0.95),
         ),
-        squeeze=SqueezeSpec.direct(
+        squeeze=SqueezeSpec(
             g_squeeze=rng.uniform(0.0, 1.0),
             omega_s_mhz=rng.uniform(0.0, 50.0),
         ),

@@ -204,9 +204,8 @@ def test_c7e_transmissions_invariant_under_rate_scaling():
             magnon=MagnonMode(p.magnon.omega_m_mhz,
                               factor * p.magnon.gamma_m_mhz,
                               p.magnon.eta3),
-            squeeze=SqueezeSpec.direct(
-                p.squeeze.g_squeeze,
-                factor * (p.squeeze.omega_s_override_mhz or 0.0)),
+            squeeze=SqueezeSpec(p.squeeze.g_squeeze,
+                                factor * p.squeeze.omega_s_mhz),
             g0_1_mhz=factor * p.g0_1_mhz,
             g0_2_mhz=factor * p.g0_2_mhz,
             delta_mhz=factor * p.delta_mhz,

@@ -269,6 +269,28 @@ class TestClassifyDirection:
         i = np.array([-above, -tol, 0.0, tol, above, math.nan])
         assert direction_index(i).tolist() == [3, 1, 1, 1, 2, 0]
 
+    def test_float_and_array_agree(self):
+        """direction_index gives a float the index it gives that float in
+        an array, and classify_direction the label of that index."""
+        def report(i_db):
+            return TransmissionReport(1.0, 1.0, 1.0, i_db, abs(i_db))
+        values = [math.nan]
+        # The neighbours of inf include the largest finite float.
+        for x in (0.0, RECIPROCAL_TOL_DB, 1e300, math.inf):
+            for y in (x, math.nextafter(x, -math.inf),
+                      math.nextafter(x, math.inf)):
+                values += [y, -y]
+        for x in values:
+            index = direction_index(x)
+            assert index == direction_index(np.array([x]))[0], x
+            if math.isnan(x):
+                assert index == 0
+                with pytest.raises(ValueError, match="nan"):
+                    classify_direction(report(x))
+            else:
+                assert classify_direction(report(x)).value == \
+                    ("", "reciprocal", "forward", "backward")[index], x
+
 
 def _golden_section_max(f, a: float, b: float, tol: float):
     """Golden-section maximization on [a, b] for a unimodal objective."""

@@ -383,6 +383,21 @@ class TestSweepCommand:
         assert run(["sweep", "--axis", "delta_f=1:2"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("option,err", [
+        (["--band", "0:10"], "--band and --no-clamp need --optimal-df "
+         "positive or negative"),
+        (["--no-clamp"], "--band and --no-clamp need --optimal-df "
+         "positive or negative"),
+        (["--optimal-df", "positive", "--band", "0:10", "--no-clamp"],
+         "argument --no-clamp: not allowed with argument --band"),
+    ], ids=["band_without_policy", "no_clamp_without_policy",
+            "band_and_no_clamp"])
+    def test_clamp_options_are_not_ignored(self, capsys, option, err):
+        """The clamp options act only under an extremal --optimal-df and
+        only one at a time; otherwise they are refused, not ignored."""
+        assert run(["sweep", "--axis", "gamma_m=1:2:3"] + option) == 3
+        assert capsys.readouterr() == ("", f"usage error: {err}\n")
+
 
 class TestReproduce:
     def test_single_preset(self, capsys, tmp_path):
@@ -468,11 +483,13 @@ class TestAllocatorThresholds:
         assert cli._keep_freed_memory() is False
 
 
-# Config keys and how the property draws their values: log-uniform
-# magnitudes over 1e-300..1e300 of either sign, except where a key has a
-# natural range.
-_MAGNITUDE = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
-                       st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0))
+# Config keys and how the property draws their values: 0.0, -0.0 or
+# log-uniform magnitudes over 1e-300..1e300 of either sign, except where a
+# key has a natural range.
+_MAGNITUDE = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)))
 _FRACTION = st.floats(0.0, 1.0)
 _SET_VALUES = {
     "G": st.floats(-400.0, 400.0),

@@ -18,7 +18,6 @@ from magnon_sagnac import (
     SqueezeSpec,
     SqueezingInstabilityError,
     SystemParams,
-    derive_effective,
     drive_amplitude,
     fizeau_shift,
     parse_config,
@@ -157,7 +156,7 @@ class TestSqueezing:
                                                 rel=1e-12)
         assert eff.g_eff_1_mhz == pytest.approx(63.26630602742499, rel=1e-12)
         assert eff.g_eff_2_mhz == eff.g_eff_1_mhz
-        assert eff.omega_s_mhz == 0.0
+        assert params.squeeze.omega_s_mhz == 0.0
 
     def test_from_pump_effective(self):
         delta_m, g = 10.0, 0.5
@@ -165,15 +164,15 @@ class TestSqueezing:
         params = dataclasses.replace(
             SystemParams.symmetric(),
             squeeze=SqueezeSpec.from_pump(delta_m, e_pump))
-        eff = derive_effective(params)
+        eff = params.effective()
         assert eff.g_eff_1_mhz == pytest.approx(41.0 * math.cosh(1.0),
                                                 rel=1e-9)
-        assert eff.omega_s_mhz == pytest.approx(delta_m / math.cosh(1.0),
+        assert params.squeeze.omega_s_mhz == pytest.approx(delta_m / math.cosh(1.0),
                                                 rel=1e-9)
 
     def test_omega_s_override_wins(self):
         params = SystemParams.symmetric(omega_s_mhz=123.0)
-        assert params.effective().omega_s_mhz == 123.0
+        assert params.squeeze.omega_s_mhz == 123.0
 
     def test_from_pump_refuses_the_threshold(self):
         with pytest.raises(SqueezingInstabilityError):
@@ -183,7 +182,7 @@ class TestSqueezing:
         """delta_m ** 2 overflows: omega_s is stored as inf, which validate
         names; a given omega_s is kept without the square."""
         spec = SqueezeSpec.from_pump(1e200, 1e199)
-        assert spec.omega_s_override_mhz == math.inf
+        assert spec.omega_s_mhz == math.inf
         p = dataclasses.replace(base_params, squeeze=spec)
         assert [(v.code, v.message) for v in validate(p)] == [
             ("NONFINITE", "squeeze: non-finite omega_s override")]
@@ -287,7 +286,7 @@ class TestValidate:
     @pytest.mark.parametrize("g0,g_squeeze", [(41.0, 400.0), (41.0, -400.0),
                                               (1e300, 10.0)])
     def test_effective_coupling_out_of_float_range(self, g0, g_squeeze):
-        """cosh(2G) or g0 cosh(2G) overflows; derive_effective would raise
+        """cosh(2G) or g0 cosh(2G) overflows; effective() would raise
         or give inf."""
         p = SystemParams.symmetric(g0_mhz=g0, g_squeeze=g_squeeze)
         assert [v.code for v in validate(p)] == ["NONFINITE"]

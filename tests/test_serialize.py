@@ -1,6 +1,7 @@
 """Tests for CSV, JSON and SVG output of sweep results."""
 
 import hashlib
+import importlib
 import json
 import math
 import re
@@ -29,7 +30,6 @@ from magnon_sagnac.serialize import (
     CSV_HEADER,
     _json_slots,
     csv_text,
-    json_records,
     json_text,
     jsonable,
     svg_text,
@@ -38,6 +38,8 @@ from magnon_sagnac.serialize import (
     write_preset_outputs,
     write_svg,
 )
+
+sweep_module = importlib.import_module("magnon_sagnac.sweep")
 
 
 @pytest.fixture
@@ -149,7 +151,7 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("step", [5, 16, 64])
     def test_grids_in_steps(self, base_params, monkeypatch, step):
-        monkeypatch.setattr(serialize, "_STEP", step)
+        monkeypatch.setattr(sweep_module, "_BLOCK", step)
         for name, res in _byte_identity_grids(base_params):
             assert csv_text(res) == _oracle_csv(res), name
 
@@ -171,7 +173,7 @@ class TestByteIdentity:
     def test_several_steps(self, base_params, monkeypatch, step):
         # 7 second-axis points do not divide either step; at step 5 each
         # step is a single first-axis row longer than the step itself.
-        monkeypatch.setattr(serialize, "_STEP", step)
+        monkeypatch.setattr(sweep_module, "_BLOCK", step)
         axes = [Axis(SweepParameter.DELTA_F, -30.0, 30.0, 40),
                 Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 7)]
         res = sweep(base_params, axes)
@@ -179,7 +181,7 @@ class TestByteIdentity:
         assert json_text(res) == _oracle_json(res)
 
     def test_several_steps_one_axis(self, base_params, monkeypatch):
-        monkeypatch.setattr(serialize, "_STEP", 16)
+        monkeypatch.setattr(sweep_module, "_BLOCK", 16)
         res = sweep(base_params, [Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 50)])
         assert csv_text(res) == _oracle_csv(res)
         assert json_text(res) == _oracle_json(res)
@@ -201,10 +203,10 @@ def _old_directions(result):
 class TestStreamedWriters:
     """write_csv / write_json stream one step at a time."""
 
-    @pytest.mark.parametrize("step", [5, 16, 64, serialize._STEP])
+    @pytest.mark.parametrize("step", [5, 16, 64, sweep_module._BLOCK])
     def test_files_match_the_text(self, base_params, monkeypatch, tmp_path,
                                   step):
-        monkeypatch.setattr(serialize, "_STEP", step)
+        monkeypatch.setattr(sweep_module, "_BLOCK", step)
         path = tmp_path / "out"
         for name, res in _byte_identity_grids(base_params):
             write_csv(res, path)
@@ -225,22 +227,22 @@ class TestStreamedWriters:
     @pytest.mark.parametrize("writer", [write_csv, write_json])
     def test_failure_leaves_no_file(self, small_result, monkeypatch,
                                     tmp_path, writer):
-        steps = serialize._steps
+        steps = serialize.row_blocks
         made = []
 
-        def fail_after_first_step(result):
-            for step in steps(result):
+        def fail_after_first_step(shape):
+            for step in steps(shape):
                 if made:
                     raise OSError("disk full")
                 made.append(step)
                 yield step
 
-        monkeypatch.setattr(serialize, "_STEP", 3)
-        monkeypatch.setattr(serialize, "_steps", fail_after_first_step)
+        monkeypatch.setattr(sweep_module, "_BLOCK", 3)
+        monkeypatch.setattr(serialize, "row_blocks", fail_after_first_step)
         path = tmp_path / "out"
         with pytest.raises(OSError, match="disk full"):
             writer(small_result, path)
-        assert made == [(0, 1)]
+        assert made == [slice(0, 1)]
         assert list(tmp_path.iterdir()) == []
 
     def test_peak_memory_is_one_step(self, base_params, tmp_path):
@@ -520,7 +522,7 @@ class TestCsv:
 
 class TestJson:
     def test_records_mirror_csv(self, small_result):
-        records = json_records(small_result)
+        records = json.loads(json_text(small_result))
         lines = csv_text(small_result).splitlines()[1:]
         assert len(records) == len(lines)
         for record, line in zip(records, lines):

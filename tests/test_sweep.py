@@ -118,7 +118,7 @@ class TestApplyParameter:
         assert parameter_value(pumped, SweepParameter.SQUEEZE) == \
             spec.g_squeeze
         assert apply_parameter(pumped, SweepParameter.SQUEEZE, 0.3).squeeze \
-            == SqueezeSpec(0.3, spec.omega_s_override_mhz)
+            == SqueezeSpec(0.3, spec.omega_s_mhz)
         res = sweep(with_delta_f(pumped, 20.0),
                     [Axis(SweepParameter.SQUEEZE, 0.0, 1.0, 5)])
         assert res.n_failed == 0
@@ -187,7 +187,7 @@ class TestSweepGrid:
         for k, g in enumerate(ax.values()):
             manual = dataclasses.replace(
                 with_delta_f(base_params, 20.0),
-                squeeze=SqueezeSpec.direct(float(g), 0.0))
+                squeeze=SqueezeSpec(float(g), 0.0))
             report = transmissions(manual)
             assert res.t12[k] == pytest.approx(report.t12, rel=1e-12)
             assert res.i_signed_db[k] == pytest.approx(report.i_signed_db,
