@@ -26,7 +26,7 @@ from .analysis import (Direction, GeneralExtrema, OptimumResult,
                        extremal_fizeau_general, reciprocal_points)
 from .sweep import (Axis, DeltaFPolicy, FigurePreset, PRESET_NAMES,
                     SweepError, SweepParameter, SweepResult, apply_parameter,
-                    figure_preset, parameter_value, run_preset, sweep)
+                    figure_preset, run_preset, sweep)
 from .config import (ConfigError, ResolvedConfig, apply_overrides,
                      default_document, load_config, parse_config,
                      resolved_document)
@@ -49,7 +49,7 @@ __all__ = [
     "drive_amplitude", "extremal_fizeau_general",
     "figure_preset", "fizeau_shift",
     "has_uniform_ports", "is_symmetric", "load_config", "output_fields",
-    "parameter_value", "parse_config", "reciprocal_points", "residuals",
+    "parse_config", "reciprocal_points", "residuals",
     "resolved_document", "run_preset", "solve_closed_form", "solve_generic",
     "squeeze_exponent", "sweep", "transmission_grid", "transmissions",
     "validate", "validate_rotation", "with_delta_f",

@@ -250,7 +250,7 @@ def _cmd_isolate(args) -> int:
 def _cmd_optimize(args) -> int:
     cfg = _load(args)
     _require_valid(cfg)
-    band = _parse_band(args.band) if args.band else cfg.band
+    band = cfg.band if args.band is None else _parse_band(args.band)
     if args.analytic:
         ext = extremal_fizeau_general(cfg.params, band)
         best_plus = ext.isolation_plus_db >= ext.isolation_minus_db
@@ -291,7 +291,7 @@ def _cmd_sweep(args) -> int:
               "negative": DeltaFPolicy.EXTREMAL_NEGATIVE}[args.optimal_df]
     band = None
     if policy is not DeltaFPolicy.FIXED and not args.no_clamp:
-        band = _parse_band(args.band) if args.band else cfg.band
+        band = cfg.band if args.band is None else _parse_band(args.band)
     result = sweep(cfg.params, axes, delta_f_policy=policy,
                    delta_f_band=band, threads=args.threads)
     text = (serialize.json_text(result) if args.format == "json"

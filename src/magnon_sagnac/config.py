@@ -12,7 +12,7 @@ rather than a warning, so typos cannot silently fall back to defaults.
       "gamma_m_mhz": 4.0,
       "eta3": 0.5,
       "omega_m_mhz": 10100.0,
-      "bias_field_t": null,
+      "bias_field_t": null,        // the only key that may be null
       "delta_mhz": 0.0,
       "delta_f_mhz": 0.0,
       "omega_s_mhz": 0.0,          // squeezed-frame frequency override
@@ -116,12 +116,6 @@ def _check_keys(doc: dict, allowed: set[str], context: str) -> None:
                           f"allowed: {', '.join(sorted(allowed))}")
 
 
-def _strip_none(value):
-    if isinstance(value, dict):
-        return {k: _strip_none(v) for k, v in value.items() if v is not None}
-    return value
-
-
 def _parse_modes(doc: dict, eta_explicit: bool):
     kappa = doc["kappa_mhz"]
     if isinstance(kappa, dict):
@@ -197,7 +191,6 @@ def parse_config(raw: dict) -> ResolvedConfig:
     """Build the full parameter set from a (possibly partial) document."""
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    raw = _strip_none(raw)
     _check_keys(raw, _TOP_KEYS, "config")
     doc = default_document()
     for key, value in raw.items():

@@ -126,10 +126,6 @@ class CavityMode:
     kappa_ext_mhz: float
 
     @property
-    def kappa_int_mhz(self) -> float:
-        return self.kappa_mhz - self.kappa_ext_mhz
-
-    @property
     def eta(self) -> float:
         """External coupling fraction kappa_ext / kappa."""
         return self.kappa_ext_mhz / self.kappa_mhz

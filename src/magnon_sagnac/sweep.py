@@ -172,7 +172,7 @@ class Axis:
 
     def scale(self, base: SystemParams) -> float:
         return (1.0 if self.normalization is None
-                else parameter_value(base, self.normalization))
+                else _QUANTITIES[self.normalization].get(base))
 
     def label(self) -> str:
         return (self.parameter.value if self.normalization is None
@@ -183,11 +183,6 @@ def apply_parameter(params: SystemParams, parameter: SweepParameter,
                     value: float) -> SystemParams:
     """Copy of ``params`` with one physical quantity replaced."""
     return _QUANTITIES[parameter].set(params, value)
-
-
-def parameter_value(params: SystemParams, parameter: SweepParameter) -> float:
-    """Current value of a sweepable quantity, mirror of apply_parameter."""
-    return _QUANTITIES[parameter].get(params)
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -253,9 +248,6 @@ class SweepResult:
         flat = np.flatnonzero(self.codes)
         names = map(CODE_NAMES.__getitem__, self.codes.ravel()[flat].tolist())
         return MappingProxyType(dict(zip(flat.tolist(), names)))
-
-    def error_code_at(self, *idx: int) -> str | None:
-        return CODE_NAMES[self.codes[idx]] or None
 
     def directions(self) -> np.ndarray:
         """Per-point direction labels; failed points come back empty."""

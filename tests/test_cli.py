@@ -86,13 +86,32 @@ class TestExitCodes:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and "NONFINITE: squeeze" in line
 
+    @pytest.mark.parametrize("spelling", ["set", "config"])
+    def test_null_is_not_a_default(self, capsys, tmp_path, spelling):
+        """Only bias_field_t takes null; anywhere else it is an error, not
+        the default value."""
+        if spelling == "set":
+            argv = ["isolate", "--set", "G=null"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text('{"G": null}', encoding="utf-8")
+            argv = ["isolate", "--config", str(path)]
+        assert run(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: G must be a number, got None\n")
+
     @pytest.mark.parametrize("argv,err", [
         (["optimize", "--band=1:2:3"], "band '1:2:3' must be lo:hi"),
         (["optimize", "--band=a:b"], "band 'a:b' has non-numeric bounds"),
         (["optimize", "--band=2:1"], "band must satisfy lo < hi"),
+        # An empty band is no band at all, not the config's band_mhz.
+        (["optimize", "--band="], "band '' must be lo:hi"),
+        (["sweep", "--axis", "gamma_m=1:2:3", "--optimal-df", "positive",
+          "--band="], "band '' must be lo:hi"),
         (["sweep", "--axis", "gamma_m=nan:2:5"],
          "axis spec 'gamma_m=nan:2:5': axis bounds must be finite"),
-    ], ids=["three_parts", "not_numbers", "reversed", "axis_not_finite"])
+    ], ids=["three_parts", "not_numbers", "reversed", "empty",
+            "sweep_empty", "axis_not_finite"])
     def test_malformed_band_or_axis(self, capsys, argv, err):
         assert run(argv) == 3
         assert capsys.readouterr() == ("", f"usage error: {err}\n")

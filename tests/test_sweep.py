@@ -29,7 +29,6 @@ from magnon_sagnac import (
     brute_force_optimum,
     extremal_fizeau_general,
     figure_preset,
-    parameter_value,
     parse_config,
     run_preset,
     sweep,
@@ -101,8 +100,8 @@ class TestApplyParameter:
     ])
     def test_round_trip(self, base_params, parameter, value):
         updated = apply_parameter(base_params, parameter, value)
-        assert parameter_value(updated, parameter) == pytest.approx(
-            value, rel=1e-12)
+        assert sweep_module._QUANTITIES[parameter].get(updated) == \
+            pytest.approx(value, rel=1e-12)
 
     def test_kappa_rewrite_preserves_eta(self, base_params):
         updated = apply_parameter(base_params, SweepParameter.KAPPA, 0.3)
@@ -115,8 +114,8 @@ class TestApplyParameter:
         it as in a direct one and keeps the pump's omega_s."""
         spec = SqueezeSpec.from_pump(10.0, 5.0)
         pumped = dataclasses.replace(base_params, squeeze=spec)
-        assert parameter_value(pumped, SweepParameter.SQUEEZE) == \
-            spec.g_squeeze
+        assert sweep_module._QUANTITIES[SweepParameter.SQUEEZE].get(pumped) \
+            == spec.g_squeeze
         assert apply_parameter(pumped, SweepParameter.SQUEEZE, 0.3).squeeze \
             == SqueezeSpec(0.3, spec.omega_s_mhz)
         res = sweep(with_delta_f(pumped, 20.0),
@@ -272,9 +271,8 @@ class TestErrorMasking:
     def test_nonpositive_rates_are_masked(self, base_params):
         ax = Axis(SweepParameter.GAMMA_M, -2.0, 6.0, 5)  # -2, 0, 2, 4, 6
         res = sweep(base_params, [ax])
-        assert res.error_code_at(0) == "RATE_POSITIVE"
-        assert res.error_code_at(1) == "RATE_POSITIVE"
-        assert res.error_code_at(2) is None
+        assert [CODE_NAMES[c] for c in res.codes[:3]] == \
+            ["RATE_POSITIVE", "RATE_POSITIVE", ""]
         assert np.isnan(res.t12[:2]).all()
         assert np.isfinite(res.t12[2:]).all()
         assert list(res.directions()[:2]) == ["", ""]
@@ -290,7 +288,7 @@ class TestErrorMasking:
         if output == "backward":  # g_2 = 0 at the first point
             res = sweep(with_delta_f(base_params, 10.0),
                         [Axis(p.COUPLING_RATIO, 0.0, 1.0, 3)])
-            assert res.error_code_at(1) is None
+            assert CODE_NAMES[res.codes[1]] == ""
             vanished = np.array([True, False, False])
         else:  # g_1 = 0: every point is INF_ISOLATION, and sweep() returns
             res = sweep(dataclasses.replace(with_delta_f(base_params, 10.0),
@@ -302,7 +300,7 @@ class TestErrorMasking:
         assert np.all(res.i_signed_db[vanished] == infinite)
         assert np.all(res.ratio[vanished]
                       == {"backward": np.inf, "forward": 0.0}[output])
-        assert [res.error_code_at(*idx) for idx in np.argwhere(vanished)] \
+        assert [CODE_NAMES[c] for c in res.codes[vanished]] \
             == ["INF_ISOLATION"] * int(vanished.sum())
         # Both values are kept, and the point does not count as failed.
         assert np.isfinite(res.t12).all() and np.isfinite(res.t21).all()
@@ -315,8 +313,7 @@ class TestErrorMasking:
         ratio = Axis(SweepParameter.COUPLING_RATIO, -1e308, 1.0, 3)
         gamma = Axis(SweepParameter.GAMMA_M, -1.0, 3.0, 5)  # -1, 0, 1, 2, 3
         res = sweep(with_delta_f(base_params, 10.0), [ratio, gamma])
-        assert [[res.error_code_at(i, j) or "" for j in range(5)]
-                for i in range(3)] == [
+        assert [[CODE_NAMES[c] for c in row] for row in res.codes] == [
             ["RATE_POSITIVE"] * 2 + ["COUPLING_NEGATIVE"] * 3,
             ["RATE_POSITIVE"] * 2 + ["COUPLING_NEGATIVE"] * 3,
             ["RATE_POSITIVE"] * 2 + [""] * 3,
@@ -339,17 +336,17 @@ class TestErrorMasking:
         # The kernel's g^2 terms overflow from G ~ 176 (G = 200, 300);
         # cosh(2G) itself overflows from G ~ 355 (G = 400).
         ([Axis(SweepParameter.SQUEEZE, 0.0, 400.0, 5)],
-         [None, None, "OVERFLOW", "OVERFLOW", "NONFINITE"]),
+         ["", "", "OVERFLOW", "OVERFLOW", "NONFINITE"]),
         # g_2 = 1e308 * g_1 overflows in the substitution.
         ([Axis(SweepParameter.COUPLING_RATIO, 0.0, 1e308, 3)],
          ["INF_ISOLATION", "NONFINITE", "NONFINITE"]),
         # d1 * d2 * dm overflows in the kernel at |delta_f| = 1e160.
         ([Axis(SweepParameter.DELTA_F, -1e160, 1e160, 3)],
-         ["OVERFLOW", None, "OVERFLOW"]),
+         ["OVERFLOW", "", "OVERFLOW"]),
         # At |delta_f| = 1.2e154 only the real part of d1 * d2 * dm
         # overflows; den = inf + finite j would divide both outputs to 0.
         ([Axis(SweepParameter.DELTA_F, -1.2e154, 1.2e154, 3)],
-         ["OVERFLOW", None, "OVERFLOW"]),
+         ["OVERFLOW", "", "OVERFLOW"]),
         # Both outputs are finite and non-zero, but (T12/T21)^2 overflows.
         ([Axis(SweepParameter.COUPLING_RATIO, 0.0, 2e-200, 3)],
          ["INF_ISOLATION", "OVERFLOW", "OVERFLOW"]),
@@ -359,11 +356,11 @@ class TestErrorMasking:
                                                 codes):
         # Leaked RuntimeWarnings fail the suite (pyproject filterwarnings).
         res = sweep(with_delta_f(base_params, 10.0), axes)
-        assert [res.error_code_at(k) for k in range(len(codes))] == codes
+        assert [CODE_NAMES[c] for c in res.codes] == codes
         # An OVERFLOW point is not blanked, but it counts as failed.
         overflowed = res.codes == CODE_NAMES.index("OVERFLOW")
         assert np.isfinite(res.delta_f_mhz[overflowed]).all()
-        assert res.n_failed == sum(c not in (None, "INF_ISOLATION")
+        assert res.n_failed == sum(c not in ("", "INF_ISOLATION")
                                    for c in codes)
 
     def test_overflow_points_re_evaluate_on_the_scalar_path(self,
@@ -372,7 +369,7 @@ class TestErrorMasking:
         res = sweep(with_delta_f(base_params, 10.0),
                     [Axis(SweepParameter.COUPLING_RATIO, 0.0, 2e-200, 3)])
         for k in (1, 2):
-            assert res.error_code_at(k) == "OVERFLOW"
+            assert CODE_NAMES[res.codes[k]] == "OVERFLOW"
             scalar, grid = transmissions(res.params_at(k)), res.report_at(k)
             assert (scalar.ratio, scalar.i_signed_db, scalar.i_abs_db) == \
                 (grid.ratio, grid.i_signed_db, grid.i_abs_db) == \
@@ -394,9 +391,9 @@ class TestErrorMasking:
             with_delta_f(base_params, 10.0),
             magnon=dataclasses.replace(base_params.magnon, eta3=0.0))
         res = sweep(silent, [Axis(SweepParameter.COUPLING_RATIO, 0.0, 1.0, 3)])
-        assert res.error_code_at(0) == "NO_TRANSMISSION"
+        assert CODE_NAMES[res.codes[0]] == "NO_TRANSMISSION"
         assert res.t12[0] == 0.0 and res.t21[0] == 0.0
-        assert res.error_code_at(1) is None and res.n_failed == 1
+        assert CODE_NAMES[res.codes[1]] == "" and res.n_failed == 1
 
 
 class TestDeltaFPolicies:
