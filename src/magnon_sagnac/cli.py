@@ -95,15 +95,16 @@ def _parse_band(text: str) -> tuple[float, float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
+    config = _Parser(add_help=False)
+    config.add_argument("--config", metavar="FILE",
                         help="JSON config file (defaults apply otherwise)")
-    common.add_argument("--set", metavar="KEY=VALUE", action="append",
+    config.add_argument("--set", metavar="KEY=VALUE", action="append",
                         default=[], dest="overrides",
                         help="override a config key, repeatable; nested keys "
                              "use dots (rotation.n=2.4)")
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format")
+    common = _Parser(add_help=False, parents=[config])
+    common.add_argument("--format", choices=("text", "json"), default="text",
+                        help="output format")
 
     parser = _Parser(prog="magnon-sagnac",
                      description="Nonreciprocal transmission of a spinning "
@@ -135,8 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", metavar="LO:HI",
                    help="search band in MHz, default from config band_mhz")
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[config],
                        help="transmission over one or two parameter axes")
+    p.add_argument("--format", choices=("text", "json", "csv"),
+                   default="text", help="output format; text is CSV")
     p.add_argument("--axis", required=True, metavar="SPEC",
                    help="param[/divisor]=start:stop:count")
     p.add_argument("--axis2", metavar="SPEC")
@@ -150,17 +153,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="clamp band for --optimal-df, default band_mhz")
     group.add_argument("--no-clamp", action="store_true",
                        help="leave the extremal shift unclamped")
-    p.add_argument("--threads", type=int, default=None)
 
     # Presets fix every parameter: no --config, --set or --format.
     p = sub.add_parser("reproduce",
                        help="write a bundled demonstration dataset")
-    p.add_argument("preset",
-                   help="preset name (fig2a..fig7b) or group (fig2..fig7)")
+    p.add_argument("preset", nargs="+",
+                   help="preset names (fig2a..fig7b) or groups (fig2..fig7)")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--threads", type=int, default=None)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate", parents=[config],
                        help="check the resolved config for violations")
     p.add_argument("--print-resolved", action="store_true",
                    help="print the canonical config document")
@@ -193,8 +194,6 @@ def _emit(args, payload: dict) -> None:
     if args.format == "json":
         print(json.dumps({k: serialize.jsonable(v) if isinstance(v, float)
                           else v for k, v in payload.items()}, indent=1))
-    elif args.format == "csv":
-        raise UsageError("csv format applies to the sweep command")
     else:
         for key, value in payload.items():
             if isinstance(value, float):
@@ -210,6 +209,7 @@ def _cmd_fizeau(args) -> int:
         raise ValueError("invalid rotation: " + "; ".join(
             f"{v.code}: {v.message}" for v in problems))
     shift = fizeau_shift(cfg.rotation, first_term_only=args.first_term_only)
+    _require_finite({"delta_f_mhz": shift})
     _emit(args, {"delta_f_mhz": shift})
     return 0
 
@@ -293,7 +293,7 @@ def _cmd_sweep(args) -> int:
     if policy is not DeltaFPolicy.FIXED and not args.no_clamp:
         band = cfg.band if args.band is None else _parse_band(args.band)
     result = sweep(cfg.params, axes, delta_f_policy=policy,
-                   delta_f_band=band, threads=args.threads)
+                   delta_f_band=band)
     text = (serialize.json_text(result) if args.format == "json"
             else serialize.csv_text(result))
     if args.out:
@@ -316,8 +316,9 @@ def _expand_presets(token: str) -> list[str]:
 
 
 def _cmd_reproduce(args) -> int:
-    for name in _expand_presets(args.preset):
-        preset, result = run_preset(name, threads=args.threads)
+    names = {name for token in args.preset for name in _expand_presets(token)}
+    for name in (n for n in PRESET_NAMES if n in names):
+        preset, result = run_preset(name)
         for path in serialize.write_preset_outputs(preset, result, args.out):
             print(path)
     return 0

@@ -160,6 +160,8 @@ class Axis:
             raise ValueError("axis needs at least 2 points")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("axis bounds must be finite")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError("axis span must be finite")
         if not self.start < self.stop:
             raise ValueError("axis start must lie below stop")
         if self.normalization not in (None, SweepParameter.GAMMA_M,
@@ -312,7 +314,9 @@ def sweep(base: SystemParams, axes, *,
                          f"limit of {_MAX_POINTS}")
 
     display = tuple(ax.values() for ax in axes)
-    physical = tuple(vals * ax.scale(base) for ax, vals in zip(axes, display))
+    with np.errstate(over="ignore"):  # NONFINITE marks such points
+        physical = tuple(vals * ax.scale(base)
+                         for ax, vals in zip(axes, display))
     grids = np.meshgrid(*physical, indexing="ij", copy=False)
     order = list(_QUANTITIES)
     substitutions = [(_QUANTITIES[ax.parameter].kernel, grid)
@@ -533,10 +537,9 @@ def figure_preset(name: str) -> FigurePreset:
                          + ", ".join(PRESET_NAMES)) from None
 
 
-def run_preset(name: str, threads: int | None = None) -> tuple[FigurePreset,
-                                                               SweepResult]:
+def run_preset(name: str) -> tuple[FigurePreset, SweepResult]:
     preset = figure_preset(name)
     result = sweep(preset.base, preset.axes,
                    delta_f_policy=preset.delta_f_policy,
-                   delta_f_band=preset.delta_f_band, threads=threads)
+                   delta_f_band=preset.delta_f_band)
     return preset, result

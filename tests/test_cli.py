@@ -110,15 +110,35 @@ class TestExitCodes:
           "--band="], "band '' must be lo:hi"),
         (["sweep", "--axis", "gamma_m=nan:2:5"],
          "axis spec 'gamma_m=nan:2:5': axis bounds must be finite"),
+        # Both bounds are finite, but stop - start is not.
+        (["sweep", "--axis", "delta_f=-1e308:1e308:3"],
+         "axis spec 'delta_f=-1e308:1e308:3': axis span must be finite"),
     ], ids=["three_parts", "not_numbers", "reversed", "empty",
-            "sweep_empty", "axis_not_finite"])
+            "sweep_empty", "axis_not_finite", "axis_span_not_finite"])
     def test_malformed_band_or_axis(self, capsys, argv, err):
         assert run(argv) == 3
         assert capsys.readouterr() == ("", f"usage error: {err}\n")
 
-    def test_csv_format_outside_sweep(self, capsys):
+    def test_csv_format_outside_sweep(self, capsys, monkeypatch):
+        """Refused while parsing, before any config is loaded."""
+        monkeypatch.setattr(cli, "_COMMANDS", {})
         assert run(["isolate", "--format", "csv"]) == 3
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            "usage error: argument --format: invalid choice: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--format", "json"],
+        ["sweep", "--axis", "gamma_m=1:2:3", "--threads", "2"],
+        ["reproduce", "fig2a", "--out", "unused", "--threads", "2"],
+    ], ids=["validate_format", "sweep_threads", "reproduce_threads"])
+    def test_options_that_change_nothing_are_not_taken(self, capsys, argv):
+        assert run(argv) == 3
+        assert capsys.readouterr() == (
+            "", "usage error: unrecognized arguments: "
+            + " ".join(argv[-2:]) + "\n")
 
     def test_unknown_preset(self, capsys, tmp_path):
         assert run(["reproduce", "fig9", "--out", str(tmp_path)]) == 3
@@ -162,6 +182,14 @@ class TestFizeau:
     def test_rejects_unphysical_rotation(self, capsys):
         assert run(["fizeau", "--set", "rotation.n=0.9"]) == 1
         assert "ROTATION_RANGE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["rotation.n=1e300",
+                                         "rotation.omega_rot_hz=1e303"])
+    def test_overflow_is_an_error(self, capsys, setting):
+        # 2 pi Omega n r omega0 overflows before the division by c.
+        assert run(["fizeau", "--set", setting]) == 1
+        assert capsys.readouterr() == (
+            "", "error: OVERFLOW: delta_f_mhz left the float range\n")
 
 
 class TestSteadyAndIsolate:
@@ -367,8 +395,8 @@ class TestSweepCommand:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["sweep", "--axis", "delta_f=-20:20:24",
                 "--axis2", "gamma_m=1:9:5"]
-        assert run(argv + ["--out", str(out1), "--threads", "1"]) == 0
-        assert run(argv + ["--out", str(out2), "--threads", "3"]) == 0
+        assert run(argv + ["--out", str(out1)]) == 0
+        assert run(argv + ["--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -431,6 +459,15 @@ class TestReproduce:
         capsys.readouterr()
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["fig7a.csv", "fig7a.svg", "fig7b.csv", "fig7b.svg"]
+
+    def test_several_names_run_once_each_in_catalog_order(self, capsys,
+                                                          tmp_path):
+        assert run(["reproduce", "fig5", "fig5a", "fig2a",
+                    "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [str(tmp_path / f"{name}.{ext}")
+                           for name in ("fig2a", "fig5a", "fig5b")
+                           for ext in ("csv", "svg")]
 
 
 class TestValidate:
@@ -548,7 +585,9 @@ def test_every_command_answers_or_names_its_error(command, fmt, overrides):
     """Any command, with any 1-3 extreme but finite ``--set`` values,
     returns 0 with finite numbers or exits 1 or 3 with one error line
     (``validate`` may list several); it never raises."""
-    argv = list(_COMMANDS[command]) + ["--format", fmt]
+    argv = list(_COMMANDS[command])
+    if command != "validate":
+        argv += ["--format", fmt]
     for assignment in overrides:
         argv += ["--set", assignment]
     out, err = io.StringIO(), io.StringIO()
@@ -559,6 +598,7 @@ def test_every_command_answers_or_names_its_error(command, fmt, overrides):
         assert lines == [], argv
         assert command.startswith("sweep") or "nan" not in out.getvalue(), \
             argv
+        assert command != "fizeau" or "inf" not in out.getvalue(), argv
     else:
         assert code in (1, 3), argv
         assert lines and all(line.startswith(("error:", "usage error:"))

@@ -350,8 +350,12 @@ class TestErrorMasking:
         # Both outputs are finite and non-zero, but (T12/T21)^2 overflows.
         ([Axis(SweepParameter.COUPLING_RATIO, 0.0, 2e-200, 3)],
          ["INF_ISOLATION", "OVERFLOW", "OVERFLOW"]),
+        # 7.5e307 and 1.5e308 linewidths overflow in the axis scaling.
+        ([Axis(SweepParameter.DELTA_F, 0.0, 1.5e308, 3,
+               normalization=SweepParameter.GAMMA_M)],
+         ["", "NONFINITE", "NONFINITE"]),
     ], ids=["squeeze", "coupling-ratio", "shift", "shift-den-real",
-            "ratio-range"])
+            "ratio-range", "normalized-shift"])
     def test_overflow_is_named_without_warnings(self, base_params, axes,
                                                 codes):
         # Leaked RuntimeWarnings fail the suite (pyproject filterwarnings).

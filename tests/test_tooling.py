@@ -1,13 +1,16 @@
-"""The benchmark's trace hooks and gate, and the bundled scripts, fit
-the package."""
+"""The benchmark's trace hooks and gate, the bundled script and README
+fit the package."""
 
+import argparse
 import ast
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -114,27 +117,22 @@ def test_spin_rate_study_runs():
     assert len(lines) == 5  # the shift, the column heads and three rates
 
 
-def test_reproduce_figures_writes_the_pinned_csv(tmp_path):
-    subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"),
-         "--out", str(tmp_path), "fig2a"], capture_output=True, text=True,
-        timeout=60, env=_src_env(), check=True)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2a.csv",
-                                                          "fig2a.svg"]
-    digest = hashlib.sha256((tmp_path / "fig2a.csv").read_bytes()).hexdigest()
-    assert digest == _PRESET_DIGESTS["fig2a.csv"]
-
-
-def test_reproduce_figures_refuses_negative_threads(tmp_path):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "reproduce_figures.py"),
-         "--out", str(tmp_path), "--threads", "-1", "fig2a"],
-        capture_output=True, text=True, timeout=60, env=_src_env())
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr.splitlines()[-1].endswith(
-        "error: --threads must be >= 0 (0 means single pass)")
-    assert list(tmp_path.iterdir()) == []
+def test_readme_documents_only_options_that_exist():
+    """Every `--flag` README names is an option of some command, and every
+    ``$ magnon-sagnac`` example parses."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {option for command in commands.values()
+               for action in command._actions
+               for option in action.option_strings}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert set(re.findall(r"`(--[a-z][a-z-]*)", readme)) - options == set()
+    examples = re.findall(r"^\$ magnon-sagnac ((?:.*\\\n)*.*)$", readme,
+                          re.MULTILINE)
+    assert len(examples) >= 5
+    for example in examples:
+        parser.parse_args(shlex.split(example.replace("\\\n", " ")))
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
