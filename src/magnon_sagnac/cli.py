@@ -45,17 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_PARAM_ALIASES = {p.value: p for p in SweepParameter}
-_PARAM_ALIASES["g_squeeze"] = SweepParameter.SQUEEZE
-
-
 def _sweep_parameter(token: str) -> SweepParameter:
     try:
-        return _PARAM_ALIASES[token]
-    except KeyError:
+        return SweepParameter(token)
+    except ValueError:
         raise UsageError(
             f"unknown sweep parameter {token!r}; expected one of "
-            + ", ".join(sorted(_PARAM_ALIASES))) from None
+            + ", ".join(sorted(p.value for p in SweepParameter))) from None
 
 
 def parse_axis_spec(spec: str) -> Axis:
@@ -136,10 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band", metavar="LO:HI",
                    help="search band in MHz, default from config band_mhz")
 
-    p = sub.add_parser("sweep", parents=[config],
-                       help="transmission over one or two parameter axes")
-    p.add_argument("--format", choices=("text", "json", "csv"),
-                   default="text", help="output format; text is CSV")
+    p = sub.add_parser("sweep", parents=[common],
+                       help="transmission over one or two parameter axes "
+                            "(text output is CSV)")
     p.add_argument("--axis", required=True, metavar="SPEC",
                    help="param[/divisor]=start:stop:count")
     p.add_argument("--axis2", metavar="SPEC")

@@ -2,7 +2,8 @@
 
 A config is a flat JSON object.  Every key is optional; defaults give the
 standard demonstration parameter set.  Anything unrecognized is an error
-rather than a warning, so typos cannot silently fall back to defaults.
+rather than a warning, so typos cannot silently fall back to defaults;
+a ``null`` value is an error too, never the default.
 
     {
       "g0_mhz": 41.0,              // scalar or [g0_1, g0_2]
@@ -11,23 +12,21 @@ rather than a warning, so typos cannot silently fall back to defaults.
       "eta": 0.5,                  // scalar or pair; scalar-kappa form only
       "gamma_m_mhz": 4.0,
       "eta3": 0.5,
-      "omega_m_mhz": 10100.0,
-      "bias_field_t": null,        // the only key that may be null
       "delta_mhz": 0.0,
       "delta_f_mhz": 0.0,
       "omega_s_mhz": 0.0,          // squeezed-frame frequency override
       "drive": {"eps": [1, 1, 1]}, // or {"power_w": [...], "omega_p_mhz": ...}
       "rotation": {"omega_rot_hz": 6600.0, "direction": "cw", "n": 2.2,
-                   "r_m": 1.1e-3, "lambda_m": 1.5533e-6, "dn_dlambda": 0.0,
-                   "omega0_thz": 193.0},
+                   "r_m": 1.1e-3, "dn_dlambda": 0.0, "omega0_thz": 193.0},
       "band_mhz": [-65.0, 65.0]
     }
 
 ``drive.eps`` entries are amplitudes in s^-1/2 with the third already in
 the squeezed frame; ``drive.power_w`` converts watts through
-sqrt(P / hbar omega_p) and multiplies the magnon entry by e^{-G}.  The
-rotation block only feeds the Fizeau-shift computation, it never sets
-``delta_f_mhz`` implicitly.
+sqrt(P / hbar omega_p) and multiplies the magnon entry by e^{-G}, with
+omega_p defaulting to the carrier omega0.  Otherwise the rotation block
+only feeds the Fizeau-shift computation, it never sets ``delta_f_mhz``
+implicitly; its dispersion term takes the carrier's wavelength c / omega0.
 
 Parsing also assembles the canonical document (every key explicit, kappa
 in total/external form, drives as amplitudes) from the exact parsed
@@ -44,7 +43,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import (CONSTANTS, CavityMode, DriveAmplitudes, MagnonMode,
+from .model import (CavityMode, DriveAmplitudes, MagnonMode,
                     RotationDirection, RotationSpec, SqueezeSpec,
                     SystemParams)
 
@@ -65,20 +64,17 @@ def default_document() -> dict:
         "eta": 0.5,
         "gamma_m_mhz": 4.0,
         "eta3": 0.5,
-        "omega_m_mhz": 10_100.0,
         "delta_mhz": 0.0,
         "delta_f_mhz": 0.0,
         "omega_s_mhz": 0.0,
         "drive": {"eps": [1.0, 1.0, 1.0]},
         "rotation": {"omega_rot_hz": 6.6e3, "direction": "cw", "n": 2.2,
-                     "r_m": 1.1e-3,
-                     "lambda_m": CONSTANTS.c_m_per_s / 193.0e12,
-                     "dn_dlambda": 0.0, "omega0_thz": 193.0},
+                     "r_m": 1.1e-3, "dn_dlambda": 0.0, "omega0_thz": 193.0},
         "band_mhz": [-65.0, 65.0],
     }
 
 
-_TOP_KEYS = set(default_document()) | {"bias_field_t"}
+_TOP_KEYS = set(default_document())
 _ROTATION_KEYS = set(default_document()["rotation"])
 
 
@@ -181,7 +177,6 @@ def _parse_rotation(doc: dict) -> RotationSpec:
         direction=direction,
         refractive_index=_as_number(rot["n"], "rotation.n"),
         radius_m=_as_number(rot["r_m"], "rotation.r_m"),
-        wavelength_m=_as_number(rot["lambda_m"], "rotation.lambda_m"),
         dn_dwavelength_per_m=_as_number(rot["dn_dlambda"],
                                         "rotation.dn_dlambda"),
         omega0_mhz=_as_number(rot["omega0_thz"], "rotation.omega0_thz") * 1e6)
@@ -215,13 +210,8 @@ def parse_config(raw: dict) -> ResolvedConfig:
     if not band[0] < band[1]:
         raise ConfigError("band_mhz must satisfy lo < hi")
 
-    bias = doc.get("bias_field_t")
-    if bias is not None:
-        bias = _as_number(bias, "bias_field_t")
-    magnon = MagnonMode(omega_m_mhz=_as_number(doc["omega_m_mhz"], "omega_m_mhz"),
-                        gamma_m_mhz=_as_number(doc["gamma_m_mhz"], "gamma_m_mhz"),
-                        eta3=_as_number(doc["eta3"], "eta3"),
-                        bias_field_t=bias)
+    magnon = MagnonMode(_as_number(doc["gamma_m_mhz"], "gamma_m_mhz"),
+                        _as_number(doc["eta3"], "eta3"))
     drive = _parse_drive(doc, g_squeeze, rotation)
     omega_s = _as_number(doc["omega_s_mhz"], "omega_s_mhz")
     params = SystemParams(
@@ -241,7 +231,6 @@ def parse_config(raw: dict) -> ResolvedConfig:
                                         mode_2.kappa_ext_mhz)},
         "gamma_m_mhz": magnon.gamma_m_mhz,
         "eta3": magnon.eta3,
-        "omega_m_mhz": magnon.omega_m_mhz,
         "delta_mhz": params.delta_mhz,
         "delta_f_mhz": params.delta_f_mhz,
         "omega_s_mhz": omega_s,
@@ -250,13 +239,10 @@ def parse_config(raw: dict) -> ResolvedConfig:
                      "direction": rotation.direction.value,
                      "n": rotation.refractive_index,
                      "r_m": rotation.radius_m,
-                     "lambda_m": rotation.wavelength_m,
                      "dn_dlambda": rotation.dn_dwavelength_per_m,
                      "omega0_thz": doc["rotation"]["omega0_thz"]},
         "band_mhz": [band[0], band[1]],
     }
-    if bias is not None:
-        canonical["bias_field_t"] = bias
     return ResolvedConfig(params, rotation, band, canonical)
 
 

@@ -31,11 +31,9 @@ class PhysicalConstants:
 
     c_m_per_s: float = 2.99792458e8
     hbar_j_s: float = 1.054571817e-34
-    # Electron gyromagnetic ratio over 2*pi, in MHz per tesla (28 GHz/T).
-    gyro_mhz_per_t: float = 28_000.0
 
     def __post_init__(self) -> None:
-        if min(self.c_m_per_s, self.hbar_j_s, self.gyro_mhz_per_t) <= 0:
+        if min(self.c_m_per_s, self.hbar_j_s) <= 0:
             raise ValueError("physical constants must be positive")
 
 
@@ -70,14 +68,14 @@ class RotationSpec:
 
     ``omega_rot_hz`` is the mechanical rotation rate as a linear frequency
     in Hz.  Defaults describe a millimetre silica-like sphere pumped near
-    193 THz.
+    193 THz; the vacuum wavelength of the dispersion term is that of the
+    carrier ``omega0_mhz``.
     """
 
     omega_rot_hz: float = 6.6e3
     direction: RotationDirection = RotationDirection.CW
     refractive_index: float = 2.2
     radius_m: float = 1.1e-3
-    wavelength_m: float = CONSTANTS.c_m_per_s / 193.0e12
     dn_dwavelength_per_m: float = 0.0
     omega0_mhz: float = 1.93e8
 
@@ -93,7 +91,8 @@ def fizeau_shift(rotation: RotationSpec,
                   * (1 - 1/n**2 - (lambda/n) * dn/dlambda)
 
     Mode 1 picks up +delta_f under clockwise spin and -delta_f under
-    counter-clockwise spin; mode 2 always takes the opposite sign.  With
+    counter-clockwise spin; mode 2 always takes the opposite sign.  The
+    wavelength is the carrier's, lambda = c / omega0.  With
     ``first_term_only`` the dispersion bracket is replaced by 1, which
     isolates the purely geometric part of the drag.
 
@@ -111,9 +110,12 @@ def fizeau_shift(rotation: RotationSpec,
     if not first_term_only:
         # n ** 2 overflows above n = 1.3e154; from 1e154 on, 1/n^2 is too
         # small to change the bracket.
-        inverse_square = 1.0 / n ** 2 if n < 1e154 else 0.0
-        bracket = (1.0 - inverse_square
-                   - (rotation.wavelength_m / n) * rotation.dn_dwavelength_per_m)
+        bracket = 1.0 - (1.0 / n ** 2 if n < 1e154 else 0.0)
+        # Without dispersion the bracket is exactly 1 - 1/n^2, even where
+        # lambda itself leaves the float range (omega0 near 0).
+        if rotation.dn_dwavelength_per_m:
+            wavelength_m = CONSTANTS.c_m_per_s / (rotation.omega0_mhz * 1e6)
+            bracket -= wavelength_m / n * rotation.dn_dwavelength_per_m
     return (sign * 2.0 * math.pi * rotation.omega_rot_hz * n * rotation.radius_m
             * rotation.omega0_mhz / CONSTANTS.c_m_per_s * bracket)
 
@@ -137,16 +139,12 @@ class CavityMode:
 
 @dataclass(frozen=True)
 class MagnonMode:
-    """Kittel-mode parameters of the magnetic sphere.
+    """Magnon linewidth and the external coupling fraction of its drive
+    port.  The Kittel frequency itself never enters: the steady state is
+    written in the frame of the squeezed magnon (see SqueezeSpec)."""
 
-    ``bias_field_t`` is optional bookkeeping; when present it must agree
-    with ``omega_m_mhz`` through the gyromagnetic ratio.
-    """
-
-    omega_m_mhz: float = 10_100.0
     gamma_m_mhz: float = 4.0
     eta3: float = 0.5
-    bias_field_t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,7 @@ class SystemParams:
     def symmetric(cls, *, g0_mhz: float = 41.0, g_squeeze: float = 0.5,
                   kappa_mhz: float = 1.1, eta: float = 0.5,
                   gamma_m_mhz: float = 4.0, eta3: float | None = None,
-                  omega_m_mhz: float = 10_100.0, delta_mhz: float = 0.0,
+                  delta_mhz: float = 0.0,
                   delta_f_mhz: float = 0.0, eps: float = 1.0,
                   omega_s_mhz: float = 0.0) -> "SystemParams":
         """Equal-port preset: both optical modes share kappa and eta, both
@@ -280,7 +278,7 @@ class SystemParams:
             eta3 = eta
         mode = CavityMode.from_eta(kappa_mhz, eta)
         return cls(mode_1=mode, mode_2=mode,
-                   magnon=MagnonMode(omega_m_mhz, gamma_m_mhz, eta3),
+                   magnon=MagnonMode(gamma_m_mhz, eta3),
                    squeeze=SqueezeSpec(g_squeeze, omega_s_mhz),
                    drive=DriveAmplitudes(eps, eps, eps),
                    g0_1_mhz=g0_mhz, g0_2_mhz=g0_mhz,
@@ -346,25 +344,15 @@ def validate(params: SystemParams) -> list[Violation]:
                                  f"{label}: external linewidth exceeds total, "
                                  "intrinsic part would be negative"))
     mag = params.magnon
-    if not _finite(mag.omega_m_mhz, mag.gamma_m_mhz, mag.eta3):
+    if not _finite(mag.gamma_m_mhz, mag.eta3):
         out.append(Violation("NONFINITE", "magnon: non-finite parameter"))
     else:
         if mag.gamma_m_mhz <= 0.0:
             out.append(Violation("RATE_POSITIVE",
                                  "magnon: linewidth must be positive"))
-        if mag.omega_m_mhz <= 0.0:
-            out.append(Violation("FREQUENCY_RANGE",
-                                 "magnon: mode frequency must be positive"))
         if not 0.0 <= mag.eta3 <= 1.0:
             out.append(Violation("ETA_RANGE",
                                  "magnon: drive coupling fraction outside [0, 1]"))
-        if mag.bias_field_t is not None:
-            expected = CONSTANTS.gyro_mhz_per_t * mag.bias_field_t
-            if not _close(mag.omega_m_mhz, expected):
-                out.append(Violation(
-                    "BIAS_FIELD_MISMATCH",
-                    f"magnon: omega_m = {mag.omega_m_mhz} MHz but the bias "
-                    f"field implies {expected} MHz"))
     for label, g0 in (("g0_1", params.g0_1_mhz), ("g0_2", params.g0_2_mhz)):
         if not _finite(g0):
             out.append(Violation("NONFINITE", f"{label}: non-finite coupling"))
@@ -397,8 +385,8 @@ def validate(params: SystemParams) -> list[Violation]:
 
 def validate_rotation(rotation: RotationSpec) -> list[Violation]:
     values = (rotation.omega_rot_hz, rotation.refractive_index,
-              rotation.radius_m, rotation.wavelength_m,
-              rotation.dn_dwavelength_per_m, rotation.omega0_mhz)
+              rotation.radius_m, rotation.dn_dwavelength_per_m,
+              rotation.omega0_mhz)
     if not _finite(*values):
         return [Violation("NONFINITE", "rotation: non-finite parameter")]
     out = []
@@ -411,9 +399,6 @@ def validate_rotation(rotation: RotationSpec) -> list[Violation]:
                              "rotation: refractive index must exceed 1"))
     if rotation.radius_m <= 0.0:
         out.append(Violation("ROTATION_RANGE", "rotation: radius must be positive"))
-    if rotation.wavelength_m <= 0.0:
-        out.append(Violation("ROTATION_RANGE",
-                             "rotation: wavelength must be positive"))
     if rotation.omega0_mhz <= 0.0:
         out.append(Violation("ROTATION_RANGE",
                              "rotation: optical frequency must be positive"))

@@ -41,8 +41,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, CavityMode,
-                    SystemParams, direction_index, has_uniform_ports,
-                    validate, with_delta_f)
+                    SqueezeSpec, SystemParams, direction_index,
+                    has_uniform_ports, validate, with_delta_f)
 from .steady_state import TransmissionReport, kernel_args, transmission_grid
 from .analysis import isolation_ratio, stationary_shifts
 # Not called here; perfbench/spans.py wraps this name for --trace 1.
@@ -126,7 +126,7 @@ _QUANTITIES = {
         lambda args, base, grid: {"delta": grid}),
     SweepParameter.SQUEEZE: _Quantity(
         lambda p: p.squeeze.g_squeeze,
-        lambda p, v: replace(p, squeeze=replace(p.squeeze, g_squeeze=v)),
+        lambda p, v: replace(p, squeeze=SqueezeSpec(v, p.squeeze.omega_s_mhz)),
         _squeezed_couplings),
     SweepParameter.COUPLING_RATIO: _Quantity(
         lambda p: p.g0_2_mhz / p.g0_1_mhz,

@@ -50,7 +50,6 @@ def random_general(rng: np.random.Generator) -> SystemParams:
         mode_1=mode(),
         mode_2=mode(),
         magnon=MagnonMode(
-            omega_m_mhz=10_100.0,
             gamma_m_mhz=10.0 ** rng.uniform(-1.0, 1.5),
             eta3=rng.uniform(0.05, 0.95),
         ),

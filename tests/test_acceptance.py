@@ -201,8 +201,7 @@ def test_c7e_transmissions_invariant_under_rate_scaling():
                               factor * p.mode_1.kappa_ext_mhz),
             mode_2=CavityMode(factor * p.mode_2.kappa_mhz,
                               factor * p.mode_2.kappa_ext_mhz),
-            magnon=MagnonMode(p.magnon.omega_m_mhz,
-                              factor * p.magnon.gamma_m_mhz,
+            magnon=MagnonMode(factor * p.magnon.gamma_m_mhz,
                               p.magnon.eta3),
             squeeze=SqueezeSpec(p.squeeze.g_squeeze,
                                 factor * p.squeeze.omega_s_mhz),

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnon_sagnac import Axis, SweepParameter, cli
+from magnon_sagnac import Axis, SweepParameter, cli, default_document
 from magnon_sagnac.cli import UsageError, parse_axis_spec, run
 from magnon_sagnac.serialize import CSV_HEADER
 
@@ -32,9 +33,11 @@ class TestParseAxisSpec:
         assert ax.normalization is SweepParameter.GAMMA_M
 
     def test_alias(self):
-        assert parse_axis_spec("g_squeeze=0:1:5").parameter is \
-            SweepParameter.SQUEEZE
+        """G, the config key, is the one spelling of the squeeze axis."""
         assert parse_axis_spec("G=0:1:5").parameter is SweepParameter.SQUEEZE
+        with pytest.raises(UsageError,
+                           match="unknown sweep parameter 'g_squeeze'"):
+            parse_axis_spec("g_squeeze=0:1:5")
 
     def test_malformed(self):
         for spec in ("delta_f=1:2", "delta_f", "nope=1:2:3",
@@ -88,8 +91,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("spelling", ["set", "config"])
     def test_null_is_not_a_default(self, capsys, tmp_path, spelling):
-        """Only bias_field_t takes null; anywhere else it is an error, not
-        the default value."""
+        """null is an error for every key, not the default value."""
         if spelling == "set":
             argv = ["isolate", "--set", "G=null"]
         else:
@@ -120,14 +122,24 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"usage error: {err}\n")
 
     def test_csv_format_outside_sweep(self, capsys, monkeypatch):
-        """Refused while parsing, before any config is loaded."""
+        """No command takes --format csv (sweep's text output is CSV);
+        refused while parsing, before any config is loaded."""
         monkeypatch.setattr(cli, "_COMMANDS", {})
-        assert run(["isolate", "--format", "csv"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(
-            "usage error: argument --format: invalid choice: ")
+        for argv in (["isolate"], ["sweep", "--axis", "delta_f=-1:1:3"]):
+            assert run(argv + ["--format", "csv"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(
+                "usage error: argument --format: invalid choice: ")
+
+    @pytest.mark.parametrize("assignment", [
+        "omega_m_mhz=1", "bias_field_t=0.5", "rotation.lambda_m=1e-6"])
+    def test_keys_that_nothing_reads_are_unknown(self, capsys, assignment):
+        assert run(["validate", "--set", assignment]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: unknown ")
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--format", "json"],
@@ -182,6 +194,15 @@ class TestFizeau:
     def test_rejects_unphysical_rotation(self, capsys):
         assert run(["fizeau", "--set", "rotation.n=0.9"]) == 1
         assert "ROTATION_RANGE" in capsys.readouterr().err
+
+    def test_wavelength_follows_the_carrier(self, capsys):
+        """The dispersion term takes lambda = c / omega0; without
+        dispersion the shift stays 0 even where that lambda overflows."""
+        assert run(["fizeau", "--set", "rotation.omega0_thz=300",
+                    "--set", "rotation.dn_dlambda=-1e4"]) == 0
+        assert capsys.readouterr() == ("delta_f_mhz = 80.1318036078\n", "")
+        assert run(["fizeau", "--set", "rotation.omega0_thz=5e-324"]) == 0
+        assert capsys.readouterr() == ("delta_f_mhz = 0\n", "")
 
     @pytest.mark.parametrize("setting", ["rotation.n=1e300",
                                          "rotation.omega_rot_hz=1e303"])
@@ -553,9 +574,9 @@ _SET_VALUES = {
     "eta3": _FRACTION,
     "band_mhz": st.lists(_MAGNITUDE, min_size=2, max_size=2).map(sorted),
     **{key: _MAGNITUDE for key in (
-        "g0_mhz", "kappa_mhz", "gamma_m_mhz", "omega_m_mhz", "delta_mhz",
-        "delta_f_mhz", "omega_s_mhz", "rotation.omega_rot_hz", "rotation.n",
-        "rotation.r_m", "rotation.omega0_thz")},
+        "g0_mhz", "kappa_mhz", "gamma_m_mhz", "delta_mhz", "delta_f_mhz",
+        "omega_s_mhz", "rotation.omega_rot_hz", "rotation.n", "rotation.r_m",
+        "rotation.dn_dlambda", "rotation.omega0_thz")},
 }
 _COMMANDS = {
     "isolate": ["isolate"],
@@ -604,3 +625,51 @@ def test_every_command_answers_or_names_its_error(command, fmt, overrides):
         assert lines and all(line.startswith(("error:", "usage error:"))
                              for line in lines), argv
         assert command == "validate" or len(lines) == 1, argv
+
+
+# Another valid value of each config key.  Every key must change the output
+# of some command, or it is an input that nothing reads.
+_ANOTHER_VALUE = {
+    "g0_mhz": 30.0, "G": 0.3, "kappa_mhz": 2.0, "eta": 0.3,
+    "gamma_m_mhz": 3.0, "eta3": 0.3, "delta_mhz": 5.0, "delta_f_mhz": 10.0,
+    "omega_s_mhz": 5.0, "drive.eps": [1.0, 2.0, 1.0],
+    "rotation.omega_rot_hz": 5000.0, "rotation.direction": "ccw",
+    "rotation.n": 1.5, "rotation.r_m": 2e-3, "rotation.dn_dlambda": -1e4,
+    "rotation.omega0_thz": 300.0, "band_mhz": [-10.0, 10.0],
+    "drive.power_w": [0.2, 0.2, 0.3], "drive.omega_p_mhz": 2e8,
+}
+_POWER_KEYS = ("drive.power_w", "drive.omega_p_mhz")
+_READERS = (("isolate",), ("steady", "--side", "left"),
+            ("steady", "--side", "right"), ("optimize",),
+            ("optimize", "--analytic"), ("fizeau",),
+            ("sweep", "--axis", "gamma_m=1:12:3", "--optimal-df", "positive"))
+
+
+def _leaf_keys(doc: dict, prefix: str = "") -> list[str]:
+    return [leaf for key, value in doc.items()
+            for leaf in (_leaf_keys(value, f"{prefix}{key}.")
+                         if isinstance(value, dict) else [prefix + key])]
+
+
+@functools.cache
+def _json_stdout(argv: tuple, assignments: tuple) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run([*argv, "--format", "json",
+                    *(arg for a in assignments for arg in ("--set", a))])
+    return f"{code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("key",
+                         _leaf_keys(default_document()) + list(_POWER_KEYS))
+def test_every_config_key_changes_some_output(key):
+    """Another valid value of any key (of a power-form document for the
+    power-form drive keys) changes the JSON output of some command."""
+    base = (('drive={"power_w": [0.1, 0.2, 0.3]}',) if key in _POWER_KEYS
+            else ())
+    changed = base + (f"{key}={json.dumps(_ANOTHER_VALUE[key])}",)
+    assert all(_json_stdout(argv, base).startswith("0\n")
+               for argv in _READERS)
+    assert any(_json_stdout(argv, changed) != _json_stdout(argv, base)
+               for argv in _READERS), key

@@ -16,7 +16,6 @@ from magnon_sagnac import (
     load_config,
     parse_config,
     resolved_document,
-    validate,
 )
 
 
@@ -162,14 +161,6 @@ class TestRotationAndBand:
         with pytest.raises(ConfigError):
             parse_config({"band_mhz": [1.0, 2.0, 3.0]})
 
-    def test_bias_field(self):
-        cfg = parse_config({"bias_field_t": 0.5, "omega_m_mhz": 14000.0})
-        assert cfg.params.magnon.bias_field_t == 0.5
-        assert validate(cfg.params) == []
-        # an explicit null is the same as leaving it out
-        assert parse_config(
-            {"bias_field_t": None}).params.magnon.bias_field_t is None
-
 
 class TestResolvedDocument:
     CASES = (
@@ -179,8 +170,7 @@ class TestResolvedDocument:
         {"kappa_mhz": {"total": 1.1, "external": [0.4, 0.5]}},
         {"drive": {"power_w": [0.1, 0.2, 0.3]}, "G": 0.25},
         {"rotation": {"direction": "ccw", "omega0_thz": 200.0},
-         "band_mhz": [-40.0, 40.0], "bias_field_t": 0.5,
-         "omega_m_mhz": 14000.0},
+         "band_mhz": [-40.0, 40.0]},
     )
 
     @pytest.mark.parametrize("raw", CASES)
