@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import ctypes
+import functools
 import json
 import math
 import os
@@ -90,7 +91,9 @@ def _parse_band(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the process-wide parser that `run` uses; do not mutate it."""
     config = _Parser(add_help=False)
     config.add_argument("--config", metavar="FILE",
                         help="JSON config file (defaults apply otherwise)")
@@ -340,6 +343,11 @@ _COMMANDS = {"fizeau": _cmd_fizeau, "steady": _cmd_steady,
 
 
 def run(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The parser is built once per process; each call is independent of
+    the calls before it.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -92,9 +92,12 @@ def fizeau_shift(rotation: RotationSpec,
 
     Mode 1 picks up +delta_f under clockwise spin and -delta_f under
     counter-clockwise spin; mode 2 always takes the opposite sign.  The
-    wavelength is the carrier's, lambda = c / omega0.  With
-    ``first_term_only`` the dispersion bracket is replaced by 1, which
-    isolates the purely geometric part of the drag.
+    wavelength is the carrier's, lambda = c / omega0, so the dispersion
+    part multiplies out to -/+ Omega * r * dn/dlambda * 1e-6 (omega0 *
+    lambda / c is 1e-6 with omega0 in MHz) and is computed in that form,
+    which stays finite where lambda overflows.  With ``first_term_only``
+    the dispersion bracket is replaced by 1, which isolates the purely
+    geometric part of the drag.
 
     The single factor of 2*pi below is what remains of the angular-rate
     product once both input rates and the output are written as linear
@@ -105,19 +108,21 @@ def fizeau_shift(rotation: RotationSpec,
             RotationDirection.NONE: 0.0}[rotation.direction]
     if sign == 0.0:
         return 0.0
+    spin = sign * 2.0 * math.pi * rotation.omega_rot_hz
     n = rotation.refractive_index
     bracket = 1.0
     if not first_term_only:
         # n ** 2 overflows above n = 1.3e154; from 1e154 on, 1/n^2 is too
         # small to change the bracket.
         bracket = 1.0 - (1.0 / n ** 2 if n < 1e154 else 0.0)
-        # Without dispersion the bracket is exactly 1 - 1/n^2, even where
-        # lambda itself leaves the float range (omega0 near 0).
-        if rotation.dn_dwavelength_per_m:
-            wavelength_m = CONSTANTS.c_m_per_s / (rotation.omega0_mhz * 1e6)
-            bracket -= wavelength_m / n * rotation.dn_dwavelength_per_m
-    return (sign * 2.0 * math.pi * rotation.omega_rot_hz * n * rotation.radius_m
-            * rotation.omega0_mhz / CONSTANTS.c_m_per_s * bracket)
+    shift = (spin * n * rotation.radius_m * rotation.omega0_mhz
+             / CONSTANTS.c_m_per_s * bracket)
+    # Skipped without dispersion, so that a -0.0 shift keeps its sign;
+    # dn * 1e-6 comes first because spin * r * dn can overflow alone.
+    dn = rotation.dn_dwavelength_per_m
+    if not first_term_only and dn:
+        shift -= spin * rotation.radius_m * (dn * 1e-6)
+    return shift
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnon_sagnac import Axis, SweepParameter, cli, default_document
+from magnon_sagnac import (Axis, SweepParameter, cli, default_document,
+                           parse_config, resolved_document)
 from magnon_sagnac.cli import UsageError, parse_axis_spec, run
 from magnon_sagnac.serialize import CSV_HEADER
+from test_tooling import _python
+
+
+def _captured_run(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_json(capsys, argv):
@@ -203,6 +212,20 @@ class TestFizeau:
         assert capsys.readouterr() == ("delta_f_mhz = 80.1318036078\n", "")
         assert run(["fizeau", "--set", "rotation.omega0_thz=5e-324"]) == 0
         assert capsys.readouterr() == ("delta_f_mhz = 0\n", "")
+
+    @pytest.mark.parametrize("omega0_thz,dn_dlambda,shift", [
+        ("5e-324", "1", "-4.56159253301e-05"),
+        ("1e-320", "1", "-4.56159253301e-05"),
+        # lambda is finite here, but lambda/n * dn/dlambda overflows.
+        ("1e-300", "1e20", "-4.56159253301e+15"),
+    ], ids=["least_subnormal", "subnormal", "term_overflows"])
+    def test_dispersion_at_a_vanishing_carrier(self, capsys, omega0_thz,
+                                               dn_dlambda, shift):
+        """As omega0 -> 0 lambda = c / omega0 overflows, but the dispersion
+        part of the shift tends to -2 pi Omega r dn/dlambda * 1e-6."""
+        assert run(["fizeau", "--set", f"rotation.omega0_thz={omega0_thz}",
+                    "--set", f"rotation.dn_dlambda={dn_dlambda}"]) == 0
+        assert capsys.readouterr() == (f"delta_f_mhz = {shift}\n", "")
 
     @pytest.mark.parametrize("setting", ["rotation.n=1e300",
                                          "rotation.omega_rot_hz=1e303"])
@@ -508,6 +531,55 @@ class TestValidate:
         assert resolved_document(parse_config(doc)) == doc
 
 
+class TestSharedParser:
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        per_call = []
+        for argv in (["fizeau"], ["isolate", "--format", "json"],
+                     ["validate"]):
+            before = len(built)
+            assert run(argv) == 0
+            per_call.append(len(built) - before)
+        capsys.readouterr()
+        assert per_call[1:] == [0, 0]
+
+    def test_a_call_does_not_depend_on_earlier_calls(self, tmp_path):
+        """Each argv answers the same whichever calls ran before it, and
+        no --set leaks into the shared parser's default."""
+        argv_list = [
+            ["fizeau"],
+            ["steady", "--side", "right"],
+            ["isolate", "--set", "G=0.3"],
+            ["isolate"],
+            ["optimize", "--format", "json"],
+            ["optimize"],
+            ["optimize", "--band=-40:40"],
+            ["sweep", "--axis", "delta_f=-40:40:5"],
+            ["reproduce", "fig7a", "--out", str(tmp_path)],
+            ["validate", "--set", "delta_mhz=22"],
+            ["isolate", "--bogus"],
+            ["isolate", "--set", "gamma_m_mhz=0"],
+            ["isolate", "--help"],
+        ]
+        forward = [_captured_run(argv) for argv in argv_list]
+        backward = [_captured_run(argv) for argv in argv_list[::-1]][::-1]
+        assert forward == backward
+        assert [code for code, _, _ in forward] == [0] * 10 + [3, 1, 0]
+        for index in (2, 4):
+            done = _python("-m", "magnon_sagnac.cli", *argv_list[index])
+            assert forward[index] == (0, done.stdout, done.stderr)
+        default = json.dumps(resolved_document(parse_config({})), indent=1)
+        assert _captured_run(["validate", "--print-resolved"]) == (
+            0, default + "\n", "")
+
+
 class TestAllocatorThresholds:
     def test_main_sets_them_first_and_run_does_not(self, monkeypatch,
                                                    capsys):
@@ -611,15 +683,12 @@ def test_every_command_answers_or_names_its_error(command, fmt, overrides):
         argv += ["--format", fmt]
     for assignment in overrides:
         argv += ["--set", assignment]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    lines = err.getvalue().splitlines()
+    code, out, err = _captured_run(argv)
+    lines = err.splitlines()
     if code == 0:
         assert lines == [], argv
-        assert command.startswith("sweep") or "nan" not in out.getvalue(), \
-            argv
-        assert command != "fizeau" or "inf" not in out.getvalue(), argv
+        assert command.startswith("sweep") or "nan" not in out, argv
+        assert command != "fizeau" or "inf" not in out, argv
     else:
         assert code in (1, 3), argv
         assert lines and all(line.startswith(("error:", "usage error:"))
@@ -653,12 +722,10 @@ def _leaf_keys(doc: dict, prefix: str = "") -> list[str]:
 
 @functools.cache
 def _json_stdout(argv: tuple, assignments: tuple) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = run([*argv, "--format", "json",
-                    *(arg for a in assignments for arg in ("--set", a))])
-    return f"{code}\n{out.getvalue()}"
+    code, out, _ = _captured_run(
+        [*argv, "--format", "json",
+         *(arg for a in assignments for arg in ("--set", a))])
+    return f"{code}\n{out}"
 
 
 @pytest.mark.parametrize("key",
