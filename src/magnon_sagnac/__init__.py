@@ -5,6 +5,10 @@ The package computes steady-state transmissions of the two
 counter-propagating optical modes under a one-sided drive, the isolation
 between them induced by the rotation (Fizeau) shift, closed-form extremal
 shifts, and parameter sweeps for the bundled demonstration datasets.
+
+Importing the package executes no numpy: the modules that compute on
+arrays bind it lazily and load it when one of them first does, so the
+scalar routes never load it.
 """
 
 from .model import (CONSTANTS, FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB,

@@ -25,13 +25,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, PhysicsError,
                     SystemParams, _close, direction_index, is_symmetric,
                     with_delta_f)
 from .steady_state import (NoTransmissionError, TransmissionReport,
                            kernel_args, require_optical_drive, transmissions)
+
+np = lazy_import("numpy")
 
 
 class SymmetryRequiredError(PhysicsError):

@@ -19,12 +19,12 @@ import re
 import sys
 from pathlib import Path
 
-from . import serialize
 from .analysis import (brute_force_optimum, classify_direction,
                        extremal_fizeau_general)
 from .config import (ConfigError, apply_overrides, load_config, parse_config,
                      resolved_document)
-from .model import PhysicsError, fizeau_shift, validate, validate_rotation
+from .model import (PhysicsError, fizeau_shift, jsonable, validate,
+                    validate_rotation)
 from .steady_state import (DriveSide, output_fields, residuals,
                            solve_closed_form, solve_generic, transmissions)
 from .sweep import (Axis, DeltaFPolicy, PRESET_NAMES, SweepError,
@@ -190,7 +190,7 @@ def _require_finite(values: dict) -> None:
 
 def _emit(args, payload: dict) -> None:
     if args.format == "json":
-        print(json.dumps({k: serialize.jsonable(v) if isinstance(v, float)
+        print(json.dumps({k: jsonable(v) if isinstance(v, float)
                           else v for k, v in payload.items()}, indent=1))
     else:
         for key, value in payload.items():
@@ -276,6 +276,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import serialize  # builds numpy byte tables at import
     if args.optimal_df == "off" and (args.band is not None or args.no_clamp):
         raise UsageError("--band and --no-clamp need --optimal-df positive "
                          "or negative")
@@ -314,6 +315,7 @@ def _expand_presets(token: str) -> list[str]:
 
 
 def _cmd_reproduce(args) -> int:
+    from . import serialize  # builds numpy byte tables at import
     names = {name for token in args.preset for name in _expand_presets(token)}
     for name in (n for n in PRESET_NAMES if n in names):
         preset, result = run_preset(name)

@@ -56,6 +56,11 @@ def direction_index(i_signed_db):
     return (i > tol) * 2 + (i < -tol) * 3 + (abs(i) <= tol)
 
 
+def jsonable(x: float):
+    """A float if finite, else its nan/inf string (strict JSON has neither)."""
+    return x if math.isfinite(x) else str(float(x))
+
+
 class RotationDirection(Enum):
     CW = "cw"
     CCW = "ccw"

@@ -56,6 +56,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import DIRECTION_LABELS, direction_index
+# Not used here; the JSON spelling of one float, kept importable from here.
+from .model import jsonable  # noqa: F401
 from .sweep import CODE_NAMES, FigurePreset, SweepResult, row_blocks
 
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
@@ -68,11 +70,6 @@ _JSON_RECORD = (' {\n  "axis1": %s,\n  "axis2": %s,\n  "T12": %s,\n'
                 '  "T21": %s,\n  "R": %s,\n  "I_signed_db": %s,\n'
                 '  "I_abs_db": %s,\n  "direction": "%s",\n'
                 '  "error_code": "%s"\n },\n')
-
-
-def jsonable(x: float):
-    """A float if finite, else its nan/inf string (strict JSON has neither)."""
-    return x if math.isfinite(x) else str(float(x))
 
 
 def _byte_table(words) -> np.ndarray:

@@ -19,6 +19,11 @@ there.  Output fields follow from a_out = sqrt(eta kappa) a.
 Transmissions are amplitude ratios: T12 = |a1_out / eps_2| with the drive
 on port 2, T21 = |a2_out / eps_1| with the drive on port 1.  The
 isolation ratio is R = (T12 / T21)^2 and I = 10 log10 R in dB.
+
+The scalar route (:func:`solve_closed_form`, :func:`transmissions`) is
+plain ``math`` and ``complex``; numpy is bound lazily and loads only
+when :func:`solve_generic` or the grid kernel :func:`transmission_grid`
+first runs.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .model import PhysicsError, SystemParams
+
+np = lazy_import("numpy")
 
 
 class DegenerateSystemError(PhysicsError):

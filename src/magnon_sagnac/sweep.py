@@ -38,8 +38,7 @@ from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 
-import numpy as np
-
+from ._lazy import lazy_import
 from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, CavityMode,
                     SqueezeSpec, SystemParams, direction_index,
                     has_uniform_ports, validate, with_delta_f)
@@ -47,6 +46,8 @@ from .steady_state import TransmissionReport, kernel_args, transmission_grid
 from .analysis import isolation_ratio, stationary_shifts
 # Not called here; perfbench/spans.py wraps this name for --trace 1.
 from .analysis import brute_force_optimum  # noqa: F401
+
+np = lazy_import("numpy")
 
 # Per-point codes in precedence order: a point keeps the first that applies.
 # The codes up to NONFINITE, found before the kernel runs, set the point's

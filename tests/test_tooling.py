@@ -158,12 +158,104 @@ def test_public_names_resolve():
     _python("-c", "from magnon_sagnac import *")
 
 
+# Runs the scalar commands, reports which modules they loaded, then runs
+# three commands that compute on arrays; with the argument "numpy-first"
+# it imports numpy before the package.
+_SCALAR_THEN_ARRAY = """
+import contextlib, io, json, sys
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+from magnon_sagnac import cli
+cli.build_parser()
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(list(argv))
+    return [code, out.getvalue()]
+
+scalar = [run(*command, *form)
+          for command in (["isolate"], ["steady"], ["fizeau"])
+          for form in ([], ["--format", "json"])]
+scalar += [run("validate"), run("validate", "--print-resolved")]
+loaded = [m in sys.modules for m in
+          ("numpy.linalg", "concurrent.futures", "magnon_sagnac.e16")]
+arrays = [run("optimize"), run("steady", "--method", "generic"),
+          run("sweep", "--axis", "delta_f=-40:40:5")]
+print(json.dumps({"scalar": scalar, "loaded": loaded, "arrays": arrays}))
+"""
+
+
 def test_cli_import_leaves_out_the_thread_pool():
-    # Nor the number formatters, which only commands writing a sweep use.
-    done = _python("-c", "import sys, magnon_sagnac.cli; "
-                         "print([m in sys.modules for m in "
-                         "('concurrent.futures', 'magnon_sagnac.e16')])")
-    assert done.stdout.strip() == "[False, False]"
+    """Importing the CLI, building its parser and running the scalar
+    commands load neither numpy (whose ``__init__`` imports
+    ``numpy.linalg``), the thread pool nor the number formatters.  The
+    commands that then load numpy print what they print in a process
+    that imported numpy first."""
+    lazy = json.loads(_python("-c", _SCALAR_THEN_ARRAY).stdout)
+    eager = json.loads(_python("-c", _SCALAR_THEN_ARRAY,
+                               "numpy-first").stdout)
+    assert lazy["loaded"] == [False, False, False]
+    assert eager["loaded"][0]
+    assert [code for code, _ in lazy["scalar"] + lazy["arrays"]] == [0] * 11
+    assert lazy["scalar"] == eager["scalar"]
+    assert lazy["arrays"] == eager["arrays"]
+    assert lazy["arrays"][2][1].count("\n") == 6  # header and 5 points
+
+
+def test_cli_without_numpy_fails_only_array_commands(capsys):
+    """With numpy missing, the scalar commands answer as they do with it,
+    and each array command raises ModuleNotFoundError naming numpy."""
+    script = """
+import sys
+sys.modules["numpy"] = None
+from magnon_sagnac import cli
+for argv in (["validate"], ["fizeau"], ["isolate", "--format", "json"]):
+    cli.run(argv)
+for argv in (["optimize"], ["steady", "--method", "generic"],
+             ["sweep", "--axis", "delta_f=-40:40:5"]):
+    try:
+        cli.run(argv)
+    except Exception as e:
+        print(type(e).__name__, getattr(e, "name", None))
+"""
+    lines = _python("-c", script).stdout.splitlines(keepends=True)
+    for argv in (["validate"], ["fizeau"], ["isolate", "--format", "json"]):
+        assert cli.run(argv) == 0
+    expected = capsys.readouterr().out
+    assert "".join(lines[:-3]) == expected
+    assert lines[-3:] == ["ModuleNotFoundError numpy\n"] * 3
+
+
+# Imports its two arguments in order, then checks numpy and the
+# package's ``sweep``.
+_IMPORT_ORDER = """
+import importlib, sys, types
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+import numpy
+from magnon_sagnac import sweep
+before = isinstance(sweep, types.FunctionType)
+import magnon_sagnac.sweep
+from magnon_sagnac import sweep
+print(numpy.linalg.norm([3.0, 4.0]), numpy.__version__,
+      before, isinstance(sweep, types.FunctionType),
+      all(sys.modules["magnon_sagnac." + name].np is numpy
+          for name in ("analysis", "steady_state", "sweep")))
+"""
+
+
+@pytest.mark.parametrize("order", [("magnon_sagnac", "numpy"),
+                                   ("numpy", "magnon_sagnac")],
+                         ids=["package-first", "numpy-first"])
+def test_numpy_works_in_either_import_order(order):
+    """numpy imported before or after the package is the whole module,
+    the one the array modules use, and the package's ``sweep`` stays the
+    function after ``import magnon_sagnac.sweep``."""
+    import numpy
+    done = _python("-c", _IMPORT_ORDER, *order)
+    assert done.stdout.split() == ["5.0", numpy.__version__,
+                                   "True", "True", "True"]
 
 
 def test_cli_process_keeps_its_freed_memory(tmp_path):
