@@ -6,8 +6,8 @@ touch an array (``isolate``, ``steady``, ``fizeau``, ``validate``) start
 without loading it.
 
 On older Pythons (3.11 included) the lazy load takes no lock, so the
-first use must not race another thread; ``sweep`` calls numpy before it
-starts its pool.
+first use must not race another thread.  The package starts no threads;
+a caller that does should touch numpy once before it starts them.
 """
 
 from __future__ import annotations

@@ -67,9 +67,14 @@ def parse_axis_spec(spec: str) -> Axis:
     if len(parts) != 3:
         raise UsageError(f"axis spec {spec!r} needs start:stop:count")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = float(parts[0]), float(parts[1])
     except ValueError:
         raise UsageError(f"axis spec {spec!r} has non-numeric bounds") from None
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise UsageError(f"axis spec {spec!r} has a count {parts[2]!r} that "
+                         "is not a whole number") from None
     try:
         return Axis(parameter, start, stop, count, normalization)
     except ValueError as e:

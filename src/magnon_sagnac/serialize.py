@@ -3,12 +3,11 @@
 CSV is the primary format: one row per grid point in row-major order,
 floats printed as ``%.16e`` (17 significant digits, so a reread
 reproduces them bitwise), non-finite values spelled nan / inf / -inf,
-LF line endings.  Rerunning the same sweep yields byte-identical files
-regardless of thread count.  JSON holds the same columns as an array of
-records, laid out as ``json.dumps(records, indent=1)`` would: finite
-floats as their shortest round-trip ``repr``, non-finite values as the
-quoted strings "nan" / "inf" / "-inf", since strict JSON has no tokens
-for them.
+LF line endings.  Rerunning the same sweep yields byte-identical files.
+JSON holds the same columns as an array of records, laid out as
+``json.dumps(records, indent=1)`` would: finite floats as their shortest
+round-trip ``repr``, non-finite values as the quoted strings "nan" /
+"inf" / "-inf", since strict JSON has no tokens for them.
 
 Both text formats are built in steps, the :func:`.row_blocks` (whole
 first-axis rows of about 16k points) that :func:`.sweep` evaluates.

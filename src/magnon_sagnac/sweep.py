@@ -10,9 +10,10 @@ only a sweep in which every point fails raises.
 The Fizeau shift can either be held at the base value (or swept as an
 axis) or re-optimized per grid point through ``delta_f_policy``, from
 the closed-form stationary shifts of :func:`.stationary_shifts`: with
-uniform ports the root of the chosen sign, otherwise the shift of
-largest |I| on that sign's half of the band.  A clamp band, when given,
-bounds the shift.
+uniform ports the larger (positive policy) or smaller (negative policy)
+root, which can have the other sign when g1 != g2 (ROADMAP item 12),
+otherwise the shift of largest |I| on that sign's half of the band.  A
+clamp band, when given, bounds the shift.
 
 A grid is evaluated in the blocks of :func:`row_blocks`, whole first-axis
 rows of about ``_BLOCK`` (16k) points that the writers share.  Each block
@@ -22,16 +23,13 @@ arrays allocated once, so no temporary spans the whole grid and a block's
 temporaries stay in the processor caches.  A grid of more than ``_MAX_POINTS``
 (2**25) points raises :class:`SweepError` before anything is allocated.
 
-Results are deterministic: the block size and the thread count change
-no bit.  The ``threads`` argument hands the blocks to a thread pool,
-which writes the same disjoint rows; the pool has no more workers than
-cores or blocks.
+The blocks run one after another in one thread.  Results are
+deterministic: the block size changes no bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -188,14 +186,6 @@ def apply_parameter(params: SystemParams, parameter: SweepParameter,
     return _QUANTITIES[parameter].set(params, value)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        return 1
-    if threads < 0:
-        raise ValueError("thread count must be >= 0 (0 means single pass)")
-    return threads if threads > 1 else 1
-
-
 _base_kernel_args = kernel_args  # the name perfbench/record.py looks up
 
 
@@ -212,7 +202,7 @@ class SweepResult:
     INF_ISOLATION (one output vanishes exactly).  ``error_codes`` is a
     read-only ``{flat row-major index: code name}`` view of the marked points.
     ``meta`` is the run record, never written to output files: policy,
-    band, thread count, axis labels, ``code_counts`` (``{code name:
+    band, axis labels, ``code_counts`` (``{code name:
     points}`` for every code present) and ``n_clamped`` (points not
     blanked whose extremal shift the band moved; 0 under FIXED).
     """
@@ -280,14 +270,20 @@ def sweep(base: SystemParams, axes, *,
     ``delta_f_policy`` FIXED uses the base (or swept) Fizeau shift; the
     EXTREMAL policies re-derive the shift at every grid point from the
     closed-form stationary shifts and clamp it to ``delta_f_band`` when
-    given.  With uniform ports they take the root of their sign.
-    Otherwise they take the shift of largest |I| on their half of the
-    band ([0, hi] or [lo, 0] of ``delta_f_band``, or of
-    FEASIBLE_FIZEAU_BAND when unclamped): 0, then the stationary shifts
+    given.  With uniform ports they take the larger (EXTREMAL_POSITIVE) or
+    smaller (EXTREMAL_NEGATIVE) root, which can have the other sign when
+    g1 != g2 (ROADMAP item 12).  Otherwise they take the shift of largest
+    |I| on their half of the band ([0, hi] or [lo, 0] of ``delta_f_band``,
+    or of FEASIBLE_FIZEAU_BAND when unclamped): 0, then the stationary shifts
     inside it, then its outer edge, each replacing the choice only at a
     strictly larger |I|.  Extremal policies exclude a DELTA_F axis.
     A grid of more than ``_MAX_POINTS`` points raises before anything is
     allocated.
+
+    ``threads`` is ignored: the blocks always run serially.  The keyword
+    stays only because perfbench's ``thread_speedup`` metric passes
+    ``threads=2``; ROADMAP item 1 removes the keyword together with that
+    metric.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
@@ -307,7 +303,6 @@ def sweep(base: SystemParams, axes, *,
                          + "; ".join(v.message for v in problems))
     if base.drive.eps_1 <= 0.0 or base.drive.eps_2 <= 0.0:
         raise SweepError("optical drive amplitudes must be positive")
-    n_threads = _resolve_threads(threads)
     shape = tuple(ax.count for ax in axes)
     n_points = math.prod(shape)
     if n_points > _MAX_POINTS:
@@ -331,24 +326,21 @@ def sweep(base: SystemParams, axes, *,
     # t12, t21, ratio, i_signed_db and delta_f_mhz, filled block by block.
     columns = tuple(np.empty(shape) for _ in range(5))
     codes = np.zeros(shape, dtype=np.uint8)
-
-    def block(sl: slice) -> tuple[list[int], int]:
-        """Evaluate the rows ``sl``; returns its code counts and clamped
-        points."""
+    counts = [0] * len(CODE_NAMES)  # points given each code
+    n_clamped = 0
+    for sl in row_blocks(shape):
         code = codes[sl]
         args = dict(base_args)
         with np.errstate(over="ignore"):  # overflowed values are marked below
             for kernel, grid in substitutions:
                 args.update(kernel(args, base, grid[sl]))
-        tally = [0] * len(CODE_NAMES)  # points given each code
         # Arguments no axis replaced are scalars that validate(base) passed.
         for name, keys, test in _INPUT_CHECKS:
             for key in keys:
                 if isinstance(args[key], np.ndarray):
-                    _mark(code, test(args[key]), name, tally)
+                    _mark(code, test(args[key]), name, counts)
         blank = code != 0  # the codes found before the kernel runs
 
-        clamped = 0
         if extremal:
             plus, minus = stationary_shifts(**args)
             if uniform:
@@ -363,8 +355,8 @@ def sweep(base: SystemParams, axes, *,
                                          delta_f_band or FEASIBLE_FIZEAU_BAND)
             if delta_f_band is not None:
                 lo, hi = delta_f_band
-                clamped = int(np.count_nonzero(((shift < lo) | (shift > hi))
-                                               & ~blank))
+                n_clamped += int(np.count_nonzero(((shift < lo) | (shift > hi))
+                                                  & ~blank))
                 shift = np.clip(shift, lo, hi)
             args["delta_f"] = shift
 
@@ -374,9 +366,9 @@ def sweep(base: SystemParams, axes, *,
             # range.
             zero = (((t12 == 0.0) | (t21 == 0.0))
                     & np.isfinite(t12) & np.isfinite(t21))
-            _mark(code, ~np.isfinite(i_signed) & ~zero, "OVERFLOW", tally)
-            _mark(code, np.isnan(ratio), "NO_TRANSMISSION", tally)
-            _mark(code, np.isinf(i_signed), "INF_ISOLATION", tally)
+            _mark(code, ~np.isfinite(i_signed) & ~zero, "OVERFLOW", counts)
+            _mark(code, np.isnan(ratio), "NO_TRANSMISSION", counts)
+            _mark(code, np.isinf(i_signed), "INF_ISOLATION", counts)
 
         blanked = blank.any()
         for column, values in zip(columns, (t12, t21, ratio, i_signed,
@@ -385,26 +377,13 @@ def sweep(base: SystemParams, axes, *,
             out[...] = values
             if blanked:
                 out[blank] = math.nan
-        return tally, clamped
-
-    blocks = row_blocks(shape)
-    workers = min(n_threads, os.cpu_count() or 1, len(blocks))
-    if workers > 1:  # the blocks write disjoint rows
-        # Imported here: with logging it adds ~6 ms to every CLI start.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(block, blocks))
-    else:
-        tallies = list(map(block, blocks))
-    counts = [sum(column) for column in zip(*(tally for tally, _ in tallies))]
 
     meta = {"delta_f_policy": policy.value,
             "delta_f_band": delta_f_band,
-            "threads": n_threads,
             "axis_labels": tuple(ax.label() for ax in axes),
             "code_counts": {CODE_NAMES[k]: n for k, n in enumerate(counts)
                             if n},
-            "n_clamped": sum(n for _, n in tallies)}
+            "n_clamped": n_clamped}
     if sum(counts) - counts[_INF_ISOLATION] == n_points:
         raise SweepError("every grid point failed validation")
     t12, t21, ratio, i_signed, delta_f = columns

@@ -124,8 +124,16 @@ class TestExitCodes:
         # Both bounds are finite, but stop - start is not.
         (["sweep", "--axis", "delta_f=-1e308:1e308:3"],
          "axis spec 'delta_f=-1e308:1e308:3': axis span must be finite"),
+        # The bounds are numbers; only the count is wrong.
+        (["sweep", "--axis", "delta_f=0:1:1e3"],
+         "axis spec 'delta_f=0:1:1e3' has a count '1e3' that is not a "
+         "whole number"),
+        (["sweep", "--axis", "delta_f=0:1:2.5"],
+         "axis spec 'delta_f=0:1:2.5' has a count '2.5' that is not a "
+         "whole number"),
     ], ids=["three_parts", "not_numbers", "reversed", "empty",
-            "sweep_empty", "axis_not_finite", "axis_span_not_finite"])
+            "sweep_empty", "axis_not_finite", "axis_span_not_finite",
+            "axis_count_exponent", "axis_count_fraction"])
     def test_malformed_band_or_axis(self, capsys, argv, err):
         assert run(argv) == 3
         assert capsys.readouterr() == ("", f"usage error: {err}\n")

@@ -1,12 +1,10 @@
 """Tests for grid sweeps, shift policies, error masking and presets."""
 
-import concurrent.futures
 import dataclasses
 import importlib
 import itertools
 import json
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -39,7 +37,7 @@ from magnon_sagnac import (
 )
 from magnon_sagnac.analysis import stationary_shifts
 from magnon_sagnac.steady_state import kernel_args
-from magnon_sagnac.sweep import CODE_NAMES, _INPUT_CHECKS, _resolve_threads
+from magnon_sagnac.sweep import CODE_NAMES, _INPUT_CHECKS
 
 from conftest import random_general, random_symmetric
 from test_cli import _MAGNITUDE, _SET_VALUES
@@ -125,20 +123,6 @@ class TestApplyParameter:
             report = transmissions(res.params_at(k))
             assert res.t12[k] == pytest.approx(report.t12, rel=1e-12)
             assert res.t21[k] == pytest.approx(report.t21, rel=1e-12)
-
-
-class TestResolveThreads:
-    def test_explicit_wins(self):
-        assert _resolve_threads(4) == 4
-        assert _resolve_threads(1) == 1
-        assert _resolve_threads(0) == 1
-
-    def test_none_means_one_thread(self):
-        assert _resolve_threads(None) == 1
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            _resolve_threads(-2)
 
 
 class TestSweepGrid:
@@ -438,6 +422,28 @@ class TestDeltaFPolicies:
                                                     rel=1e-10)
         assert np.all(free.i_signed_db > clamped.i_signed_db)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_no_policy_gives_a_shift_of_the_wrong_sign(self):
+        """Each extremal policy keeps its shift on its own side of 0, on
+        uniform and non-uniform bases, clamped or not.  Until ROADMAP item
+        12 lands, the uniform rule takes the larger (smaller) stationary
+        root, which has the other sign at thousands of points of this grid
+        when g1 != g2."""
+        axes = [Axis(SweepParameter.COUPLING_RATIO, 0.2, 5.0, 300),
+                Axis(SweepParameter.DELTA, -40.0, 40.0, 300)]
+        bases = {"uniform": SystemParams.symmetric(),
+                 "general": random_general(np.random.default_rng(12))}
+        wrong = {}
+        for (name, base), band in itertools.product(bases.items(),
+                                                    (None, (-65.0, 65.0))):
+            for policy, sign in (("extremal_positive", 1.0),
+                                 ("extremal_negative", -1.0)):
+                res = sweep(base, axes, delta_f_policy=policy,
+                            delta_f_band=band)
+                wrong[name, policy, band] = int(np.count_nonzero(
+                    sign * res.delta_f_mhz < 0.0))
+        assert wrong == dict.fromkeys(wrong, 0)
+
     def test_policy_conflicts_with_shift_axis(self, base_params):
         ax = Axis(SweepParameter.DELTA_F, -10.0, 10.0, 5)
         with pytest.raises(SweepError):
@@ -512,42 +518,6 @@ class TestDeltaFPolicies:
             assert np.isfinite(res.delta_f_mhz).all()
 
 
-class TestThreading:
-    def test_results_do_not_depend_on_thread_count(self, base_params):
-        axes = [Axis(SweepParameter.DELTA_F, -30.0, 30.0, 16),
-                Axis(SweepParameter.GAMMA_M, 1.0, 9.0, 5)]
-        single = sweep(base_params, axes, threads=1)
-        threaded = sweep(base_params, axes, threads=3)
-        for name in ("t12", "t21", "ratio", "i_signed_db", "delta_f_mhz"):
-            assert getattr(single, name).tobytes() == \
-                getattr(threaded, name).tobytes()
-        assert single.error_codes == threaded.error_codes
-
-    def test_pool_is_capped_at_the_cores(self, base_params, monkeypatch):
-        pools = []
-
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                super().__init__(max_workers)
-                pools.append(self)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            RecordingPool)
-        monkeypatch.setattr(sweep_module, "_BLOCK", 8)  # 16 blocks
-        axes = [Axis(SweepParameter.DELTA_F, -30.0, 30.0, 16),
-                Axis(SweepParameter.GAMMA_M, 1.0, 9.0, 8)]
-        single = sweep(base_params, axes, threads=1)
-        wide = sweep(base_params, axes, threads=64)
-        assert wide.meta["threads"] == 64
-        assert len(pools) == (1 if os.cpu_count() > 1 else 0)
-        for pool in pools:
-            assert pool._max_workers <= os.cpu_count()
-            assert len(pool._threads) <= os.cpu_count()
-        for name in _COLUMNS:
-            assert getattr(single, name).tobytes() == \
-                getattr(wide, name).tobytes()
-
-
 def _blocking_cases():
     p = SweepParameter
     base = SystemParams.symmetric()
@@ -606,19 +576,33 @@ class TestBlocks:
     def test_blocking_changes_no_bit(self, monkeypatch, case):
         base, axes, policy, band = _BLOCKING_CASES[case]
 
-        def run(block, threads=1):
+        def run(block):
             monkeypatch.setattr(sweep_module, "_BLOCK", block)
             return sweep(base, axes, delta_f_policy=policy,
-                         delta_f_band=band, threads=threads)
+                         delta_f_band=band)
 
         whole = run(1 << 30)
-        for block, threads in itertools.product((1, 7, 64), (1, 3)):
-            blocked = run(block, threads)
+        for block in (1, 7, 64):
+            blocked = run(block)
             for name in _COLUMNS:
                 assert getattr(blocked, name).tobytes() == \
-                    getattr(whole, name).tobytes(), (name, block, threads)
+                    getattr(whole, name).tobytes(), (name, block)
             for key in ("code_counts", "n_clamped"):
                 assert blocked.meta[key] == whole.meta[key]
+
+    def test_threads_keyword_is_ignored(self):
+        """perfbench still passes threads=2 (ROADMAP item 1); the keyword
+        binds and changes no bit."""
+        base, axes, policy, band = _BLOCKING_CASES["masked-clamped"]
+        plain = sweep(base, axes, delta_f_policy=policy, delta_f_band=band)
+        threaded = sweep(base, axes, delta_f_policy=policy,
+                         delta_f_band=band, threads=2)
+        for name in _COLUMNS:
+            assert getattr(threaded, name).tobytes() == \
+                getattr(plain, name).tobytes(), name
+        for key in ("code_counts", "n_clamped"):
+            assert threaded.meta[key] == plain.meta[key]
+        assert "threads" not in threaded.meta
 
     def test_broadcast_root_changes_no_bit(self):
         # Over an omega_s axis the uniform-port root is one value.  Handed

@@ -158,6 +158,27 @@ def test_public_names_resolve():
     _python("-c", "from magnon_sagnac import *")
 
 
+_CONCURRENCY = ("concurrent", "threading", "multiprocessing", "_thread")
+
+
+def test_package_starts_no_threads_or_processes():
+    """No module of the package imports a thread or process pool: the
+    sweep runs its blocks serially, and two threads never gave a
+    reproducible speed-up."""
+    found = []
+    for path in sorted((ROOT / "src" / "magnon_sagnac").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in _CONCURRENCY]
+    assert found == []
+
+
 # Runs the scalar commands, reports which modules they loaded, then runs
 # three commands that compute on arrays; with the argument "numpy-first"
 # it imports numpy before the package.
