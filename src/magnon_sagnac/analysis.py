@@ -57,9 +57,7 @@ def classify_direction(report: TransmissionReport) -> Direction:
     return Direction(DIRECTION_LABELS[direction_index(report.i_signed_db)])
 
 
-def stationary_shifts(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
-                      eta_2, eta_3, eps_1, eps_2, eps_3, delta_f=None,
-                      omega_s=None):
+def stationary_shifts(**args):
     """Both stationary Fizeau shifts (x_plus, x_minus) of R, for any ports.
 
     Takes :func:`.transmission_grid`'s keyword arguments as broadcastable
@@ -71,13 +69,20 @@ def stationary_shifts(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
     (A + B)^2 + t^2 + (kappa_1^2 + kappa_2^2)/2 and is floored at its last
     term.  A point with a non-positive rate or eta_3 eps_3 = 0 gives nan.
     """
+    return _stationary(**args)[:2]
+
+
+def _stationary(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1, eta_2,
+                eta_3, eps_1, eps_2, eps_3, delta_f=None, omega_s=None):
+    """The stationary shifts and the terms of R they are built from:
+    (x_plus, x_minus, w1, w2, A, B, kappa_1^2, kappa_2^2)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1 = (np.sqrt(np.divide(kappa_1, gamma_m))
               * (np.sqrt(np.divide(eta_1, eta_3)) * eps_1 / eps_3))
         r2 = (np.sqrt(np.divide(kappa_2, gamma_m))
               * (np.sqrt(np.divide(eta_2, eta_3)) * eps_2 / eps_3))
-        a = delta - g_1 * r1
-        b = delta - g_2 * r2
+        w1, w2 = g_1 * r1, g_2 * r2
+        a, b = delta - w1, delta - w2
         k1, k2 = np.multiply(kappa_1, kappa_1), np.multiply(kappa_2, kappa_2)
         # t = 0 wherever kappa_1 = kappa_2; where that holds at every point
         # (uniform ports), its arithmetic is skipped.
@@ -87,7 +92,40 @@ def stationary_shifts(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
         u1 = r1 * (g_1 - g_2) + g_2 * (r1 - r2) - t
         u2 = k2 + 4.0 * b * (a + t)
         root = np.sqrt(np.maximum(u1 * u1 + u2, 0.5 * (k1 + k2)))
-        return 0.5 * (u1 + root), 0.5 * (u1 - root)
+        return 0.5 * (u1 + root), 0.5 * (u1 - root), w1, w2, a, b, k1, k2
+
+
+def half_band_shift(lo: float, hi: float, **args):
+    """The Fizeau shift of largest |I| on [lo, hi], for any ports.
+
+    Takes :func:`.transmission_grid`'s keyword arguments as broadcastable
+    arrays and returns the shift at their broadcast shape.  The candidates
+    are the point of [lo, hi] nearest 0, then the :func:`stationary_shifts`
+    inside [lo, hi], then each finite edge; each replaces the choice only at
+    a strictly larger |I|, and a nan score never wins.  Each candidate is
+    scored as max(R, 1/R) from the terms the stationary shifts are built
+    from, so an infinite ``hi`` (or ``lo``) leaves that side unbounded.
+    """
+    plus, minus, w1, w2, a, b, k1, k2 = _stationary(**args)
+    zero = min(max(lo, 0.0), hi)
+    edges = [x for x in (lo, hi) if math.isfinite(x) and x != zero]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale, c1, c2 = np.square(w1 / w2), 0.25 * k1, 0.25 * k2
+        shape = np.broadcast(plus, minus, scale, a, b, c1, c2).shape
+        num, den = np.empty(shape), np.empty(shape)
+        shift, best = np.full(shape, zero), np.full(shape, -math.inf)
+        for x in (zero, plus, minus, *edges):
+            # R = scale (c2 + (x - B)^2) / (c1 + (x + A)^2) with
+            # c_j = (kappa_j/2)^2, into buffers that every candidate reuses.
+            np.square(np.subtract(x, b, out=num), out=num)
+            np.multiply(scale, np.add(c2, num, out=num), out=num)
+            np.square(np.add(x, a, out=den), out=den)
+            np.divide(num, np.add(c1, den, out=den), out=num)
+            np.maximum(num, np.divide(1.0, num, out=den), out=num)
+            better = (lo <= x) & (x <= hi) & (num > best)
+            np.copyto(shift, x, where=better)
+            np.copyto(best, num, where=better)
+    return shift
 
 
 def isolation_ratio(*, delta, delta_f, kappa_1, kappa_2, gamma_m, g_1, g_2,

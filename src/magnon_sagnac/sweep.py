@@ -8,20 +8,22 @@ vanishing transmission) get a code in a ``uint8`` array over the grid;
 only a sweep in which every point fails raises.
 
 The Fizeau shift can either be held at the base value (or swept as an
-axis) or re-optimized per grid point through ``delta_f_policy``, from
-the closed-form stationary shifts of :func:`.stationary_shifts`: with
-uniform ports the larger (positive policy) or smaller (negative policy)
-root, which can have the other sign when g1 != g2 (ROADMAP item 12),
-otherwise the shift of largest |I| on that sign's half of the band.  A
-clamp band, when given, bounds the shift.
+axis) or re-optimized per grid point through ``delta_f_policy``.  For
+every port set an extremal policy takes :func:`.half_band_shift`, the
+shift of largest |I| on its sign's half of the clamp band; without a
+band that half is unbounded on its outer side.
 
 A grid is evaluated in the blocks of :func:`row_blocks`, whole first-axis
 rows of about ``_BLOCK`` (16k) points that the writers share.  Each block
 substitutes its axis values, marks its input codes, computes its extremal
 shift, runs the kernel and marks its output codes, writing into result
 arrays allocated once, so no temporary spans the whole grid and a block's
-temporaries stay in the processor caches.  A grid of more than ``_MAX_POINTS``
-(2**25) points raises :class:`SweepError` before anything is allocated.
+temporaries stay in the processor caches.  Axis values enter a block as
+broadcastable slices, the block's rows of axis 0 as shape (rows, 1) and
+all of axis 1 as (1, m), so a term that depends on one axis only is
+computed once per value of that axis, not at every point.  A grid of
+more than ``_MAX_POINTS`` (2**25) points raises :class:`SweepError`
+before anything is allocated.
 
 The blocks run one after another in one thread.  Results are
 deterministic: the block size changes no bit.
@@ -34,14 +36,15 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from numbers import Integral
 from types import MappingProxyType
 
 from ._lazy import lazy_import
 from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, CavityMode,
-                    SqueezeSpec, SystemParams, direction_index,
-                    has_uniform_ports, validate, with_delta_f)
+                    SqueezeSpec, SystemParams, direction_index, validate,
+                    with_delta_f)
 from .steady_state import TransmissionReport, kernel_args, transmission_grid
-from .analysis import isolation_ratio, stationary_shifts
+from .analysis import half_band_shift
 # Not called here; perfbench/spans.py wraps this name for --trace 1.
 from .analysis import brute_force_optimum  # noqa: F401
 
@@ -155,8 +158,8 @@ class Axis:
     normalization: SweepParameter | None = None
 
     def __post_init__(self) -> None:
-        if self.count < 2:
-            raise ValueError("axis needs at least 2 points")
+        if not isinstance(self.count, Integral) or self.count < 2:
+            raise ValueError("axis needs an integer count of at least 2")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("axis bounds must be finite")
         if not math.isfinite(self.stop - self.start):
@@ -204,7 +207,8 @@ class SweepResult:
     ``meta`` is the run record, never written to output files: policy,
     band, axis labels, ``code_counts`` (``{code name:
     points}`` for every code present) and ``n_clamped`` (points not
-    blanked whose extremal shift the band moved; 0 under FIXED).
+    blanked whose extremal shift is an edge of ``delta_f_band``; 0 under
+    FIXED or without a band).
     """
 
     base: SystemParams
@@ -268,15 +272,15 @@ def sweep(base: SystemParams, axes, *,
     """Evaluate transmissions over one or two parameter axes.
 
     ``delta_f_policy`` FIXED uses the base (or swept) Fizeau shift; the
-    EXTREMAL policies re-derive the shift at every grid point from the
-    closed-form stationary shifts and clamp it to ``delta_f_band`` when
-    given.  With uniform ports they take the larger (EXTREMAL_POSITIVE) or
-    smaller (EXTREMAL_NEGATIVE) root, which can have the other sign when
-    g1 != g2 (ROADMAP item 12).  Otherwise they take the shift of largest
-    |I| on their half of the band ([0, hi] or [lo, 0] of ``delta_f_band``,
-    or of FEASIBLE_FIZEAU_BAND when unclamped): 0, then the stationary shifts
-    inside it, then its outer edge, each replacing the choice only at a
-    strictly larger |I|.  Extremal policies exclude a DELTA_F axis.
+    EXTREMAL policies re-derive the shift at every grid point, for every
+    port set, as the shift of largest |I| on their half of
+    ``delta_f_band``, [0, hi] (EXTREMAL_POSITIVE) or [lo, 0]
+    (EXTREMAL_NEGATIVE), with 0 moved to the nearer edge of a band that
+    excludes it.  Without a band the half is [0, inf) or (-inf, 0].  The
+    candidates are 0, then the closed-form stationary shifts inside the
+    half, then its finite outer edge, each replacing the choice only at a
+    strictly larger |I| (:func:`.half_band_shift`).  Extremal policies
+    exclude a DELTA_F axis.
     A grid of more than ``_MAX_POINTS`` points raises before anything is
     allocated.
 
@@ -311,17 +315,19 @@ def sweep(base: SystemParams, axes, *,
 
     display = tuple(ax.values() for ax in axes)
     with np.errstate(over="ignore"):  # NONFINITE marks such points
-        physical = tuple(vals * ax.scale(base)
-                         for ax, vals in zip(axes, display))
-    grids = np.meshgrid(*physical, indexing="ij", copy=False)
-    order = list(_QUANTITIES)
-    substitutions = [(_QUANTITIES[ax.parameter].kernel, grid)
-                     for ax, grid in sorted(zip(axes, grids), key=lambda pair:
-                                            order.index(pair[0].parameter))]
+        # Shapes (n, 1) and (1, m) with two axes: a block takes the rows of
+        # axis 0 it spans and all of axis 1, and the rest broadcasts.
+        grids = np.ix_(*(vals * ax.scale(base)
+                         for ax, vals in zip(axes, display)))
+    # Table order is substitution order; only axis 0 is sliced by rows.
+    substitutions = [(q.kernel, grid, k == 0) for p, q in _QUANTITIES.items()
+                     for k, (ax, grid) in enumerate(zip(axes, grids))
+                     if ax.parameter is p]
     base_args = kernel_args(base)
-    extremal = policy is not DeltaFPolicy.FIXED
+    lo, hi = delta_f_band or (-math.inf, math.inf)
+    zero = min(max(lo, 0.0), hi)  # the point of the band nearest 0
     positive = policy is DeltaFPolicy.EXTREMAL_POSITIVE
-    uniform = has_uniform_ports(base)
+    half = (zero, hi) if positive else (lo, zero)  # the policy's half band
 
     # t12, t21, ratio, i_signed_db and delta_f_mhz, filled block by block.
     columns = tuple(np.empty(shape) for _ in range(5))
@@ -332,8 +338,8 @@ def sweep(base: SystemParams, axes, *,
         code = codes[sl]
         args = dict(base_args)
         with np.errstate(over="ignore"):  # overflowed values are marked below
-            for kernel, grid in substitutions:
-                args.update(kernel(args, base, grid[sl]))
+            for kernel, grid, by_row in substitutions:
+                args.update(kernel(args, base, grid[sl] if by_row else grid))
         # Arguments no axis replaced are scalars that validate(base) passed.
         for name, keys, test in _INPUT_CHECKS:
             for key in keys:
@@ -341,24 +347,14 @@ def sweep(base: SystemParams, axes, *,
                     _mark(code, test(args[key]), name, counts)
         blank = code != 0  # the codes found before the kernel runs
 
-        if extremal:
-            plus, minus = stationary_shifts(**args)
-            if uniform:
-                # Changes no bit (test_broadcast_root_changes_no_bit), but
-                # without the copy glibc returns and refaults more pages:
-                # grid_api took 60% more page faults and 6% more time.
-                shift = np.broadcast_to(plus if positive else minus,
-                                        code.shape).copy()
-            else:
-                shift = _half_band_shift(args, plus, minus, positive,
-                                         code.shape,
-                                         delta_f_band or FEASIBLE_FIZEAU_BAND)
+        if policy is not DeltaFPolicy.FIXED:
+            shift = half_band_shift(*half, **args)
             if delta_f_band is not None:
-                lo, hi = delta_f_band
-                n_clamped += int(np.count_nonzero(((shift < lo) | (shift > hi))
-                                                  & ~blank))
-                shift = np.clip(shift, lo, hi)
-            args["delta_f"] = shift
+                edge = (shift == lo) | (shift == hi)
+                n_clamped += int(np.count_nonzero(edge & ~blank))
+            # A 0-d shift would take numpy's scalar arithmetic in the
+            # kernel, which rounds some products differently.
+            args["delta_f"] = np.broadcast_to(shift, code.shape)
 
         t12, t21, ratio, i_signed = transmission_grid(**args)
         if not np.isfinite(i_signed).all():  # I is not finite at these codes
@@ -408,20 +404,6 @@ def _mark(codes: np.ndarray, mask: np.ndarray, name: str,
         k = CODE_NAMES.index(name)
         codes[new] = k
         tally[k] += int(np.count_nonzero(new))
-
-
-def _half_band_shift(args: dict, plus, minus, positive: bool, shape,
-                     band: tuple[float, float]) -> np.ndarray:
-    """Shift of largest |I| on the positive or negative half of ``band``."""
-    lo, hi = (0.0, band[1]) if positive else (band[0], 0.0)
-    shift, best = np.zeros(shape), np.full(shape, -np.inf)
-    for x in (0.0, plus, minus, hi if positive else lo):
-        x = np.broadcast_to(x, shape)
-        with np.errstate(divide="ignore"):  # R = 0 where an output vanishes
-            value = np.abs(np.log(isolation_ratio(**dict(args, delta_f=x))))
-        better = (lo <= x) & (x <= hi) & (value > best)
-        shift[better], best[better] = x[better], value[better]
-    return shift
 
 
 @dataclass(frozen=True)

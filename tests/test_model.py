@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,41 @@ from magnon_sagnac import (
 
 def codes(violations):
     return {v.code for v in violations}
+
+
+_BOUNDARY = (0.0, -0.0, math.nan, math.inf, -math.inf, sys.float_info.max,
+             -sys.float_info.max)
+_R, _N, _E = "RATE_POSITIVE", "NONFINITE", "ETA_RANGE"
+# One input of each validate() branch, set on the demonstration base to
+# each _BOUNDARY value, and the codes expected there, in that order ("" is
+# valid).  g0 = max and G = +/-max overflow in g0 cosh(2G).
+_VALIDATE_TABLE = {
+    "kappa_1": (lambda p, v: dataclasses.replace(
+        p, mode_1=CavityMode(v, p.mode_1.kappa_ext_mhz)),
+        (_R, _R, _N, _N, _N, "", _R)),
+    "kappa_ext_2": (lambda p, v: dataclasses.replace(
+        p, mode_2=CavityMode(p.mode_2.kappa_mhz, v)),
+        ("", "", _N, _N, _N, "KAPPA_DECOMP", _E)),
+    "gamma_m": (lambda p, v: dataclasses.replace(
+        p, magnon=dataclasses.replace(p.magnon, gamma_m_mhz=v)),
+        (_R, _R, _N, _N, _N, "", _R)),
+    "eta3": (lambda p, v: dataclasses.replace(
+        p, magnon=dataclasses.replace(p.magnon, eta3=v)),
+        ("", "", _N, _N, _N, _E, _E)),
+    "g0_1": (lambda p, v: dataclasses.replace(p, g0_1_mhz=v),
+             ("", "", _N, _N, _N, _N, "COUPLING_NEGATIVE")),
+    "G": (lambda p, v: dataclasses.replace(
+        p, squeeze=dataclasses.replace(p.squeeze, g_squeeze=v)),
+        ("", "", _N, _N, _N, _N, _N)),
+    "omega_s": (lambda p, v: dataclasses.replace(
+        p, squeeze=dataclasses.replace(p.squeeze, omega_s_mhz=v)),
+        ("", "", _N, _N, _N, "", "")),
+    "eps_3": (lambda p, v: dataclasses.replace(
+        p, drive=dataclasses.replace(p.drive, eps_3_eff=v)),
+        ("", "", _N, _N, _N, "", "DRIVE_NEGATIVE")),
+    "delta_f": (lambda p, v: with_delta_f(p, v),
+                ("", "", _N, _N, _N, "", "")),
+}
 
 
 class TestConstants:
@@ -318,6 +354,14 @@ class TestValidate:
                 params, squeeze=SqueezeSpec.from_pump(math.nan, 1.0))
         problems = validate(params) + validate_rotation(cfg.rotation)
         assert [(v.code, v.message) for v in problems] == found
+
+    @pytest.mark.parametrize("name", list(_VALIDATE_TABLE))
+    def test_every_branch_at_the_float_boundaries(self, base_params, name):
+        """Each branch names its code at 0, -0, nan, +/-inf and +/-max."""
+        setter, expected = _VALIDATE_TABLE[name]
+        found = tuple("".join(v.code for v in validate(setter(base_params, x)))
+                      for x in _BOUNDARY)
+        assert found == expected
 
     def test_collects_multiple(self, base_params):
         p = dataclasses.replace(base_params, g0_1_mhz=-1.0,

@@ -1,6 +1,7 @@
 """Tests for grid sweeps, shift policies, error masking and presets."""
 
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import json
@@ -36,6 +37,7 @@ from magnon_sagnac import (
     with_delta_f,
 )
 from magnon_sagnac.analysis import stationary_shifts
+from magnon_sagnac.serialize import csv_text
 from magnon_sagnac.steady_state import kernel_args
 from magnon_sagnac.sweep import CODE_NAMES, _INPUT_CHECKS
 
@@ -64,12 +66,12 @@ class TestAxis:
         np.testing.assert_allclose(ax.values(), np.arange(1.0, 13.0))
 
     def test_rejects_bad_counts_and_ranges(self):
-        with pytest.raises(ValueError):
-            Axis(SweepParameter.GAMMA_M, 1.0, 12.0, 1)
-        with pytest.raises(ValueError):
-            Axis(SweepParameter.GAMMA_M, 5.0, 5.0, 11)
-        with pytest.raises(ValueError):
-            Axis(SweepParameter.GAMMA_M, 9.0, 5.0, 11)
+        for start, stop, count in [(1.0, 12.0, 1), (5.0, 5.0, 11),
+                                   (9.0, 5.0, 11), (1.0, 2.0, 2.5),
+                                   (1.0, 2.0, 3.0)]:
+            with pytest.raises(ValueError):
+                Axis(SweepParameter.GAMMA_M, start, stop, count)
+        assert Axis(SweepParameter.GAMMA_M, 1.0, 2.0, np.int64(3)).count == 3
 
     def test_normalization(self, base_params):
         ax = Axis(SweepParameter.DELTA_F, -16.0, 16.0, 5,
@@ -422,13 +424,26 @@ class TestDeltaFPolicies:
                                                     rel=1e-10)
         assert np.all(free.i_signed_db > clamped.i_signed_db)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+    def test_unclamped_shift_leaves_the_feasible_band_for_any_ports(self):
+        """Without a band the shift is not held to FEASIBLE_FIZEAU_BAND on
+        non-uniform ports either: a magnon drive 0.1% below the optical
+        ones moves the shift by under 0.1 MHz."""
+        strong = SystemParams.symmetric(g_squeeze=1.0)
+        lopsided = dataclasses.replace(strong,
+                                       drive=DriveAmplitudes(1.0, 1.0, 0.999))
+        ax = Axis(SweepParameter.GAMMA_M, 3.9, 4.1, 3)
+        twin, res = (sweep(p, [ax], delta_f_policy="extremal_positive")
+                     for p in (strong, lopsided))
+        np.testing.assert_allclose(res.delta_f_mhz, [82.00, 80.97, 79.98],
+                                   atol=0.01)
+        np.testing.assert_allclose(res.delta_f_mhz, twin.delta_f_mhz,
+                                   atol=0.1)
+
     def test_no_policy_gives_a_shift_of_the_wrong_sign(self):
         """Each extremal policy keeps its shift on its own side of 0, on
-        uniform and non-uniform bases, clamped or not.  Until ROADMAP item
-        12 lands, the uniform rule takes the larger (smaller) stationary
-        root, which has the other sign at thousands of points of this grid
-        when g1 != g2."""
+        uniform and non-uniform bases, clamped or not.  The larger
+        (smaller) stationary root has the other sign at thousands of points
+        of this grid when g1 != g2."""
         axes = [Axis(SweepParameter.COUPLING_RATIO, 0.2, 5.0, 300),
                 Axis(SweepParameter.DELTA, -40.0, 40.0, 300)]
         bases = {"uniform": SystemParams.symmetric(),
@@ -605,9 +620,9 @@ class TestBlocks:
         assert "threads" not in threaded.meta
 
     def test_broadcast_root_changes_no_bit(self):
-        # Over an omega_s axis the uniform-port root is one value.  Handed
-        # to the kernel as a broadcast (stride-0) array, it gives the same
-        # bits as the full copy that sweep() makes of it.
+        # Over an omega_s axis the extremal shift is one value, which
+        # sweep() hands to the kernel as a broadcast (stride-0) array.  It
+        # gives the same bits as a full copy.
         rng = np.random.default_rng(3)
         for base in [SystemParams.symmetric(),
                      *(random_symmetric(rng) for _ in range(5))]:
@@ -640,6 +655,76 @@ class TestBlocks:
                                 for name in _COLUMNS)
 
 
+# The first 128 bits of the sha256 of csv_text for small sweeps, recorded
+# while sweep() still substituted full meshgrid views: substituting each
+# axis as a broadcastable slice changes no byte.  FIXED 7x5 sweeps over
+# every ordered pair of parameters, and an extremal sweep whose shift is
+# one value per block (handed to the kernel as a 0-d array, it changes
+# the last bits of some points).
+_PINNED_CSV = {
+    "delta_f-gamma_m": "c41a712774ab2702fc7703b0371c60e0",
+    "delta_f-kappa": "3f2ebe7a8ffa0dca0382637838f74c40",
+    "delta_f-delta": "da03d1e0b173f9c33ebb46261849c117",
+    "delta_f-G": "f90557616b30c5b8cd9036554166af9e",
+    "delta_f-g2_over_g1": "9e3f713143ced4a8dfe8b9208f05ac0c",
+    "delta_f-omega_s": "11015fb7cacbfa7fdd1fe3a18955ec79",
+    "gamma_m-delta_f": "a70dcda86414924e19d49d873fc81817",
+    "gamma_m-kappa": "309216555d9eb2d05d2c08683ebe3123",
+    "gamma_m-delta": "f5aa6343b84d43c6589ca6d02b1ab0ef",
+    "gamma_m-G": "e59c8983259be852e882f4912dfb95b1",
+    "gamma_m-g2_over_g1": "a2a5a24b9a079494c6b8b47bbade9ea9",
+    "gamma_m-omega_s": "d507ceb28ded847f15972d9fb9ece565",
+    "kappa-delta_f": "840c4defe7550d5ef3dca876f1926b30",
+    "kappa-gamma_m": "061c922b90cab8c39067d4e68bdcf5c7",
+    "kappa-delta": "faded4f74fdab2f0d85e4af7151730ec",
+    "kappa-G": "8cc2d27f288f64a27e011f8d0a35f45f",
+    "kappa-g2_over_g1": "92707edbb518910a5acfae72b8d65245",
+    "kappa-omega_s": "33807391ba13b9f5c08988583f3f9963",
+    "delta-delta_f": "d5d2cde9ad627929fa234ba1e4490159",
+    "delta-gamma_m": "fc83bc04c1c15e3770dd954eddea864f",
+    "delta-kappa": "e5fc5be5a68e779a65d941f73f3b8e52",
+    "delta-G": "b7848f747ddc7435eefb0fc47fa379bf",
+    "delta-g2_over_g1": "cd6d5b3987c387c6cf4020db771a97fd",
+    "delta-omega_s": "d104d9debd355bd2de86ae48b856700d",
+    "G-delta_f": "26ade7b4f4a48fa9e896834e82af8c4e",
+    "G-gamma_m": "99e84deee17b2a1f54863291f5a369ca",
+    "G-kappa": "c82c8ecbb36d2baf4fa10c4558e682cb",
+    "G-delta": "ecbb9413b29511aa9a332add11f7e76f",
+    "G-g2_over_g1": "0b3cbaaa47ed0ca43853ab176f5e9b89",
+    "G-omega_s": "f968aa92942bd020c91fc75c9ad18f35",
+    "g2_over_g1-delta_f": "d194ac356aef04b28b5fe4b9eeefd6a5",
+    "g2_over_g1-gamma_m": "ac98a4494a148ed89540840399ded748",
+    "g2_over_g1-kappa": "414e1ca3d3eeb12c77b3aa474200db75",
+    "g2_over_g1-delta": "3036252151d6395a68bab2335e1d08e4",
+    "g2_over_g1-G": "e138edc6d688877daebe25db55dc91f3",
+    "g2_over_g1-omega_s": "c49cd6d8a13c74e37a7f6d1c70ee9899",
+    "omega_s-delta_f": "56772835736056c47285dedb48a33d8b",
+    "omega_s-gamma_m": "f8a2a8999a9016cfefcdbfacf545b06f",
+    "omega_s-kappa": "e325b32c7bc7c16cec0861c4b45d1b9e",
+    "omega_s-delta": "2f5e83fc6bd91b339ba5c680bef0ad7b",
+    "omega_s-G": "c6f05ee5003bd26398025a46c3f71e27",
+    "omega_s-g2_over_g1": "c822aa184d6a9ac4defeec38bcea710f",
+    "extremal-omega_s": "5cb71ada2a1e5b3211e20241bee224d3",
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED_CSV))
+def test_csv_bytes_are_pinned(base_params, case):
+    if case == "extremal-omega_s":
+        lopsided = dataclasses.replace(base_params,
+                                       drive=DriveAmplitudes(1.0, 1.0, 0.5))
+        res = sweep(lopsided, [Axis(SweepParameter.OMEGA_S, -40.0, 50.0, 40)],
+                    delta_f_policy="extremal_positive",
+                    delta_f_band=(-65.0, 65.0))
+    else:
+        first, second = map(SweepParameter, case.split("-"))
+        res = sweep(with_delta_f(base_params, 12.0),
+                    [Axis(first, *_VALID_RANGES[first], 7),
+                     Axis(second, *_VALID_RANGES[second], 5)])
+    digest = hashlib.sha256(csv_text(res).encode("ascii")).hexdigest()
+    assert digest[:32] == _PINNED_CSV[case]
+
+
 class TestRunRecord:
     def test_clamped_preset(self):
         preset, res = run_preset("fig5a")
@@ -656,14 +741,17 @@ class TestRunRecord:
         assert fixed.meta["code_counts"] == {"RATE_POSITIVE": 18}
         assert fixed.meta["n_clamped"] == 0
         # Negative couplings are blanked, and their out-of-band shifts are
-        # not counted as clamped.
+        # not counted as clamped.  At g2_over_g1 = 0 |I| is infinite at
+        # every shift, so those 13 points keep the shift 0: the band edge
+        # is chosen only on the 4 rows g2_over_g1 = 0.5 .. 2.
         base, axes, policy, band = _BLOCKING_CASES["masked-clamped"]
         res = sweep(base, axes, delta_f_policy=policy, delta_f_band=band)
         free = sweep(base, axes, delta_f_policy=policy)
         assert res.meta["code_counts"] == {"COUPLING_NEGATIVE": 26,
                                            "INF_ISOLATION": 13}
         assert res.meta["n_clamped"] == np.count_nonzero(
-            free.delta_f_mhz > band[1]) == 5 * 13
+            free.delta_f_mhz > band[1]) == 4 * 13
+        assert np.all(res.delta_f_mhz[2] == 0.0)
 
 
 class TestPresets:
