@@ -29,8 +29,8 @@ from ._lazy import lazy_import
 from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, PhysicsError,
                     SystemParams, _close, direction_index, is_symmetric,
                     with_delta_f)
-from .steady_state import (NoTransmissionError, TransmissionReport,
-                           kernel_args, require_optical_drive, transmissions)
+from .steady_state import (TransmissionReport, kernel_args,
+                           require_optical_drive, transmissions)
 
 np = lazy_import("numpy")
 
@@ -100,31 +100,36 @@ def half_band_shift(lo: float, hi: float, **args):
 
     Takes :func:`.transmission_grid`'s keyword arguments as broadcastable
     arrays and returns the shift at their broadcast shape.  The candidates
-    are the point of [lo, hi] nearest 0, then the :func:`stationary_shifts`
-    inside [lo, hi], then each finite edge; each replaces the choice only at
-    a strictly larger |I|, and a nan score never wins.  Each candidate is
-    scored as max(R, 1/R) from the terms the stationary shifts are built
-    from, so an infinite ``hi`` (or ``lo``) leaves that side unbounded.
+    are, in order, the point of [lo, hi] nearest 0, the smaller and the
+    larger :func:`stationary_shifts` inside [lo, hi], and each finite edge,
+    lower first; a later one wins only at a strictly larger |I|, and a nan
+    score never wins.  With R = N / D as in the module docstring, the score
+    max(N, D) / min(N, D) is the same for both mirror shifts of a symmetric
+    system, so a mirror tie keeps the negative shift.  No determinant
+    enters, so an infinite ``hi`` (or ``lo``) leaves that side unbounded.
     """
     plus, minus, w1, w2, a, b, k1, k2 = _stationary(**args)
     zero = min(max(lo, 0.0), hi)
-    edges = [x for x in (lo, hi) if math.isfinite(x) and x != zero]
+    edges = [(x, False) for x in (lo, hi) if math.isfinite(x) and x != zero]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale, c1, c2 = np.square(w1 / w2), 0.25 * k1, 0.25 * k2
         shape = np.broadcast(plus, minus, scale, a, b, c1, c2).shape
-        num, den = np.empty(shape), np.empty(shape)
+        num, den, score = (np.empty(shape) for _ in range(3))
         shift, best = np.full(shape, zero), np.full(shape, -math.inf)
-        for x in (zero, plus, minus, *edges):
-            # R = scale (c2 + (x - B)^2) / (c1 + (x + A)^2) with
-            # c_j = (kappa_j/2)^2, into buffers that every candidate reuses.
+        # N and D into buffers that every candidate reuses.  The point
+        # nearest 0 and the finite edges lie in [lo, hi] by construction;
+        # only the stationary shifts take the band test.
+        for x, test in ((zero, False), (minus, True), (plus, True), *edges):
             np.square(np.subtract(x, b, out=num), out=num)
             np.multiply(scale, np.add(c2, num, out=num), out=num)
-            np.square(np.add(x, a, out=den), out=den)
-            np.divide(num, np.add(c1, den, out=den), out=num)
-            np.maximum(num, np.divide(1.0, num, out=den), out=num)
-            better = (lo <= x) & (x <= hi) & (num > best)
+            np.add(c1, np.square(np.add(x, a, out=den), out=den), out=den)
+            np.maximum(num, den, out=score)
+            np.divide(score, np.minimum(num, den, out=num), out=score)
+            better = score > best
+            if test:
+                better &= (lo <= x) & (x <= hi)
             np.copyto(shift, x, where=better)
-            np.copyto(best, num, where=better)
+            np.copyto(best, score, where=better)
     return shift
 
 
@@ -234,31 +239,17 @@ def brute_force_optimum(params: SystemParams,
                         ) -> OptimumResult:
     """The Fizeau shift of largest |I| inside ``band``, found exactly.
 
-    R is a ratio of two quadratics in delta_f, so on [lo, hi] |I| is
-    largest at a band edge or at one of the two :func:`stationary_shifts`;
-    0 is tried as well, so a response that does not depend on the shift
-    keeps it.  Each candidate inside the band is scored with the scalar
-    :func:`.transmissions`.  A nan or a ``NoTransmissionError`` never
-    wins, and exact ties break toward the smaller |delta_f|, then the
-    negative one.  The first such error is raised only when every
-    candidate raised one; ``isolation_db`` is -inf when none has a
-    defined isolation.  Makes no symmetry assumptions.
+    The shift is :func:`half_band_shift` over the whole band, the rule an
+    extremal ``sweep()`` applies at every point, so a response that does
+    not depend on the shift keeps the point nearest 0.  Only the winner is
+    solved with the scalar :func:`.transmissions`, whose errors are raised;
+    ``isolation_db`` is -inf where its isolation is nan.  Makes no symmetry
+    assumptions.
     """
     lo, hi = band
     if not lo < hi:
         raise ValueError("band must satisfy lo < hi")
     require_optical_drive(params)
-    plus, minus = (float(x) for x in stationary_shifts(**kernel_args(params)))
-    best, failed = OptimumResult(lo, -math.inf), []
-    inside = [x for x in {0.0, lo, hi, plus, minus} if lo <= x <= hi]
-    for x in sorted(inside, key=lambda x: (abs(x), x)):
-        try:
-            value = transmissions(with_delta_f(params, x)).i_abs_db
-        except NoTransmissionError as e:
-            failed.append(e)
-            continue
-        if value > best.isolation_db:
-            best = OptimumResult(x, value)
-    if len(failed) == len(inside):
-        raise failed[0]
-    return best
+    x = float(half_band_shift(lo, hi, **kernel_args(params)))
+    value = transmissions(with_delta_f(params, x)).i_abs_db
+    return OptimumResult(x, -math.inf if math.isnan(value) else value)

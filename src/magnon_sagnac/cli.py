@@ -270,7 +270,7 @@ def _cmd_optimize(args) -> int:
                              else ext.isolation_minus_db)})
         return 0
     best = brute_force_optimum(cfg.params, band)
-    # -inf: no candidate shift of the band had a finite response.  (+inf is a
+    # -inf: the response at the band's best shift is not finite.  (+inf is a
     # vanishing output, which isolate reports as well.)
     if best.isolation_db == -math.inf:
         raise PhysicsError("OVERFLOW: isolation_db left the float range "

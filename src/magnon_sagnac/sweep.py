@@ -11,7 +11,11 @@ The Fizeau shift can either be held at the base value (or swept as an
 axis) or re-optimized per grid point through ``delta_f_policy``.  For
 every port set an extremal policy takes :func:`.half_band_shift`, the
 shift of largest |I| on its sign's half of the clamp band; without a
-band that half is unbounded on its outer side.
+band that half is unbounded on its outer side.  Its candidates, in
+order, are the point nearest 0, the smaller and the larger stationary
+shift and the outer edge; a later one wins only at a strictly larger
+|I|, so a mirror tie keeps the negative shift.  ``optimize`` runs the
+same rule on the whole band.
 
 A grid is evaluated in the blocks of :func:`row_blocks`, whole first-axis
 rows of about ``_BLOCK`` (16k) points that the writers share.  Each block
@@ -277,10 +281,11 @@ def sweep(base: SystemParams, axes, *,
     ``delta_f_band``, [0, hi] (EXTREMAL_POSITIVE) or [lo, 0]
     (EXTREMAL_NEGATIVE), with 0 moved to the nearer edge of a band that
     excludes it.  Without a band the half is [0, inf) or (-inf, 0].  The
-    candidates are 0, then the closed-form stationary shifts inside the
-    half, then its finite outer edge, each replacing the choice only at a
-    strictly larger |I| (:func:`.half_band_shift`).  Extremal policies
-    exclude a DELTA_F axis.
+    candidates are 0, the smaller and then the larger closed-form
+    stationary shift inside the half, and its finite outer edge, each
+    replacing the choice only at a strictly larger |I|, so a mirror tie
+    keeps the negative shift (:func:`.half_band_shift`).  Extremal
+    policies exclude a DELTA_F axis.
     A grid of more than ``_MAX_POINTS`` points raises before anything is
     allocated.
 

@@ -442,10 +442,20 @@ class TestBruteForce:
         opt = brute_force_optimum(MIRROR_TIE, (-65.0, 65.0))
         assert opt == OptimumResult(-37.004330246310424, 34.30613162658666)
 
+    def test_mirror_ties_break_negative(self):
+        """A symmetric system's two mirror shifts score alike, and the
+        negative one is tried first, so no optimum on a symmetric band is
+        positive."""
+        rng = np.random.default_rng(43)
+        positive = [opt.delta_f_mhz for opt in
+                    (brute_force_optimum(random_symmetric(rng), (-65.0, 65.0))
+                     for _ in range(200)) if opt.delta_f_mhz > 0.0]
+        assert positive == []
+
     def test_few_scalar_solves(self, base_params, monkeypatch):
-        """One scalar solve per candidate; a response that does not depend
-        on the shift (eta3 = 0) or is infinite everywhere (g0_2 = 0)
-        keeps the zero shift."""
+        """One scalar solve per optimum, at the winning shift; a response
+        that does not depend on the shift (eta3 = 0) or is infinite
+        everywhere (g0_2 = 0) keeps the zero shift."""
         calls = []
 
         def counted(params):
@@ -460,7 +470,10 @@ class TestBruteForce:
                 calls.clear()
                 opt = brute_force_optimum(params, band)
                 assert opt == OptimumResult(0.0, value)
-                assert len(calls) <= 5
+                assert calls == [0.0]
+        calls.clear()
+        opt = brute_force_optimum(base_params, (-65.0, 65.0))
+        assert calls == [opt.delta_f_mhz]
 
 
 def test_golden_section_finds_simple_maxima():

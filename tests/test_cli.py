@@ -390,6 +390,18 @@ class TestOptimize:
             "delta_f_mhz = -33.1816893263\nisolation_db = 41.6307193185\n",
             "")
 
+    def test_brute_solves_only_the_winning_shift(self, capsys):
+        # The system determinant vanishes at the shift 0, which loses;
+        # the winning lower edge answers, as `isolate` there does.
+        sets = ["--set", "kappa_mhz=8.908091349732443e-165",
+                "--set", "g0_mhz=1.7840341208145443e-206"]
+        assert run(["optimize", "--band=-65:65"] + sets) == 0
+        assert capsys.readouterr() == (
+            "delta_f_mhz = -65\nisolation_db = 0\n", "")
+        assert run(["isolate", "--set", "delta_f_mhz=0"] + sets) == 1
+        assert capsys.readouterr() == (
+            "", "error: vanishing system determinant\n")
+
     @pytest.mark.parametrize("argv,err", [
         (["--band=1.1e154:1.3e154"], "both output amplitudes vanish"),
         (["--set", "g0_mhz=[41,0]", "--set", "eta3=0"],

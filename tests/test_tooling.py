@@ -91,11 +91,12 @@ def test_benchmark_names_resolve():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_optimize_passes_the_benchmark_gate(tmp_path, capsys, seed):
-    """The ``optimize`` query jobs of the benchmark, run as it runs them,
-    pass its correctness gate."""
+    """The benchmark's query jobs that pick an extremal shift, run as it
+    runs them, pass its correctness gate: ``optimize`` (brute and
+    analytic) and the non-uniform ``sweep --optimal-df positive``."""
     gate, jobs = _perfbench("gate"), _perfbench("jobs")
     for job in jobs.query_jobs(seed):
-        if job["kind"] not in ("brute", "analytic"):
+        if job["kind"] not in ("brute", "analytic", "sweep"):
             continue
         path = tmp_path / f"{job['id'].replace(':', '_')}.json"
         path.write_text(json.dumps(job["config"]), encoding="utf-8")
