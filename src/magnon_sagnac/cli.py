@@ -270,11 +270,13 @@ def _cmd_optimize(args) -> int:
                              else ext.isolation_minus_db)})
         return 0
     best = brute_force_optimum(cfg.params, band)
-    # -inf: the response at the band's best shift is not finite.  (+inf is a
-    # vanishing output, which isolate reports as well.)
+    # -inf: the response at the band's best shift is not finite; other
+    # shifts are not solved.  (+inf is a vanishing output, which isolate
+    # reports as well.)
     if best.isolation_db == -math.inf:
-        raise PhysicsError("OVERFLOW: isolation_db left the float range "
-                           "at every shift of the band")
+        raise PhysicsError("OVERFLOW: isolation_db left the float range at "
+                           "the band's best shift, delta_f_mhz = "
+                           f"{best.delta_f_mhz:.12g}")
     _emit(args, {"delta_f_mhz": best.delta_f_mhz,
                  "isolation_db": best.isolation_db})
     return 0

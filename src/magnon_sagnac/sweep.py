@@ -22,7 +22,10 @@ rows of about ``_BLOCK`` (16k) points that the writers share.  Each block
 substitutes its axis values, marks its input codes, computes its extremal
 shift, runs the kernel and marks its output codes, writing into result
 arrays allocated once, so no temporary spans the whole grid and a block's
-temporaries stay in the processor caches.  Axis values enter a block as
+temporaries stay in the processor caches.  The shift and the kernel run
+only over the span of rows from the first to the last one that holds a
+point without an input code; the rows outside it are blanked whole, and
+a block without such a row runs neither.  Axis values enter a block as
 broadcastable slices, the block's rows of axis 0 as shape (rows, 1) and
 all of axis 1 as (1, m), so a term that depends on one axis only is
 computed once per value of that axis, not at every point.  A grid of
@@ -287,7 +290,9 @@ def sweep(base: SystemParams, axes, *,
     keeps the negative shift (:func:`.half_band_shift`).  Extremal
     policies exclude a DELTA_F axis.
     A grid of more than ``_MAX_POINTS`` points raises before anything is
-    allocated.
+    allocated.  First-axis rows whose every point is blanked before the
+    kernel runs are neither scored nor solved, unless they lie between two
+    rows that hold a live point; their columns are nan either way.
 
     ``threads`` is ignored: the blocks always run serially.  The keyword
     stays only because perfbench's ``thread_speedup`` metric passes
@@ -351,6 +356,20 @@ def sweep(base: SystemParams, axes, *,
                 if isinstance(args[key], np.ndarray):
                     _mark(code, test(args[key]), name, counts)
         blank = code != 0  # the codes found before the kernel runs
+        blanked = blank.any()
+        if blanked:  # solve only the rows from the first to the last live one
+            live = np.flatnonzero(~blank.reshape(len(code), -1).all(axis=1))
+            span = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+            for column in columns:
+                column[sl][:span.start] = column[sl][span.stop:] = math.nan
+            if not live.size:
+                continue
+            # Row slices of the same operands, whose numpy loops round as
+            # the whole block's do; axis 1's (1, m) values stay whole.
+            args = {key: value[span] if np.shape(value)[:1] == code.shape[:1]
+                    else value for key, value in args.items()}
+            sl = slice(sl.start + span.start, sl.start + span.stop)
+            code, blank = code[span], blank[span]
 
         if policy is not DeltaFPolicy.FIXED:
             shift = half_band_shift(*half, **args)
@@ -371,7 +390,6 @@ def sweep(base: SystemParams, axes, *,
             _mark(code, np.isnan(ratio), "NO_TRANSMISSION", counts)
             _mark(code, np.isinf(i_signed), "INF_ISOLATION", counts)
 
-        blanked = blank.any()
         for column, values in zip(columns, (t12, t21, ratio, i_signed,
                                             args["delta_f"])):
             out = column[sl]

@@ -380,7 +380,8 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: OVERFLOW: isolation_db left the "
-                                "float range at every shift of the band\n")
+                                "float range at the band's best shift, "
+                                "delta_f_mhz = 1e+160\n")
 
     def test_brute_skips_a_shift_without_transmission(self, capsys):
         # Both outputs vanish at the upper edge alone (its determinant
@@ -401,6 +402,19 @@ class TestOptimize:
         assert run(["isolate", "--set", "delta_f_mhz=0"] + sets) == 1
         assert capsys.readouterr() == (
             "", "error: vanishing system determinant\n")
+
+    def test_brute_names_the_shift_whose_isolation_overflows(self, capsys):
+        # The stationary shift wins on the quadratic score, but its scalar
+        # isolation is nan; the shift 0, which is not solved, answers.
+        sets = ["--set", "gamma_m_mhz=2.2745080777901403e+252",
+                "--set", "g0_mhz=5.309498428542212e+159",
+                "--set", "kappa_mhz=1.9297612011152968e-69"]
+        assert run(["optimize"] + sets) == 1
+        assert capsys.readouterr() == (
+            "", "error: OVERFLOW: isolation_db left the float range at the "
+            "band's best shift, delta_f_mhz = -0.238835384329\n")
+        assert run(["isolate", "--set", "delta_f_mhz=0"] + sets) == 0
+        assert "i_abs_db = 0\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv,err", [
         (["--band=1.1e154:1.3e154"], "both output amplitudes vanish"),

@@ -578,6 +578,14 @@ def _blocking_cases():
         "masked-clamped": (strong, [Axis(p.COUPLING_RATIO, -1.0, 2.0, 7),
                                     Axis(p.GAMMA_M, 2.0, 6.0, 13)],
                            "extremal_positive", band),
+        # Columns 0-4 of 11 are RATE_POSITIVE: every row stays live.
+        "second-axis-masked": (strong, [Axis(p.DELTA, -10.0, 10.0, 9),
+                                        Axis(p.GAMMA_M, -4.0, 6.0, 11)],
+                               "extremal_positive", band),
+        # Rows 0-3 of 9 and columns 0-4 of 11 are RATE_POSITIVE.
+        "both-axes-masked": (base, [Axis(p.KAPPA, -3.0, 5.0, 9),
+                                    Axis(p.GAMMA_M, -4.0, 6.0, 11)],
+                             "extremal_negative", band),
         "nonuniform-positive": (general, [Axis(p.GAMMA_M, 1.0, 10.0, 9),
                                           Axis(p.DELTA, -10.0, 10.0, 13)],
                                 "extremal_positive", band),
@@ -588,6 +596,19 @@ def _blocking_cases():
 
 
 _BLOCKING_CASES = _blocking_cases()
+# The first 128 bits of the sha256 of the five columns and the codes of
+# each blocking case with blanked points, recorded while sweep() still
+# solved every row of a block: skipping the rows without a live point
+# changes no bit, at any block size.
+_MASKED_DIGESTS = {
+    "fixed-2d-rate": "47b4a676b908294a0595086e9e71b176",
+    "fixed-1d-rate": "e82681001aa28d557f39c9c6960a7362",
+    "fixed-2d-nonfinite": "3782dc881e576c532b22d09f4afa336b",
+    "fixed-1d-nonfinite": "a551aebc40a7f66485bb9ab92405e807",
+    "masked-clamped": "e1510a4a76f17340c276cc2dabf96cee",
+    "second-axis-masked": "61ed641934dc6e60ace4e16251797a7d",
+    "both-axes-masked": "1b1a6897dab20056393cfa73ec074ebe",
+}
 
 
 class TestBlocks:
@@ -608,6 +629,54 @@ class TestBlocks:
                     getattr(whole, name).tobytes(), (name, block)
             for key in ("code_counts", "n_clamped"):
                 assert blocked.meta[key] == whole.meta[key]
+
+    @pytest.mark.parametrize("case", list(_MASKED_DIGESTS))
+    def test_masked_grids_keep_their_bits(self, monkeypatch, case):
+        base, axes, policy, band = _BLOCKING_CASES[case]
+        for block in (1, 7, 64, 1 << 30):
+            monkeypatch.setattr(sweep_module, "_BLOCK", block)
+            res = sweep(base, axes, delta_f_policy=policy, delta_f_band=band)
+            digest = hashlib.sha256()
+            for name in _COLUMNS:
+                digest.update(getattr(res, name).tobytes())
+            assert digest.hexdigest()[:32] == _MASKED_DIGESTS[case], block
+
+    def test_blanked_rows_are_not_solved(self, monkeypatch):
+        """The extremal shift and the kernel see only the rows from each
+        block's first to its last live one; a block without one calls
+        neither."""
+        sizes = {"half_band_shift": [], "transmission_grid": []}
+        for name, calls in sizes.items():
+            def record(*args, _f=getattr(sweep_module, name), _calls=calls,
+                       **kwargs):
+                shapes = map(np.shape, (*args, *kwargs.values()))
+                _calls.append(math.prod(np.broadcast_shapes(*shapes)))
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(sweep_module, name, record)
+        monkeypatch.setattr(sweep_module, "_BLOCK", 64)
+        axis = Axis(SweepParameter.GAMMA_M, -9.0, 1.0, 400)
+        res = sweep(SystemParams.symmetric(), [axis],
+                    delta_f_policy="extremal_negative",
+                    delta_f_band=(-65.0, 65.0))
+        spans = []
+        for sl in sweep_module.row_blocks((400,)):
+            live = np.flatnonzero(axis.values()[sl] > 0.0)
+            if live.size:
+                spans.append(int(live[-1] - live[0] + 1))
+        assert spans == [24, 16]  # blocks 0-4 are blanked whole
+        assert sizes == {"half_band_shift": spans, "transmission_grid": spans}
+        assert res.meta["code_counts"] == {"RATE_POSITIVE": 360}
+        assert np.isnan(res.t12[:360]).all()
+        assert np.isfinite(res.t12[360:]).all()
+
+        sizes["half_band_shift"].clear()
+        sizes["transmission_grid"].clear()
+        with pytest.raises(SweepError,
+                           match="every grid point failed validation"):
+            sweep(SystemParams.symmetric(),
+                  [Axis(SweepParameter.GAMMA_M, -9.0, 0.0, 400)],
+                  delta_f_policy="extremal_negative")
+        assert sizes == {"half_band_shift": [], "transmission_grid": []}
 
     def test_threads_keyword_is_ignored(self):
         """perfbench still passes threads=2 (ROADMAP item 1); the keyword

@@ -3,6 +3,7 @@ fit the package."""
 
 import argparse
 import ast
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from magnon_sagnac import cli
+from magnon_sagnac import Axis, SweepParameter, SystemParams, cli, sweep
 from test_serialize import _PRESET_DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +107,25 @@ def test_optimize_passes_the_benchmark_gate(tmp_path, capsys, seed):
         rc = cli.run(argv)
         out = capsys.readouterr().out
         assert gate.check_query(job, path, rc, out) == [], (job["id"], argv)
+
+
+def test_masked_grids_pass_the_benchmark_gate():
+    """The benchmark's masked grid_api slots, built as it builds them,
+    pass its correctness gate: every masked point blanked, every other
+    one finite and in agreement with the generic solver."""
+    gate, jobs = _perfbench("gate"), _perfbench("jobs")
+    masked = [job for job in jobs.grid_jobs(1) if job["masked_fraction"]]
+    assert len(masked) == 7
+    for job in masked:
+        base = SystemParams.symmetric(**job["base"]["symmetric"])
+        base = dataclasses.replace(
+            base, g0_2_mhz=base.g0_1_mhz * job["base"]["g2_over_g1"])
+        axes = [Axis(SweepParameter(param), lo, hi, count,
+                     SweepParameter(norm) if norm else None)
+                for param, lo, hi, count, norm in job["axes"]]
+        result = sweep(base, axes, delta_f_policy=job["policy"],
+                       delta_f_band=job["band"] and tuple(job["band"]))
+        assert gate.check_grid(job, result) == [], job["id"]
 
 
 def test_spin_rate_study_runs():
