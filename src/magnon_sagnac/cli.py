@@ -28,7 +28,9 @@ from .model import (PhysicsError, fizeau_shift, jsonable, validate,
 from .steady_state import (DriveSide, output_fields, residuals,
                            solve_closed_form, solve_generic, transmissions)
 from .sweep import (Axis, DeltaFPolicy, PRESET_NAMES, SweepError,
-                    SweepParameter, run_preset, sweep)
+                    SweepParameter, figure_preset, sweep)
+# Not called here; perfbench/spans.py wraps this name for --trace 1.
+from .sweep import run_preset  # noqa: F401
 
 
 class UsageError(Exception):
@@ -325,8 +327,8 @@ def _cmd_reproduce(args) -> int:
     from . import serialize  # builds numpy byte tables at import
     names = {name for token in args.preset for name in _expand_presets(token)}
     for name in (n for n in PRESET_NAMES if n in names):
-        preset, result = run_preset(name)
-        for path in serialize.write_preset_outputs(preset, result, args.out):
+        for path in serialize.write_preset_outputs(figure_preset(name),
+                                                   args.out):
             print(path)
     return 0
 

@@ -11,9 +11,15 @@ round-trip ``repr``, non-finite values as the quoted strings "nan" /
 
 Both text formats are built in steps, the :func:`.row_blocks` (whole
 first-axis rows of about 16k points) that :func:`.sweep` evaluates.
-``write_csv`` and ``write_json`` write each step as it is made, holding
-one step's text for any grid, and remove a partial file if a write
-fails; ``csv_text`` and ``json_text`` join the steps.
+One block loop, :meth:`.BlockSweep.blocks`, feeds both :func:`.sweep`
+and the preset writer: ``write_preset_outputs`` formats each block as
+soon as the loop has filled its reused buffers, keeping only the
+column(s) its SVG plots, while ``csv_text``, ``write_csv``,
+``json_text`` and ``write_json`` format a whole result's slices of the
+same blocks, so there is one formatter.  The writers write each step as
+it is made, holding one step's text for any grid, and remove a partial
+regular file if a write fails; ``csv_text`` and ``json_text`` join the
+steps.
 
 Both are formatted in numpy, with no Python object per value.
 :func:`.e16.slots` gives the ``%.16e`` bytes of a whole array and
@@ -49,15 +55,17 @@ same determinism reason.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 
 from .model import DIRECTION_LABELS, direction_index
-# Not used here; the JSON spelling of one float, kept importable from here.
-from .model import jsonable  # noqa: F401
-from .sweep import CODE_NAMES, FigurePreset, SweepResult, row_blocks
+from .sweep import (CODE_NAMES, BlockSweep, FigurePreset, SweepResult,
+                    row_blocks)
 
 CSV_HEADER = ("axis1,axis2,T12,T21,R,I_signed_db,I_abs_db,"
               "direction,error_code")
@@ -95,20 +103,22 @@ def _json_slots(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _record_steps(result: SweepResult, record: str, slots, sign: int,
+def _record_steps(axis_values, steps, record: str, slots, sign: int,
                   axis2: np.ndarray):
     """Yield each step's records as bytes, NULs dropped.
 
-    A step is one ``uint8`` matrix of NUL-padded rows made from
-    ``record``: each %s becomes a slot of ``slots`` (the axes, formatted
-    once each, and the four float columns, formatted in one call), the
-    ``I_abs_db`` slot is the ``I_signed_db`` slot with its sign byte (at
-    ``sign``) cleared, and directions and codes come from byte tables.
-    ``axis2`` holds the slot of each second-axis value, or what stands for
-    it on one axis.
+    ``steps`` yields ``(sl, t12, t21, ratio, i_signed_db, codes)`` for the
+    :func:`.row_blocks` of a grid over ``axis_values``, each array shaped
+    as the block ``sl``.  A step is one ``uint8`` matrix of NUL-padded rows
+    made from ``record``: each %s becomes a slot of ``slots`` (the axes,
+    formatted once each, and the four float columns, formatted in one
+    call), the ``I_abs_db`` slot is the ``I_signed_db`` slot with its sign
+    byte (at ``sign``) cleared, and directions and codes come from byte
+    tables.  ``axis2`` holds the slot of each second-axis value, or what
+    stands for it on one axis.
     """
-    n2 = math.prod(result.shape[1:])
-    axis1 = slots(result.axis_values[0])
+    n2 = math.prod(map(len, axis_values[1:]))
+    axis1 = slots(axis_values[0])
     width = axis1.shape[1]
     widths = (width, axis2.shape[1], *[width] * 5, _DIRECTIONS.shape[1],
               _CODES.shape[1])
@@ -117,9 +127,9 @@ def _record_steps(result: SweepResult, record: str, slots, sign: int,
     for size, piece in zip(widths, pieces[1:]):
         at.append(slice(len(template), len(template) + size))
         template += bytes(size) + piece.encode()
-    a1, a2, t12, t21, ratio, signed_at, abs_at, direction, code = at
+    a1, a2, t12_at, t21_at, ratio_at, signed_at, abs_at, direction, code = at
     buffer = None
-    for sl in row_blocks(result.shape):
+    for sl, t12, t21, ratio, signed, codes in steps:
         shape = (sl.stop - sl.start, n2)
         if buffer is None:  # the first step is the longest
             buffer = np.empty(shape + (len(template),), np.uint8)
@@ -129,41 +139,69 @@ def _record_steps(result: SweepResult, record: str, slots, sign: int,
         # the buffer is reused.
         rows = buffer[:shape[0]]
         rows[:, :, a1] = axis1[sl, None]
-        signed = result.i_signed_db[sl].reshape(shape)
-        floats = slots(np.stack([result.t12[sl].reshape(shape),
-                                 result.t21[sl].reshape(shape),
-                                 result.ratio[sl].reshape(shape), signed],
-                                axis=2))
-        for i, where in enumerate((t12, t21, ratio, signed_at, abs_at)):
+        signed = signed.reshape(shape)
+        floats = slots(np.stack([t12.reshape(shape), t21.reshape(shape),
+                                 ratio.reshape(shape), signed], axis=2))
+        for i, where in enumerate((t12_at, t21_at, ratio_at, signed_at,
+                                   abs_at)):
             rows[:, :, where] = floats[:, :, min(i, 3)]
         rows[:, :, abs_at.start + sign] = 0  # |I|: no sign byte
         rows[:, :, direction] = _DIRECTIONS.take(direction_index(signed),
                                                  axis=0)
-        rows[:, :, code] = _CODES.take(result.codes[sl].reshape(shape),
-                                       axis=0)
+        rows[:, :, code] = _CODES.take(codes.reshape(shape), axis=0)
         del floats  # before the next step formats its own
         yield rows.tobytes().translate(None, b"\0")
 
 
-def _csv_pieces(result: SweepResult):
+def _result_steps(result: SweepResult):
+    """The steps of a whole result: its columns sliced by row blocks."""
+    for sl in row_blocks(result.shape):
+        yield (sl, result.t12[sl], result.t21[sl], result.ratio[sl],
+               result.i_signed_db[sl], result.codes[sl])
+
+
+def _run_steps(run: BlockSweep, keep=()):
+    """The steps of ``run`` as its blocks are evaluated, and its five
+    columns (t12, t21, ratio, i_signed_db, delta_f_mhz).  The columns at
+    the indices in ``keep`` span the grid; the other columns and the
+    codes are one block's buffers, reused for every block."""
+    block = (row_blocks(run.shape)[0].stop, *run.shape[1:])  # the largest
+    columns = [np.empty(run.shape if k in keep else block)
+               for k in range(5)]
+    codes = np.empty(block, np.uint8)
+
+    def out(sl):
+        n = sl.stop - sl.start
+        codes[:n] = 0
+        return ([column[sl] if k in keep else column[:n]
+                 for k, column in enumerate(columns)], codes[:n])
+
+    steps = ((sl, *block_columns[:4], block_codes)
+             for sl, block_columns, block_codes in run.blocks(out))
+    return steps, columns
+
+
+def _csv_pieces(axis_values, steps):
     """Yield the header, then each step's CSV rows as bytes, with floats
     as :func:`.e16.slots` (``%.16e``)."""
     # Imported here so that commands writing no CSV do not load it.
     from .e16 import slots
 
     yield CSV_HEADER.encode() + b"\n"
-    axis2 = (slots(result.axis_values[1]) if len(result.axes) == 2
+    axis2 = (slots(axis_values[1]) if len(axis_values) == 2
              else np.empty((1, 0), np.uint8))
-    yield from _record_steps(result, _CSV_RECORD, slots, 0, axis2)
+    yield from _record_steps(axis_values, steps, _CSV_RECORD, slots, 0,
+                             axis2)
 
 
-def _json_pieces(result: SweepResult):
+def _json_pieces(axis_values, steps):
     """Yield the JSON array as bytes: "[\n", each step's records with
     ",\n" between them, "\n]\n"."""
-    axis2 = (_json_slots(result.axis_values[1]) if len(result.axes) == 2
+    axis2 = (_json_slots(axis_values[1]) if len(axis_values) == 2
              else _byte_table(["null"]))
     separator = b"[\n"
-    for step in _record_steps(result, _JSON_RECORD, _json_slots, 1, axis2):
+    for step in _record_steps(axis_values, steps, _JSON_RECORD, _json_slots,
+                              1, axis2):
         yield separator
         yield memoryview(step)[:-2]  # the record's own ",\n"
         separator = b",\n"
@@ -172,31 +210,39 @@ def _json_pieces(result: SweepResult):
 
 def _write_pieces(pieces, path) -> None:
     """Write each piece of bytes to ``path`` as it is made, holding one
-    piece at a time; a failure part way removes the file."""
+    piece at a time; a failure part way removes the file if it is a
+    regular one."""
     path = Path(path)
     file = path.open("wb")
     try:
         with file:
             file.writelines(pieces)
     except BaseException:
-        path.unlink(missing_ok=True)
+        # A symlink or a device such as /dev/stdout is not ours to remove.
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                path.unlink()
         raise
 
 
 def csv_text(result: SweepResult) -> str:
-    return b"".join(_csv_pieces(result)).decode("ascii")
+    return b"".join(_csv_pieces(result.axis_values,
+                                _result_steps(result))).decode("ascii")
 
 
 def write_csv(result: SweepResult, path) -> None:
-    _write_pieces(_csv_pieces(result), path)
+    _write_pieces(_csv_pieces(result.axis_values, _result_steps(result)),
+                  path)
 
 
 def json_text(result: SweepResult) -> str:
-    return b"".join(_json_pieces(result)).decode("ascii")
+    return b"".join(_json_pieces(result.axis_values,
+                                 _result_steps(result))).decode("ascii")
 
 
 def write_json(result: SweepResult, path) -> None:
-    _write_pieces(_json_pieces(result), path)
+    _write_pieces(_json_pieces(result.axis_values, _result_steps(result)),
+                  path)
 
 
 # SVG rendering ---------------------------------------------------------
@@ -271,6 +317,11 @@ def _axis_frame(to_x, to_y, x_range, y_range, x_label, y_label) -> list[str]:
                  f'transform="rotate(-90 16 {(y0 + y1) / 2:.2f})">'
                  f'{y_label}</text>')
     return parts
+
+
+# The columns each plot of _series_for reads, by their index in a
+# BlockSweep's five (t12, t21, ratio, i_signed_db, delta_f_mhz).
+_PLOTTED = {"transmissions": (0, 1), "i_signed": (3,), "i_abs": (3,)}
 
 
 def _series_for(result: SweepResult, plot: str):
@@ -367,13 +418,28 @@ def write_svg(result: SweepResult, path, plot: str = "i_abs") -> None:
                           newline="\n")
 
 
-def write_preset_outputs(preset: FigurePreset, result: SweepResult,
-                         out_dir) -> list[Path]:
-    """Write {name}.csv and {name}.svg for a preset run; returns paths."""
+def write_preset_outputs(preset: FigurePreset, out_dir) -> list[Path]:
+    """Run a preset and write {name}.csv and {name}.svg; returns the paths.
+
+    The CSV is written block by block as the grid is evaluated; only the
+    column(s) the SVG plots are kept for the whole grid.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{preset.name}.csv"
     svg_path = out_dir / f"{preset.name}.svg"
-    write_csv(result, csv_path)
+    run = BlockSweep(preset.base, preset.axes, preset.delta_f_policy,
+                     preset.delta_f_band)
+    kept = _PLOTTED[preset.plot]
+    steps, columns = _run_steps(run, kept)
+    _write_pieces(_csv_pieces(run.display, steps), csv_path)
+    # svg_text reads the axes and the plotted column(s) only; the other
+    # arrays are placeholders that take no memory.
+    unread = np.broadcast_to(math.nan, run.shape)
+    t12, t21, ratio, i_signed, delta_f = (
+        column if k in kept else unread for k, column in enumerate(columns))
+    result = SweepResult(run.base, run.axes, run.display, delta_f, t12, t21,
+                         ratio, i_signed,
+                         np.broadcast_to(np.uint8(0), run.shape), run.meta)
     write_svg(result, svg_path, preset.plot)
     return [csv_path, svg_path]

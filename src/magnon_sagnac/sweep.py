@@ -18,10 +18,14 @@ shift and the outer edge; a later one wins only at a strictly larger
 same rule on the whole band.
 
 A grid is evaluated in the blocks of :func:`row_blocks`, whole first-axis
-rows of about ``_BLOCK`` (16k) points that the writers share.  Each block
-substitutes its axis values, marks its input codes, computes its extremal
-shift, runs the kernel and marks its output codes, writing into result
-arrays allocated once, so no temporary spans the whole grid and a block's
+rows of about ``_BLOCK`` (16k) points that the writers share.  One block
+loop, :meth:`BlockSweep.blocks`, feeds both :func:`sweep` and the preset
+writers of :mod:`.serialize`.  Each block substitutes its axis values,
+marks its input codes, computes its extremal shift, runs the kernel and
+marks its output codes, writing into destinations its caller supplies:
+:func:`sweep` passes views of result arrays allocated once, and a preset
+writer one block's buffers, reused for every block and formatted as soon
+as they are filled.  No temporary spans the whole grid and a block's
 temporaries stay in the processor caches.  The shift and the kernel run
 only over the span of rows from the first to the last one that holds a
 point without an input code; the rows outside it are blanked whole, and
@@ -299,115 +303,160 @@ def sweep(base: SystemParams, axes, *,
     ``threads=2``; ROADMAP item 1 removes the keyword together with that
     metric.
     """
-    axes = tuple(axes)
-    if not 1 <= len(axes) <= 2:
-        raise SweepError("sweep takes one or two axes")
-    if len(axes) == 2 and axes[0].parameter is axes[1].parameter:
-        raise SweepError("the two axes must sweep different parameters")
-    policy = DeltaFPolicy(delta_f_policy)
-    if delta_f_band is not None and not delta_f_band[0] < delta_f_band[1]:
-        raise SweepError("delta_f_band must satisfy lo < hi")
-    if (policy is not DeltaFPolicy.FIXED
-            and any(ax.parameter is SweepParameter.DELTA_F for ax in axes)):
-        raise SweepError("a delta_f axis cannot be combined with an "
-                         "extremal delta_f policy")
-    problems = validate(base)
-    if problems:
-        raise SweepError("base parameters invalid: "
-                         + "; ".join(v.message for v in problems))
-    if base.drive.eps_1 <= 0.0 or base.drive.eps_2 <= 0.0:
-        raise SweepError("optical drive amplitudes must be positive")
-    shape = tuple(ax.count for ax in axes)
-    n_points = math.prod(shape)
-    if n_points > _MAX_POINTS:
-        raise SweepError(f"the grid has {n_points} points, more than the "
-                         f"limit of {_MAX_POINTS}")
-
-    display = tuple(ax.values() for ax in axes)
-    with np.errstate(over="ignore"):  # NONFINITE marks such points
-        # Shapes (n, 1) and (1, m) with two axes: a block takes the rows of
-        # axis 0 it spans and all of axis 1, and the rest broadcasts.
-        grids = np.ix_(*(vals * ax.scale(base)
-                         for ax, vals in zip(axes, display)))
-    # Table order is substitution order; only axis 0 is sliced by rows.
-    substitutions = [(q.kernel, grid, k == 0) for p, q in _QUANTITIES.items()
-                     for k, (ax, grid) in enumerate(zip(axes, grids))
-                     if ax.parameter is p]
-    base_args = kernel_args(base)
-    lo, hi = delta_f_band or (-math.inf, math.inf)
-    zero = min(max(lo, 0.0), hi)  # the point of the band nearest 0
-    positive = policy is DeltaFPolicy.EXTREMAL_POSITIVE
-    half = (zero, hi) if positive else (lo, zero)  # the policy's half band
-
+    run = BlockSweep(base, axes, delta_f_policy, delta_f_band)
     # t12, t21, ratio, i_signed_db and delta_f_mhz, filled block by block.
-    columns = tuple(np.empty(shape) for _ in range(5))
-    codes = np.zeros(shape, dtype=np.uint8)
-    counts = [0] * len(CODE_NAMES)  # points given each code
-    n_clamped = 0
-    for sl in row_blocks(shape):
-        code = codes[sl]
-        args = dict(base_args)
-        with np.errstate(over="ignore"):  # overflowed values are marked below
-            for kernel, grid, by_row in substitutions:
-                args.update(kernel(args, base, grid[sl] if by_row else grid))
-        # Arguments no axis replaced are scalars that validate(base) passed.
-        for name, keys, test in _INPUT_CHECKS:
-            for key in keys:
-                if isinstance(args[key], np.ndarray):
-                    _mark(code, test(args[key]), name, counts)
-        blank = code != 0  # the codes found before the kernel runs
-        blanked = blank.any()
-        if blanked:  # solve only the rows from the first to the last live one
-            live = np.flatnonzero(~blank.reshape(len(code), -1).all(axis=1))
-            span = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
-            for column in columns:
-                column[sl][:span.start] = column[sl][span.stop:] = math.nan
-            if not live.size:
-                continue
-            # Row slices of the same operands, whose numpy loops round as
-            # the whole block's do; axis 1's (1, m) values stay whole.
-            args = {key: value[span] if np.shape(value)[:1] == code.shape[:1]
-                    else value for key, value in args.items()}
-            sl = slice(sl.start + span.start, sl.start + span.stop)
-            code, blank = code[span], blank[span]
-
-        if policy is not DeltaFPolicy.FIXED:
-            shift = half_band_shift(*half, **args)
-            if delta_f_band is not None:
-                edge = (shift == lo) | (shift == hi)
-                n_clamped += int(np.count_nonzero(edge & ~blank))
-            # A 0-d shift would take numpy's scalar arithmetic in the
-            # kernel, which rounds some products differently.
-            args["delta_f"] = np.broadcast_to(shift, code.shape)
-
-        t12, t21, ratio, i_signed = transmission_grid(**args)
-        if not np.isfinite(i_signed).all():  # I is not finite at these codes
-            # Unless an output is exactly 0, an output or R left the float
-            # range.
-            zero = (((t12 == 0.0) | (t21 == 0.0))
-                    & np.isfinite(t12) & np.isfinite(t21))
-            _mark(code, ~np.isfinite(i_signed) & ~zero, "OVERFLOW", counts)
-            _mark(code, np.isnan(ratio), "NO_TRANSMISSION", counts)
-            _mark(code, np.isinf(i_signed), "INF_ISOLATION", counts)
-
-        for column, values in zip(columns, (t12, t21, ratio, i_signed,
-                                            args["delta_f"])):
-            out = column[sl]
-            out[...] = values
-            if blanked:
-                out[blank] = math.nan
-
-    meta = {"delta_f_policy": policy.value,
-            "delta_f_band": delta_f_band,
-            "axis_labels": tuple(ax.label() for ax in axes),
-            "code_counts": {CODE_NAMES[k]: n for k, n in enumerate(counts)
-                            if n},
-            "n_clamped": n_clamped}
-    if sum(counts) - counts[_INF_ISOLATION] == n_points:
-        raise SweepError("every grid point failed validation")
+    columns = tuple(np.empty(run.shape) for _ in range(5))
+    codes = np.zeros(run.shape, dtype=np.uint8)
+    for _ in run.blocks(lambda sl: ([column[sl] for column in columns],
+                                    codes[sl])):
+        pass
     t12, t21, ratio, i_signed, delta_f = columns
-    return SweepResult(base, axes, display, delta_f, t12, t21, ratio,
-                       i_signed, codes, meta)
+    return SweepResult(run.base, run.axes, run.display, delta_f, t12, t21,
+                       ratio, i_signed, codes, run.meta)
+
+
+class BlockSweep:
+    """One sweep, checked and ready to be evaluated block by block.
+
+    Construction takes :func:`sweep`'s arguments and raises its
+    :class:`SweepError`\\ s before anything is allocated.  :meth:`blocks`
+    is the block loop behind both :func:`sweep` and the streamed preset
+    writers; after it ends, ``meta`` is the run record of
+    :attr:`SweepResult.meta`.
+    """
+
+    def __init__(self, base: SystemParams, axes,
+                 delta_f_policy: DeltaFPolicy | str = DeltaFPolicy.FIXED,
+                 delta_f_band: tuple[float, float] | None = None) -> None:
+        axes = tuple(axes)
+        if not 1 <= len(axes) <= 2:
+            raise SweepError("sweep takes one or two axes")
+        if len(axes) == 2 and axes[0].parameter is axes[1].parameter:
+            raise SweepError("the two axes must sweep different parameters")
+        policy = DeltaFPolicy(delta_f_policy)
+        if delta_f_band is not None and not delta_f_band[0] < delta_f_band[1]:
+            raise SweepError("delta_f_band must satisfy lo < hi")
+        if (policy is not DeltaFPolicy.FIXED
+                and any(ax.parameter is SweepParameter.DELTA_F
+                        for ax in axes)):
+            raise SweepError("a delta_f axis cannot be combined with an "
+                             "extremal delta_f policy")
+        problems = validate(base)
+        if problems:
+            raise SweepError("base parameters invalid: "
+                             + "; ".join(v.message for v in problems))
+        if base.drive.eps_1 <= 0.0 or base.drive.eps_2 <= 0.0:
+            raise SweepError("optical drive amplitudes must be positive")
+        self.shape = tuple(ax.count for ax in axes)
+        n_points = math.prod(self.shape)
+        if n_points > _MAX_POINTS:
+            raise SweepError(f"the grid has {n_points} points, more than "
+                             f"the limit of {_MAX_POINTS}")
+
+        self.base, self.axes, self.policy = base, axes, policy
+        self.band = delta_f_band
+        self.display = tuple(ax.values() for ax in axes)
+        self.meta: dict = {}
+        with np.errstate(over="ignore"):  # NONFINITE marks such points
+            # Shapes (n, 1) and (1, m) with two axes: a block takes the rows
+            # of axis 0 it spans and all of axis 1, and the rest broadcasts.
+            grids = np.ix_(*(vals * ax.scale(base)
+                             for ax, vals in zip(axes, self.display)))
+        # Table order is substitution order; only axis 0 is sliced by rows.
+        self._substitutions = [
+            (q.kernel, grid, k == 0) for p, q in _QUANTITIES.items()
+            for k, (ax, grid) in enumerate(zip(axes, grids))
+            if ax.parameter is p]
+        self._base_args = kernel_args(base)
+        lo, hi = delta_f_band or (-math.inf, math.inf)
+        zero = min(max(lo, 0.0), hi)  # the point of the band nearest 0
+        positive = policy is DeltaFPolicy.EXTREMAL_POSITIVE
+        self._half = (zero, hi) if positive else (lo, zero)  # policy's half
+
+    def blocks(self, out):
+        """Evaluate the grid one :func:`row_blocks` block at a time.
+
+        ``out(sl)`` gives the destinations of block ``sl``: a list of its
+        t12, t21, ratio, i_signed_db and delta_f_mhz columns and its codes,
+        each shaped as the block, the codes all 0.  They may be views of
+        whole-grid arrays or buffers reused for every block.  Each block
+        is yielded as ``(sl, columns, codes)`` once they are filled.  After
+        the last block ``meta`` is set, and :class:`SweepError` raised if
+        every point failed.
+        """
+        counts = [0] * len(CODE_NAMES)  # points given each code
+        n_clamped = 0
+        for sl in row_blocks(self.shape):
+            columns, codes = out(sl)
+            code = codes  # narrowed with the live rows below
+            args = dict(self._base_args)
+            with np.errstate(over="ignore"):  # overflowed values are marked
+                for kernel, grid, by_row in self._substitutions:
+                    args.update(kernel(args, self.base,
+                                       grid[sl] if by_row else grid))
+            # Arguments no axis replaced are scalars that validate(base)
+            # passed.
+            for name, keys, test in _INPUT_CHECKS:
+                for key in keys:
+                    if isinstance(args[key], np.ndarray):
+                        _mark(code, test(args[key]), name, counts)
+            blank = code != 0  # the codes found before the kernel runs
+            blanked = blank.any()
+            live_columns = columns
+            if blanked:  # solve only the rows from the first to the last live
+                live = np.flatnonzero(
+                    ~blank.reshape(len(code), -1).all(axis=1))
+                span = (slice(live[0], live[-1] + 1) if live.size
+                        else slice(0, 0))
+                for column in columns:
+                    column[:span.start] = column[span.stop:] = math.nan
+                if not live.size:
+                    yield sl, columns, codes
+                    continue
+                # Row slices of the same operands, whose numpy loops round
+                # as the whole block's do; axis 1's (1, m) values stay whole.
+                args = {key: value[span]
+                        if np.shape(value)[:1] == code.shape[:1] else value
+                        for key, value in args.items()}
+                live_columns = [column[span] for column in columns]
+                code, blank = code[span], blank[span]
+
+            if self.policy is not DeltaFPolicy.FIXED:
+                shift = half_band_shift(*self._half, **args)
+                if self.band is not None:
+                    lo, hi = self.band
+                    edge = (shift == lo) | (shift == hi)
+                    n_clamped += int(np.count_nonzero(edge & ~blank))
+                # A 0-d shift would take numpy's scalar arithmetic in the
+                # kernel, which rounds some products differently.
+                args["delta_f"] = np.broadcast_to(shift, code.shape)
+
+            t12, t21, ratio, i_signed = transmission_grid(**args)
+            if not np.isfinite(i_signed).all():  # I is not finite at codes
+                # Unless an output is exactly 0, an output or R left the
+                # float range.
+                zero = (((t12 == 0.0) | (t21 == 0.0))
+                        & np.isfinite(t12) & np.isfinite(t21))
+                _mark(code, ~np.isfinite(i_signed) & ~zero, "OVERFLOW",
+                      counts)
+                _mark(code, np.isnan(ratio), "NO_TRANSMISSION", counts)
+                _mark(code, np.isinf(i_signed), "INF_ISOLATION", counts)
+
+            for column, values in zip(live_columns, (t12, t21, ratio,
+                                                     i_signed,
+                                                     args["delta_f"])):
+                column[...] = values
+                if blanked:
+                    column[blank] = math.nan
+            yield sl, columns, codes
+        self.meta = {"delta_f_policy": self.policy.value,
+                     "delta_f_band": self.band,
+                     "axis_labels": tuple(ax.label() for ax in self.axes),
+                     "code_counts": {CODE_NAMES[k]: n
+                                     for k, n in enumerate(counts) if n},
+                     "n_clamped": n_clamped}
+        if sum(counts) - counts[_INF_ISOLATION] == math.prod(self.shape):
+            raise SweepError("every grid point failed validation")
 
 
 def row_blocks(shape: tuple[int, ...]) -> list[slice]:

@@ -1,9 +1,11 @@
 """Tests for CSV, JSON and SVG output of sweep results."""
 
+import errno
 import hashlib
 import importlib
 import json
 import math
+import os
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -16,22 +18,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from magnon_sagnac import (
+    PRESET_NAMES,
     Axis,
     DeltaFPolicy,
     FigurePreset,
+    SweepError,
     SweepParameter,
     SystemParams,
+    figure_preset,
     run_preset,
     sweep,
     with_delta_f,
 )
 from magnon_sagnac import e16, serialize
+from magnon_sagnac.model import jsonable
 from magnon_sagnac.serialize import (
     CSV_HEADER,
     _json_slots,
     csv_text,
     json_text,
-    jsonable,
     svg_text,
     write_csv,
     write_json,
@@ -245,6 +250,26 @@ class TestStreamedWriters:
         assert made == [slice(0, 1)]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    def test_failure_removes_only_a_regular_file(self, small_result,
+                                                 tmp_path):
+        link = tmp_path / "link"
+        link.symlink_to("/dev/full")
+        with pytest.raises(OSError) as failed:
+            write_csv(small_result, link)
+        assert failed.value.errno == errno.ENOSPC
+        assert link.is_symlink()
+
+        def pieces():
+            yield b"partial"
+            raise OSError("disk full")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError, match="disk full"):
+            serialize._write_pieces(pieces(), path)
+        assert sorted(tmp_path.iterdir()) == [link]
+
     def test_peak_memory_is_one_step(self, base_params, tmp_path):
         # Two FIXED grids of 2.5e4 and 1e5 points, over 2 and 7 steps.
         peaks = []
@@ -429,6 +454,88 @@ def test_abs_text_is_signed_text_without_its_minus(values):
                                       for v in values]
 
 
+def _streamed(base, axes, policy, band, pieces, keep=()):
+    """The bytes ``pieces`` makes of the sweep as the preset writers
+    stream it, each block formatted from reused buffers as soon as it is
+    evaluated; that run's meta; and its five columns."""
+    run = sweep_module.BlockSweep(base, axes, policy, band)
+    steps, columns = serialize._run_steps(run, keep)
+    return _sha256(pieces(run.display, steps)), run.meta, columns
+
+
+def _sha256(pieces) -> str:
+    """The sha256 of the bytes ``pieces`` yields, never held at once."""
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece)
+    return digest.hexdigest()
+
+
+_STREAM_BLOCKS = (1, 7, 64, 1 << 30)
+
+
+class TestStreamedFromTheBlockLoop:
+    """The block loop the preset writers stream from gives the bytes of
+    csv_text / json_text of sweep(), and its meta, at any block size."""
+
+    @pytest.mark.parametrize("block", _STREAM_BLOCKS)
+    def test_grids(self, base_params, monkeypatch, block):
+        monkeypatch.setattr(sweep_module, "_BLOCK", block)
+        for name, res in _byte_identity_grids(base_params):
+            # Evaluated again: "reciprocal -0.0" edits its result.
+            args = (res.base, res.axes, res.meta["delta_f_policy"],
+                    res.meta["delta_f_band"])
+            res = sweep(res.base, res.axes, delta_f_policy=args[2],
+                        delta_f_band=args[3])
+            for pieces, text in ((serialize._csv_pieces, csv_text),
+                                 (serialize._json_pieces, json_text)):
+                digest, meta, _ = _streamed(*args, pieces)
+                assert digest == _sha256([text(res).encode()]), (name, text)
+                assert meta == res.meta, name
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, monkeypatch, name):
+        preset, res = run_preset(name)
+        # The pieces csv_text joins, hashed as they come.
+        digest = _sha256(serialize._csv_pieces(res.axis_values,
+                                               serialize._result_steps(res)))
+        assert digest == _PRESET_DIGESTS[f"{name}.csv"]
+        keep = serialize._PLOTTED[preset.plot]
+        done = []
+        for block in _STREAM_BLOCKS:
+            monkeypatch.setattr(sweep_module, "_BLOCK", block)
+            blocks = sweep_module.row_blocks(res.shape)
+            # Block sizes under one row of fig3 and fig4 give the same
+            # blocks; one block of those grids (0.4e6-1.3e6 points) would
+            # take about 1 GB, so test_preset_files_are_byte_identical's
+            # default blocks stand in for it.
+            if blocks in done or (len(blocks) == 1 and res.n_points > 1e5):
+                continue
+            done.append(blocks)
+            streamed, meta, columns = _streamed(
+                preset.base, preset.axes, preset.delta_f_policy,
+                preset.delta_f_band, serialize._csv_pieces, keep)
+            assert streamed == digest, block
+            assert meta == res.meta, block
+            for k in keep:  # the columns the SVG plots
+                full = (res.t12, res.t21, res.ratio, res.i_signed_db)[k]
+                assert columns[k].tobytes() == full.tobytes(), block
+        assert done
+
+    @pytest.mark.parametrize("block", _STREAM_BLOCKS)
+    def test_grid_without_a_valid_point_leaves_no_file(self, base_params,
+                                                       monkeypatch, tmp_path,
+                                                       block):
+        monkeypatch.setattr(sweep_module, "_BLOCK", block)
+        preset = FigurePreset(
+            "dead", "every magnon linewidth is negative", base_params,
+            (Axis(SweepParameter.DELTA_F, -10.0, 10.0, 9),
+             Axis(SweepParameter.GAMMA_M, -9.0, -1.0, 5)))
+        with pytest.raises(SweepError, match="every grid point failed"):
+            write_preset_outputs(preset, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of the preset files, as the row-by-row writer wrote them.
 _PRESET_DIGESTS = {
     "fig2a.csv": "412110adc3766047cd607c9826a70ca9ae3d8d295da2ee39752f71f0397cbff8",
@@ -460,8 +567,7 @@ _PRESET_DIGESTS = {
                                   "fig4a", "fig4b", "fig5a", "fig5b", "fig6",
                                   "fig7a", "fig7b"])
 def test_preset_files_are_byte_identical(name, tmp_path):
-    preset, res = run_preset(name)
-    for path in write_preset_outputs(preset, res, tmp_path):
+    for path in write_preset_outputs(figure_preset(name), tmp_path):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == _PRESET_DIGESTS[path.name], path.name
 
@@ -648,7 +754,7 @@ def test_write_preset_outputs(base_params, tmp_path):
         delta_f_band=None,
         plot="i_abs")
     res = sweep(preset.base, preset.axes)
-    written = write_preset_outputs(preset, res, tmp_path)
+    written = write_preset_outputs(preset, tmp_path)
     names = sorted(p.name for p in written)
     assert names == ["tiny.csv", "tiny.svg"]
     assert (tmp_path / "tiny.csv").read_text(encoding="utf-8") == csv_text(res)

@@ -330,3 +330,34 @@ def test_cli_process_keeps_its_freed_memory(tmp_path):
         csv.unlink()  # 220 MB that pytest would keep
         assert digest == _PRESET_DIGESTS["fig4a.csv"], out.name
     assert faults[0] <= faults[1] / 4, faults
+
+
+# Runs argv[1:] and prints its peak RSS.  A child's ru_maxrss starts from
+# the RSS of the process that started it, so the child is started from
+# this small process, not from pytest.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(usage.ru_maxrss)
+sys.exit(proc.returncode)
+"""
+
+
+def _peak_rss_kb(*args: str) -> int:
+    """The peak RSS, in kB, of one Python process run with ``args``."""
+    return int(_python("-c", _PEAK_RSS, sys.executable, *args).stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kB")
+def test_reproduce_holds_one_block(tmp_path):
+    """``reproduce fig4a`` writes its CSV from the block loop and keeps
+    only the column its SVG plots: its peak RSS is about 28 MB above that
+    of a process that only imports the writers, not the 67 MB of a whole
+    1.29e6-point result written after the sweep."""
+    base = _peak_rss_kb("-c", "import magnon_sagnac.serialize")
+    peak = _peak_rss_kb("-m", "magnon_sagnac.cli", "reproduce", "fig4a",
+                        "--out", str(tmp_path))
+    (tmp_path / "fig4a.csv").unlink()  # 220 MB that pytest would keep
+    assert peak - base < 45 * 1024, (peak, base)
