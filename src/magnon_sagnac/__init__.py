@@ -11,6 +11,8 @@ arrays bind it lazily and load it when one of them first does, so the
 scalar routes never load it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .model import (CONSTANTS, FEASIBLE_FIZEAU_BAND, RECIPROCAL_TOL_DB,
                     CavityMode, DriveAmplitudes, EffectiveParams, MagnonMode,
                     PhysicalConstants, PhysicsError, RotationDirection,
@@ -37,24 +39,6 @@ from .config import (ConfigError, ResolvedConfig, apply_overrides,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONSTANTS", "FEASIBLE_FIZEAU_BAND", "PRESET_NAMES", "RECIPROCAL_TOL_DB",
-    "Axis", "CavityMode", "ConfigError", "DegenerateSystemError",
-    "DeltaFPolicy", "Direction", "DriveAmplitudes", "DriveSide",
-    "EffectiveParams", "FigurePreset", "GeneralExtrema", "MagnonMode",
-    "NoTransmissionError", "OptimumResult", "OutputFields",
-    "PhysicalConstants", "PhysicsError", "ReciprocalPoints", "ResolvedConfig",
-    "RotationDirection", "RotationSpec", "SqueezeSpec",
-    "SqueezingInstabilityError", "SteadyState", "SweepError",
-    "SweepParameter", "SweepResult", "SymmetryRequiredError",
-    "SystemParams", "TransmissionReport",
-    "Violation", "apply_overrides", "apply_parameter", "brute_force_optimum",
-    "classify_direction", "default_document",
-    "drive_amplitude", "extremal_fizeau_general",
-    "figure_preset", "fizeau_shift",
-    "has_uniform_ports", "is_symmetric", "load_config", "output_fields",
-    "parse_config", "reciprocal_points", "residuals",
-    "resolved_document", "run_preset", "solve_closed_form", "solve_generic",
-    "squeeze_exponent", "sweep", "transmission_grid", "transmissions",
-    "validate", "validate_rotation", "with_delta_f",
-]
+# The public names are the ones imported above; the submodules are not.
+__all__ = [name for name, value in vars().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

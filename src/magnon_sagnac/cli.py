@@ -17,7 +17,7 @@ import math
 import os
 import re
 import sys
-from pathlib import Path
+from pathlib import Path  # noqa: F401 - perfbench's tracer replaces it
 
 from .analysis import (brute_force_optimum, classify_direction,
                        extremal_fizeau_general)
@@ -37,12 +37,26 @@ class UsageError(Exception):
     pass
 
 
+class _Once(argparse.Action):
+    """Store the value of an argument given once; argparse alone keeps
+    the last of repeated values and drops the others."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in vars(namespace).setdefault("_given", set()):
+            hint = "; the second axis is --axis2" if self.dest == "axis" else ""
+            raise argparse.ArgumentError(self, "given twice" + hint)
+        namespace._given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # A token such as -40:40 or -.5:1 is a value (of --band), not an
         # option; argparse alone takes only -N and -N.N for numbers.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # Every argument without an action (all but --set and flags).
+        self.register("action", None, _Once)
 
     def error(self, message):  # noqa: A003 - argparse API
         raise UsageError(message)
@@ -305,7 +319,7 @@ def _cmd_sweep(args) -> int:
     text = (serialize.json_text(result) if args.format == "json"
             else serialize.csv_text(result))
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
+        serialize._write_pieces([text.encode()], args.out)
         print(args.out)
     else:
         sys.stdout.write(text)

@@ -9,17 +9,15 @@ JSON holds the same columns as an array of records, laid out as
 round-trip ``repr``, non-finite values as the quoted strings "nan" /
 "inf" / "-inf", since strict JSON has no tokens for them.
 
-Both text formats are built in steps, the :func:`.row_blocks` (whole
-first-axis rows of about 16k points) that :func:`.sweep` evaluates.
-One block loop, :meth:`.BlockSweep.blocks`, feeds both :func:`.sweep`
-and the preset writer: ``write_preset_outputs`` formats each block as
-soon as the loop has filled its reused buffers, keeping only the
-column(s) its SVG plots, while ``csv_text``, ``write_csv``,
-``json_text`` and ``write_json`` format a whole result's slices of the
-same blocks, so there is one formatter.  The writers write each step as
-it is made, holding one step's text for any grid, and remove a partial
-regular file if a write fails; ``csv_text`` and ``json_text`` join the
-steps.
+Every writer works in steps, the :func:`.row_blocks` (whole first-axis
+rows of about 16k points) that :func:`.sweep` evaluates.
+``write_preset_outputs`` takes each step from the block loop,
+:meth:`.BlockSweep.blocks`, as soon as it has filled its reused buffers;
+the other writers take a whole result's slices of the same blocks, so
+there is one formatter and one SVG sampler.  The text writers write
+each step as it is made, holding one step's text for any grid, and
+remove a partial regular file if a write fails; ``csv_text`` and
+``json_text`` join the steps.
 
 Both are formatted in numpy, with no Python object per value.
 :func:`.e16.slots` gives the ``%.16e`` bytes of a whole array and
@@ -48,9 +46,11 @@ Directions (indexed per step by :func:`.direction_index`) and error
 codes are plain ASCII words and are written verbatim (quoted in JSON).
 
 The SVG writer is intentionally minimal: line plots for one axis or a
-small family of rows, a downsampled rectangle heatmap otherwise.  No
-timestamps, random ids or library version strings are embedded, for the
-same determinism reason.
+small family of rows, a downsampled rectangle heatmap otherwise.  Its
+sampler copies from each step only the cells the plot draws, every point
+of a line plot and at most 120 x 120 of a heatmap, so a preset holds one
+block plus those cells.  No timestamps, random ids or library version
+strings are embedded, for the same determinism reason.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ import contextlib
 import math
 import os
 import stat
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -160,25 +161,21 @@ def _result_steps(result: SweepResult):
                result.i_signed_db[sl], result.codes[sl])
 
 
-def _run_steps(run: BlockSweep, keep=()):
-    """The steps of ``run`` as its blocks are evaluated, and its five
-    columns (t12, t21, ratio, i_signed_db, delta_f_mhz).  The columns at
-    the indices in ``keep`` span the grid; the other columns and the
-    codes are one block's buffers, reused for every block."""
+def _run_steps(run: BlockSweep):
+    """The steps of ``run`` as its blocks are evaluated, in one block's
+    buffers, reused for every block."""
     block = (row_blocks(run.shape)[0].stop, *run.shape[1:])  # the largest
-    columns = [np.empty(run.shape if k in keep else block)
-               for k in range(5)]
+    # t12, t21, ratio, i_signed_db and delta_f_mhz.
+    columns = [np.empty(block) for _ in range(5)]
     codes = np.empty(block, np.uint8)
 
     def out(sl):
         n = sl.stop - sl.start
         codes[:n] = 0
-        return ([column[sl] if k in keep else column[:n]
-                 for k, column in enumerate(columns)], codes[:n])
+        return [column[:n] for column in columns], codes[:n]
 
-    steps = ((sl, *block_columns[:4], block_codes)
-             for sl, block_columns, block_codes in run.blocks(out))
-    return steps, columns
+    return ((sl, *block_columns[:4], block_codes)
+            for sl, block_columns, block_codes in run.blocks(out))
 
 
 def _csv_pieces(axis_values, steps):
@@ -279,16 +276,11 @@ def _scaler(lo: float, hi: float, out_lo: float, out_hi: float):
 
 def _polyline_chunks(xs, ys, to_x, to_y):
     """Split a series at non-finite points and emit pixel coordinates."""
-    chunks, current = [], []
-    for x, y in zip(xs, ys):
-        if math.isfinite(x) and math.isfinite(y):
-            current.append(f"{to_x(x):.2f},{to_y(y):.2f}")
-        elif current:
-            chunks.append(current)
-            current = []
-    if current:
-        chunks.append(current)
-    return [" ".join(c) for c in chunks if len(c) >= 2]
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    runs = (list(run) for keep, run in groupby(zip(xs, ys, finite),
+                                               lambda point: point[2]) if keep)
+    return [" ".join(f"{to_x(x):.2f},{to_y(y):.2f}" for x, y, _ in run)
+            for run in runs if len(run) >= 2]
 
 
 def _axis_frame(to_x, to_y, x_range, y_range, x_label, y_label) -> list[str]:
@@ -319,38 +311,59 @@ def _axis_frame(to_x, to_y, x_range, y_range, x_label, y_label) -> list[str]:
     return parts
 
 
-# The columns each plot of _series_for reads, by their index in a
-# BlockSweep's five (t12, t21, ratio, i_signed_db, delta_f_mhz).
-_PLOTTED = {"transmissions": (0, 1), "i_signed": (3,), "i_abs": (3,)}
+# Each plot's y label and its series, as (label, index of the column in a
+# step); a family or a heatmap draws the first series only.
+_PLOTS = {"transmissions": ("transmission", (("T12", 1), ("T21", 2))),
+          "i_signed": ("I (dB)", (("I (dB)", 4),)),
+          "i_abs": ("|I| (dB)", (("|I| (dB)", 4),))}
 
 
-def _series_for(result: SweepResult, plot: str):
-    if plot == "transmissions":
-        return [("T12", result.t12), ("T21", result.t21)], "transmission"
-    if plot == "i_signed":
-        return [("I (dB)", result.i_signed_db)], "I (dB)"
-    return [("|I| (dB)", result.i_abs_db)], "|I| (dB)"
+def _is_line_plot(shape) -> bool:
+    """One axis, or a thin first axis drawn as one line per value."""
+    return len(shape) == 1 or shape[0] <= 8
 
 
-def svg_text(result: SweepResult, plot: str = "i_abs") -> str:
+def _sampled(steps, shape, plot: str, samples: list):
+    """Yield ``steps`` unchanged, appending to ``samples`` a copy of the
+    cells of each step that the SVG of ``plot`` draws, one ``(rows,
+    columns)`` array per series: every point of a line plot, every
+    ``ceil(n / _MAX_HEAT_CELLS)``-th row and column of a heatmap.  A step's
+    arrays may be buffers that the next step reuses, hence the copy."""
+    n2 = math.prod(shape[1:])
+    s1, s2 = ((1, 1) if _is_line_plot(shape) else
+              (math.ceil(n / _MAX_HEAT_CELLS) for n in shape))
+    for step in steps:
+        sl = step[0]
+        samples.append([step[k].reshape(sl.stop - sl.start, n2)
+                        [-sl.start % s1::s1, ::s2].copy()
+                        for _, k in _PLOTS[plot][1]])
+        yield step
+
+
+def svg_text(axes, axis_values, samples, plot: str = "i_abs") -> str:
+    """The SVG of a grid over ``axes``, drawn from the ``samples`` that
+    :func:`_sampled` took of its steps."""
     body: list[str] = []
-    fields, y_label = _series_for(result, plot)
-    if len(result.axes) == 1 or result.shape[0] <= 8:
-        if len(result.axes) == 1:
-            xs = result.axis_values[0]
-            series = [(label, values) for label, values in fields]
-            x_label = result.axes[0].label()
+    y_label, fields = _PLOTS[plot]
+    columns = [np.concatenate(column) for column in zip(*samples)]
+    if plot == "i_abs":
+        columns = [np.abs(column) for column in columns]
+    shape = tuple(map(len, axis_values))
+    if _is_line_plot(shape):
+        if len(axes) == 1:
+            xs = axis_values[0]
+            series = [(label, column[:, 0])
+                      for (label, _), column in zip(fields, columns)]
+            x_label = axes[0].label()
         else:
             # A thin first axis renders as one line per first-axis value.
-            xs = result.axis_values[1]
-            label_base = result.axes[0].label()
-            values = fields[0][1]
-            series = [(f"{label_base}={result.axis_values[0][i]:.6g}",
-                       values[i]) for i in range(result.shape[0])]
-            x_label = result.axes[1].label()
+            xs = axis_values[1]
+            label_base = axes[0].label()
+            series = [(f"{label_base}={axis_values[0][i]:.6g}", values)
+                      for i, values in enumerate(columns[0])]
+            x_label = axes[1].label()
         x_range = (float(xs[0]), float(xs[-1]))
-        y_values = np.concatenate([np.asarray(v, dtype=float).ravel()
-                                   for _, v in series])
+        y_values = np.concatenate([v for _, v in series])
         lo, hi = _finite_range(y_values)
         pad = 0.05 * (hi - lo)
         y_range = (lo - pad, hi + pad)
@@ -359,8 +372,7 @@ def svg_text(result: SweepResult, plot: str = "i_abs") -> str:
         body.extend(_axis_frame(to_x, to_y, x_range, y_range, x_label, y_label))
         for i, (label, values) in enumerate(series):
             color = _PALETTE[i % len(_PALETTE)]
-            for points in _polyline_chunks(xs, np.asarray(values, dtype=float),
-                                           to_x, to_y):
+            for points in _polyline_chunks(xs, values, to_x, to_y):
                 body.append(f'<polyline points="{points}" fill="none" '
                             f'stroke="{color}" stroke-width="1.5"/>')
             ly = _TOP + 16 + 16 * i
@@ -370,25 +382,16 @@ def svg_text(result: SweepResult, plot: str = "i_abs") -> str:
             body.append(f'<text x="{_WIDTH - 160}" y="{ly}" font-size="11" '
                         f'fill="#333333">{label}</text>')
     else:
-        values = np.asarray(fields[0][1], dtype=float)
-        n1, n2 = result.shape
-        stride1 = max(1, math.ceil(n1 / _MAX_HEAT_CELLS))
-        stride2 = max(1, math.ceil(n2 / _MAX_HEAT_CELLS))
-        sub = values[::stride1, ::stride2]
-        x_vals = result.axis_values[0][::stride1]
-        y_vals = result.axis_values[1][::stride2]
+        sub = columns[0]
         lo, hi = _finite_range(sub)
-        x_range = (float(result.axis_values[0][0]),
-                   float(result.axis_values[0][-1]))
-        y_range = (float(result.axis_values[1][0]),
-                   float(result.axis_values[1][-1]))
+        x_range = (float(axis_values[0][0]), float(axis_values[0][-1]))
+        y_range = (float(axis_values[1][0]), float(axis_values[1][-1]))
         to_x = _scaler(*x_range, _LEFT, _WIDTH - _RIGHT)
         to_y = _scaler(*y_range, _HEIGHT - _BOTTOM, _TOP)
         body.extend(_axis_frame(to_x, to_y, x_range, y_range,
-                                result.axes[0].label(),
-                                result.axes[1].label()))
-        cell_w = (_WIDTH - _LEFT - _RIGHT) / len(x_vals)
-        cell_h = (_HEIGHT - _TOP - _BOTTOM) / len(y_vals)
+                                axes[0].label(), axes[1].label()))
+        cell_w = (_WIDTH - _LEFT - _RIGHT) / sub.shape[0]
+        cell_h = (_HEIGHT - _TOP - _BOTTOM) / sub.shape[1]
         finite = np.isfinite(sub)
         level = np.clip((np.where(finite, sub, lo) - lo) / (hi - lo), 0.0, 1.0)
         # np.rint rounds half to even, as round() does.
@@ -399,7 +402,7 @@ def svg_text(result: SweepResult, plot: str = "i_abs") -> str:
             fills[i][j] = _HEAT_NAN
         rows = [f'" y="{_HEIGHT - _BOTTOM - (j + 1) * cell_h:.2f}" '
                 f'width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
-                for j in range(len(y_vals))]
+                for j in range(sub.shape[1])]
         for i, column in enumerate(fills):
             head = f'<rect x="{_LEFT + i * cell_w:.2f}'
             body.extend(f'{head}{row}{fill}"/>'
@@ -414,15 +417,18 @@ def svg_text(result: SweepResult, plot: str = "i_abs") -> str:
 
 
 def write_svg(result: SweepResult, path, plot: str = "i_abs") -> None:
-    Path(path).write_text(svg_text(result, plot), encoding="utf-8",
-                          newline="\n")
+    samples: list = []
+    for _ in _sampled(_result_steps(result), result.shape, plot, samples):
+        pass
+    Path(path).write_text(svg_text(result.axes, result.axis_values, samples,
+                                   plot), encoding="utf-8", newline="\n")
 
 
 def write_preset_outputs(preset: FigurePreset, out_dir) -> list[Path]:
     """Run a preset and write {name}.csv and {name}.svg; returns the paths.
 
-    The CSV is written block by block as the grid is evaluated; only the
-    column(s) the SVG plots are kept for the whole grid.
+    The CSV is written block by block as the grid is evaluated, and the
+    cells the SVG draws are copied from each block on the way.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -430,16 +436,9 @@ def write_preset_outputs(preset: FigurePreset, out_dir) -> list[Path]:
     svg_path = out_dir / f"{preset.name}.svg"
     run = BlockSweep(preset.base, preset.axes, preset.delta_f_policy,
                      preset.delta_f_band)
-    kept = _PLOTTED[preset.plot]
-    steps, columns = _run_steps(run, kept)
-    _write_pieces(_csv_pieces(run.display, steps), csv_path)
-    # svg_text reads the axes and the plotted column(s) only; the other
-    # arrays are placeholders that take no memory.
-    unread = np.broadcast_to(math.nan, run.shape)
-    t12, t21, ratio, i_signed, delta_f = (
-        column if k in kept else unread for k, column in enumerate(columns))
-    result = SweepResult(run.base, run.axes, run.display, delta_f, t12, t21,
-                         ratio, i_signed,
-                         np.broadcast_to(np.uint8(0), run.shape), run.meta)
-    write_svg(result, svg_path, preset.plot)
+    samples: list = []
+    _write_pieces(_csv_pieces(run.display, _sampled(
+        _run_steps(run), run.shape, preset.plot, samples)), csv_path)
+    svg_path.write_text(svg_text(run.axes, run.display, samples, preset.plot),
+                        encoding="utf-8", newline="\n")
     return [csv_path, svg_path]

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
 import io
 import json
+import resource
+import signal
+import subprocess
+import sys
 import types
 
 import pytest
@@ -15,7 +20,7 @@ from magnon_sagnac import (Axis, SweepParameter, cli, default_document,
                            parse_config, resolved_document)
 from magnon_sagnac.cli import UsageError, parse_axis_spec, run
 from magnon_sagnac.serialize import CSV_HEADER
-from test_tooling import _python
+from test_tooling import _python, _src_env
 
 
 def _captured_run(argv) -> tuple:
@@ -55,7 +60,58 @@ class TestParseAxisSpec:
                 parse_axis_spec(spec)
 
 
+def _single_valued_options() -> list[tuple[str, str]]:
+    """(command, option) for each option of each command that takes one
+    value, as the parser defines them."""
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [(name, action.option_strings[0])
+            for name, command in commands.items()
+            for action in command._actions
+            if action.option_strings and action.nargs is None
+            and not isinstance(action, argparse._AppendAction)]
+
+
+# A value of each single-valued option, and the options each command
+# needs besides the one under test.
+_VALUES = {"--config": "cfg.json", "--format": "json", "--side": "right",
+           "--method": "generic", "--band": "-40:40",
+           "--axis": "gamma_m=1:12:10", "--axis2": "kappa=1:2:10",
+           "--out": "out", "--optimal-df": "positive"}
+_NEEDS = {"sweep": ["--axis", "--optimal-df"], "reproduce": ["--out"]}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command,option", _single_valued_options())
+    def test_single_valued_options_are_taken_once(self, capsys, monkeypatch,
+                                                  tmp_path, command, option):
+        """argparse alone keeps the last of repeated values: an option
+        that takes one value is refused when given twice, not half
+        dropped."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text("{}", encoding="utf-8")
+        argv = [command] + (["fig2a"] if command == "reproduce" else [])
+        for need in _NEEDS.get(command, []):
+            if need != option:
+                argv += [need, _VALUES[need]]
+        argv += [option, _VALUES[option]]
+        assert run(argv + [option, _VALUES[option]]) == 3
+        hint = "; the second axis is --axis2" if option == "--axis" else ""
+        assert capsys.readouterr() == (
+            "", f"usage error: argument {option}: given twice{hint}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert run(argv) == 0, capsys.readouterr().err  # once is taken
+        capsys.readouterr()
+
+    def test_set_is_repeatable(self, capsys):
+        """Each --set applies in turn, so the last of one key wins."""
+        both = run_json(capsys, ["isolate", "--set", "delta_f_mhz=3",
+                                 "--set", "gamma_m_mhz=2",
+                                 "--set", "delta_f_mhz=4"])
+        assert both == run_json(capsys, ["isolate", "--set", "gamma_m_mhz=2",
+                                         "--set", "delta_f_mhz=4"])
+        assert both != run_json(capsys, ["isolate", "--set", "delta_f_mhz=4"])
+
     def test_no_arguments(self, capsys):
         assert run([]) == 3
         assert "usage error" in capsys.readouterr().err
@@ -503,6 +559,25 @@ class TestSweepCommand:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "32b4f2fbce0c7c001035d47dd236b83ec7a8448d99c95d47005d012247faba32")
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        """A write that the file size limit cuts short is an io error, and
+        the partial file is removed."""
+        out = tmp_path / "sweep.csv"
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (
+                4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "magnon_sagnac.cli", "sweep", "--axis",
+             "delta_f=-30:30:10", "--axis2", "gamma_m=1:12:10",
+             "--out", str(out)], capture_output=True, text=True,
+            timeout=120, env=_src_env(), preexec_fn=limit_file_size)
+        assert done.returncode == 2, done.stderr
+        assert "File too large" in done.stderr
+        assert not out.exists()
 
     def test_bad_axis_spec(self, capsys):
         assert run(["sweep", "--axis", "delta_f=1:2"]) == 3

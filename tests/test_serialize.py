@@ -454,13 +454,17 @@ def test_abs_text_is_signed_text_without_its_minus(values):
                                       for v in values]
 
 
-def _streamed(base, axes, policy, band, pieces, keep=()):
-    """The bytes ``pieces`` makes of the sweep as the preset writers
-    stream it, each block formatted from reused buffers as soon as it is
-    evaluated; that run's meta; and its five columns."""
+def _streamed(base, axes, policy, band, pieces, plot="i_abs"):
+    """The sha256 of the bytes ``pieces`` makes of the sweep as the preset
+    writers stream it, each block formatted from reused buffers as soon as
+    it is evaluated; that run's meta; and the sha256 of the SVG of
+    ``plot`` drawn from the cells sampled on the way."""
     run = sweep_module.BlockSweep(base, axes, policy, band)
-    steps, columns = serialize._run_steps(run, keep)
-    return _sha256(pieces(run.display, steps)), run.meta, columns
+    samples = []
+    digest = _sha256(pieces(run.display, serialize._sampled(
+        serialize._run_steps(run), run.shape, plot, samples)))
+    svg = svg_text(run.axes, run.display, samples, plot)
+    return digest, run.meta, _sha256([svg.encode()])
 
 
 def _sha256(pieces) -> str:
@@ -500,7 +504,6 @@ class TestStreamedFromTheBlockLoop:
         digest = _sha256(serialize._csv_pieces(res.axis_values,
                                                serialize._result_steps(res)))
         assert digest == _PRESET_DIGESTS[f"{name}.csv"]
-        keep = serialize._PLOTTED[preset.plot]
         done = []
         for block in _STREAM_BLOCKS:
             monkeypatch.setattr(sweep_module, "_BLOCK", block)
@@ -512,15 +515,49 @@ class TestStreamedFromTheBlockLoop:
             if blocks in done or (len(blocks) == 1 and res.n_points > 1e5):
                 continue
             done.append(blocks)
-            streamed, meta, columns = _streamed(
+            streamed, meta, svg = _streamed(
                 preset.base, preset.axes, preset.delta_f_policy,
-                preset.delta_f_band, serialize._csv_pieces, keep)
+                preset.delta_f_band, serialize._csv_pieces, preset.plot)
             assert streamed == digest, block
             assert meta == res.meta, block
-            for k in keep:  # the columns the SVG plots
-                full = (res.t12, res.t21, res.ratio, res.i_signed_db)[k]
-                assert columns[k].tobytes() == full.tobytes(), block
+            assert svg == _PRESET_DIGESTS[f"{name}.svg"], block
         assert done
+
+    @pytest.mark.parametrize("block", _STREAM_BLOCKS)
+    def test_svg_matches_the_whole_result(self, base_params, monkeypatch,
+                                          tmp_path, block):
+        """The SVG sampled from the block loop, and write_svg's of sweep(),
+        are the SVG of sweep() in the default blocks at any block size,
+        also on heatmaps whose row strides (3 and 9) cross the blocks."""
+        p = SweepParameter
+        grids = [*_byte_identity_grids(base_params),
+                 ("strided", sweep(base_params, [Axis(p.DELTA_F, -30, 30, 250),
+                                                 Axis(p.GAMMA_M, -2, 8, 130)])),
+                 ("tall", sweep(base_params, [Axis(p.DELTA_F, -30, 30, 1001),
+                                              Axis(p.GAMMA_M, -2, 8, 3)]))]
+        plots = ("i_abs", "i_signed", "transmissions")
+        expected = {}
+        for name, res in grids:
+            # Evaluated again: "reciprocal -0.0" edits its result.
+            res = sweep(res.base, res.axes,
+                        delta_f_policy=res.meta["delta_f_policy"],
+                        delta_f_band=res.meta["delta_f_band"])
+            for plot in plots:
+                write_svg(res, tmp_path / "whole.svg", plot)
+                expected[name, plot] = (tmp_path / "whole.svg").read_bytes()
+        monkeypatch.setattr(sweep_module, "_BLOCK", block)
+        for name, res in grids:
+            policy, band = res.meta["delta_f_policy"], res.meta["delta_f_band"]
+            res = sweep(res.base, res.axes, delta_f_policy=policy,
+                        delta_f_band=band)
+            for plot in plots:
+                preset = FigurePreset("streamed", name, res.base, res.axes,
+                                      policy, band, plot)
+                write_preset_outputs(preset, tmp_path)
+                write_svg(res, tmp_path / "whole.svg", plot)
+                for path in ("streamed.svg", "whole.svg"):
+                    assert ((tmp_path / path).read_bytes()
+                            == expected[name, plot]), (name, plot, path)
 
     @pytest.mark.parametrize("block", _STREAM_BLOCKS)
     def test_grid_without_a_valid_point_leaves_no_file(self, base_params,
@@ -649,9 +686,20 @@ class TestJson:
         assert all(r["axis2"] is None for r in records)
 
 
+def _svg(res, plot: str = "i_abs") -> str:
+    """svg_text of the cells sampled from a whole result, as write_svg
+    draws it."""
+    samples = []
+    for _ in serialize._sampled(serialize._result_steps(res), res.shape,
+                                plot, samples):
+        pass
+    return svg_text(res.axes, res.axis_values, samples, plot)
+
+
 def _oracle_heat_cells(res, plot: str) -> list[str]:
     """Heatmap cells as the renderer once wrote them, one cell at a time."""
-    (_, values), *_ = serialize._series_for(res, plot)[0]
+    values = {"i_abs": res.i_abs_db, "i_signed": res.i_signed_db,
+              "transmissions": res.t12}[plot]
     n1, n2 = res.shape
     sub = np.asarray(values, dtype=float)[
         ::max(1, math.ceil(n1 / 120)), ::max(1, math.ceil(n2 / 120))]
@@ -679,12 +727,12 @@ def _oracle_heat_cells(res, plot: str) -> list[str]:
 class TestSvg:
     def test_line_plot_for_one_axis(self, base_params):
         res = sweep(base_params, [Axis(SweepParameter.DELTA_F, -30, 30, 41)])
-        text = svg_text(res, plot="i_abs")
+        text = _svg(res, plot="i_abs")
         ET.fromstring(text)  # must be well-formed XML
         assert "<polyline" in text
 
     def test_family_plot_for_few_rows(self, small_result):
-        text = svg_text(small_result, plot="i_signed")
+        text = _svg(small_result, plot="i_signed")
         ET.fromstring(text)
         # one labeled series per first-axis value
         assert text.count("<polyline") >= small_result.shape[0]
@@ -694,7 +742,7 @@ class TestSvg:
     def test_heatmap_for_dense_grids(self, base_params):
         axes = [Axis(SweepParameter.DELTA_F, -30.0, 30.0, 12),
                 Axis(SweepParameter.GAMMA_M, 1.0, 9.0, 30)]
-        text = svg_text(sweep(base_params, axes), plot="i_abs")
+        text = _svg(sweep(base_params, axes), plot="i_abs")
         ET.fromstring(text)
         assert "<rect" in text and "<polyline" not in text
 
@@ -706,7 +754,7 @@ class TestSvg:
             Axis(SweepParameter.DELTA_F, -30.0, 30.0, 250),
             Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 130)])
         for name in ("masked 2-D", "OVERFLOW", "strided"):
-            text = svg_text(grids[name], plot)
+            text = _svg(grids[name], plot)
             cells = _oracle_heat_cells(grids[name], plot)
             assert "\n" + "\n".join(cells) + "\n" in text, name
             assert text.count("<rect") == len(cells) + 2, name
@@ -714,7 +762,7 @@ class TestSvg:
 
     def test_masked_points_break_the_line(self, base_params):
         res = sweep(base_params, [Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 21)])
-        text = svg_text(res, plot="transmissions")
+        text = _svg(res, plot="transmissions")
         ET.fromstring(text)
         assert "nan" not in text  # masked coordinates never reach the markup
 
@@ -729,7 +777,7 @@ class TestSvg:
         res = sweep(replace(base_params, g0_2_mhz=g0_2),
                     [Axis(SweepParameter.DELTA_F, -40.0, 40.0, 9)])
         res.i_signed_db[masked] = math.nan  # as sweep() blanks masked points
-        text = svg_text(res, plot="i_abs")
+        text = _svg(res, plot="i_abs")
         ET.fromstring(text)
         lines = re.findall(r'<polyline points="([^"]*)"', text)
         assert [len(points.split()) for points in lines] == chunks
@@ -738,10 +786,10 @@ class TestSvg:
                 assert f'text-anchor="end" fill="#333333">{tick:.6g}<' in text
 
     def test_deterministic(self, small_result, tmp_path):
-        assert svg_text(small_result) == svg_text(small_result)
+        assert _svg(small_result) == _svg(small_result)
         path = tmp_path / "plot.svg"
         write_svg(small_result, path)
-        assert path.read_text(encoding="utf-8") == svg_text(small_result)
+        assert path.read_text(encoding="utf-8") == _svg(small_result)
 
 
 def test_write_preset_outputs(base_params, tmp_path):

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from magnon_sagnac import Axis, SweepParameter, SystemParams, cli, sweep
+from magnon_sagnac import (Axis, FigurePreset, SweepParameter, SystemParams,
+                           cli, serialize, sweep)
 from test_serialize import _PRESET_DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +47,21 @@ def test_trace_targets_resolve():
     missing = [f"{module}.{attr}" for module, attr, *_ in spans.TARGETS
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+def test_one_svg_span_per_svg(tmp_path):
+    """perfbench's ``serialize.svg_ms`` is the median of the svg_text
+    spans: writing a preset's files records exactly one."""
+    tracer = _perfbench("spans").Tracer()
+    tracer.install()
+    try:
+        serialize.write_preset_outputs(FigurePreset(
+            "tiny", "five shifts", SystemParams.symmetric(),
+            (Axis(SweepParameter.DELTA_F, -10.0, 10.0, 5),)), tmp_path)
+    finally:
+        tracer.uninstall()
+    names = [span[3] for span in tracer.spans]
+    assert names.count("serialize.svg_text") == 1, names
 
 
 def _package_names_used_by(path: Path) -> set[tuple[str, str]]:
@@ -353,11 +369,12 @@ def _peak_rss_kb(*args: str) -> int:
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kB")
 def test_reproduce_holds_one_block(tmp_path):
     """``reproduce fig4a`` writes its CSV from the block loop and keeps
-    only the column its SVG plots: its peak RSS is about 28 MB above that
-    of a process that only imports the writers, not the 67 MB of a whole
+    only the cells its SVG draws (119 x 101 of 6401 x 201): its peak RSS
+    is about 20 MB above that of a process that only imports the writers,
+    not the 29 MB of keeping the plotted column nor the 67 MB of a whole
     1.29e6-point result written after the sweep."""
     base = _peak_rss_kb("-c", "import magnon_sagnac.serialize")
     peak = _peak_rss_kb("-m", "magnon_sagnac.cli", "reproduce", "fig4a",
                         "--out", str(tmp_path))
     (tmp_path / "fig4a.csv").unlink()  # 220 MB that pytest would keep
-    assert peak - base < 45 * 1024, (peak, base)
+    assert peak - base < 25 * 1024, (peak, base)
