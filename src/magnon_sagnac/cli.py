@@ -416,6 +416,9 @@ def _keep_freed_memory() -> bool:
 
 
 def main() -> None:
+    # Before numpy loads: OpenBLAS starts a thread per core at its import,
+    # for one 3x3 solve.  The caller's value wins; library callers keep it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _keep_freed_memory()
     sys.exit(run())
 

@@ -41,7 +41,6 @@ import copy
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .model import (CavityMode, DriveAmplitudes, MagnonMode,
                     RotationDirection, RotationSpec, SqueezeSpec,
@@ -252,7 +251,8 @@ def resolved_document(cfg: ResolvedConfig) -> dict:
 
 
 def load_config(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as file:
+        text = file.read()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -266,9 +266,12 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     """Apply ``key=value`` or ``nested.key=value`` command-line overrides.
 
     Values are parsed as JSON with a fallback to the bare string, so
-    ``--set rotation.direction=ccw`` works without inner quotes.
+    ``--set rotation.direction=ccw`` works without inner quotes.  ``raw``
+    is never mutated: only the dicts on each override's dotted path are
+    copied, and nested values that no override touches are shared with
+    ``raw`` (nothing in the package mutates them).
     """
-    doc = copy.deepcopy(raw)
+    doc = dict(raw)
     for assignment in assignments:
         key, sep, text = assignment.partition("=")
         key = key.strip()
@@ -281,10 +284,11 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
         target = doc
         parts = key.split(".")
         for part in parts[:-1]:
-            node = target.setdefault(part, {})
+            node = target.get(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot descend into {part!r} in override "
                                   f"{assignment!r}")
+            target[part] = node = dict(node)
             target = node
         target[parts[-1]] = value
     return doc

@@ -14,12 +14,15 @@ rows of about 16k points) that :func:`.sweep` evaluates.
 ``write_preset_outputs`` takes each step from the block loop,
 :meth:`.BlockSweep.blocks`, as soon as it has filled its reused buffers;
 the other writers take a whole result's slices of the same blocks, so
-there is one formatter and one SVG sampler.  The text writers write
-each step as it is made, holding one step's text for any grid, and
-remove a partial regular file if a write fails; ``csv_text`` and
-``json_text`` join the steps.
+there is one record template per format and one SVG sampler.  The text
+writers write each step as it is made, holding one step's text for any
+grid, and remove a partial regular file if a write fails; ``csv_text``
+and ``json_text`` join the steps.
 
-Both are formatted in numpy, with no Python object per value.
+A CSV of fewer than ``_CSV_RECORDS_BELOW`` points, where e16's fixed
+cost outweighs its gain, fills its template with ``format(v, ".16e")``
+per value; every other output, every preset among them, fills it in
+numpy, with no Python object per value.
 :func:`.e16.slots` gives the ``%.16e`` bytes of a whole array and
 :func:`.e16.repr_slots` the ``repr`` bytes: the digits come from one
 double-double product with a power of ten, ``repr`` keeping the fewest
@@ -59,7 +62,7 @@ import contextlib
 import math
 import os
 import stat
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,12 @@ def _byte_table(words) -> np.ndarray:
                                   for w in words),
                          np.uint8).reshape(len(words), width)
 
+
+# CSV outputs of fewer points are formatted record by record.  Numpy
+# against record route in us, min of 21 alternating runs on gamma_m sweeps,
+# 2-core Xeon VM: 174/94 at 20 points, 202/199 at 44, 195/211 at 48,
+# 212/291 at 64.
+_CSV_RECORDS_BELOW = 45
 
 _DIRECTIONS = _byte_table(DIRECTION_LABELS)
 _CODES = _byte_table(CODE_NAMES)  # indexed by SweepResult.codes
@@ -154,6 +163,24 @@ def _record_steps(axis_values, steps, record: str, slots, sign: int,
         yield rows.tobytes().translate(None, b"\0")
 
 
+def _csv_text_steps(axis_values, steps):
+    """Yield the CSV bytes of :func:`_record_steps`, each value formatted
+    on its own."""
+    text = "{:.16e}".format
+    axis1, *axis2 = [[text(v) for v in values.tolist()]
+                     for values in axis_values]
+    axis2 = axis2[0] if axis2 else [""]
+    for sl, t12, t21, ratio, signed, codes in steps:
+        columns = [c.ravel().tolist() for c in (t12, t21, ratio, signed,
+                                                direction_index(signed),
+                                                codes)]
+        yield "".join(
+            _CSV_RECORD % (a1, a2, text(x12), text(x21), text(r), text(i),
+                           text(abs(i)), DIRECTION_LABELS[d], CODE_NAMES[c])
+            for (a1, a2), x12, x21, r, i, d, c
+            in zip(product(axis1[sl], axis2), *columns)).encode()
+
+
 def _result_steps(result: SweepResult):
     """The steps of a whole result: its columns sliced by row blocks."""
     for sl in row_blocks(result.shape):
@@ -180,11 +207,14 @@ def _run_steps(run: BlockSweep):
 
 def _csv_pieces(axis_values, steps):
     """Yield the header, then each step's CSV rows as bytes, with floats
-    as :func:`.e16.slots` (``%.16e``)."""
+    as ``%.16e``."""
+    yield CSV_HEADER.encode() + b"\n"
+    if math.prod(map(len, axis_values)) < _CSV_RECORDS_BELOW:
+        yield from _csv_text_steps(axis_values, steps)
+        return
     # Imported here so that commands writing no CSV do not load it.
     from .e16 import slots
 
-    yield CSV_HEADER.encode() + b"\n"
     axis2 = (slots(axis_values[1]) if len(axis_values) == 2
              else np.empty((1, 0), np.uint8))
     yield from _record_steps(axis_values, steps, _CSV_RECORD, slots, 0,

@@ -698,10 +698,17 @@ class TestAllocatorThresholds:
         assert run(["validate"]) == 0
         assert calls == []
         monkeypatch.setattr(cli, "run", lambda: calls.append("run") or 0)
+        environ = {}  # main's OpenBLAS default stays out of this process
+        monkeypatch.setattr(cli.os, "environ", environ)
         with pytest.raises(SystemExit) as exit_info:
             cli.main()
         assert exit_info.value.code == 0
         assert calls == ["keep", "run"]
+        assert environ == {"OPENBLAS_NUM_THREADS": "1"}
+        environ["OPENBLAS_NUM_THREADS"] = "2"
+        with pytest.raises(SystemExit):
+            cli.main()
+        assert environ == {"OPENBLAS_NUM_THREADS": "2"}
 
     @pytest.fixture
     def libc(self, monkeypatch):

@@ -1,9 +1,14 @@
 """Tests for config parsing, overrides and canonical documents."""
 
+import contextlib
+import copy
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from magnon_sagnac import (
     ConfigError,
@@ -229,3 +234,94 @@ class TestLoadAndOverrides:
             apply_overrides({}, ["no_equals_sign"])
         with pytest.raises(ConfigError):
             apply_overrides({"delta_mhz": 1.0}, ["delta_mhz.deep=2"])
+
+
+def _deep_copy_overrides(raw: dict, assignments: list[str]) -> dict:
+    """apply_overrides as it was when it deep-copied the whole document:
+    the oracle of the path-copying one."""
+    doc = copy.deepcopy(raw)
+    for assignment in assignments:
+        key, sep, text = assignment.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise ConfigError(f"override {assignment!r} is not key=value")
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError:
+            value = text
+        target = doc
+        parts = key.split(".")
+        for part in parts[:-1]:
+            node = target.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"cannot descend into {part!r} in override "
+                                  f"{assignment!r}")
+            target = node
+        target[parts[-1]] = value
+    return doc
+
+
+# Real config keys and a few others, so that overrides meet the nested
+# dicts, lists and scalars of the documents.
+_KEYS = st.sampled_from(["rotation", "n", "direction", "drive", "eps",
+                         "kappa_mhz", "total", "delta_mhz", "x"])
+_LEAVES = st.one_of(st.integers(-3, 3), st.floats(-10.0, 10.0),
+                    st.sampled_from(["cw", "ccw", ""]),
+                    st.lists(st.floats(0.0, 2.0), max_size=3))
+_DOCUMENTS = st.dictionaries(_KEYS, st.recursive(
+    _LEAVES, lambda inner: st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8), max_size=4)
+_ASSIGNMENTS = st.one_of(
+    st.builds(lambda path, value: ".".join(path) + "=" + value,
+              st.lists(_KEYS, min_size=1, max_size=3),
+              st.sampled_from(["1", "2.5", '"x"', "ccw", "", "[1, 2, 3]",
+                               '{"n": 2.0}', '{"total": {"x": 1}}'])),
+    st.sampled_from(["no_equals_sign", "=1", " .n=2", "rotation..n=1"]))
+
+
+class TestOverridesCopyOnlyTheirPaths:
+    @given(_DOCUMENTS, st.lists(_ASSIGNMENTS, max_size=4))
+    def test_same_result_as_a_deep_copy_and_input_untouched(self, raw,
+                                                            assignments):
+        before = copy.deepcopy(raw)
+        try:
+            expected = _deep_copy_overrides(raw, assignments)
+        except ConfigError as e:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(e))}$"):
+                apply_overrides(raw, assignments)
+            assert raw == before
+            return
+        out = apply_overrides(raw, assignments)
+        assert out == expected
+        assert raw == before
+        with contextlib.suppress(ConfigError, ValueError):
+            parse_config(out)
+        assert raw == before
+
+    def test_new_nested_key(self):
+        raw = {"rotation": {"n": 2.0}, "drive": {"eps": [1.0, 1.0, 1.0]}}
+        out = apply_overrides(raw, ["rotation.r_m=0.002", "x.y.z=1"])
+        assert out == {"rotation": {"n": 2.0, "r_m": 0.002},
+                       "drive": {"eps": [1.0, 1.0, 1.0]},
+                       "x": {"y": {"z": 1}}}
+        assert raw == {"rotation": {"n": 2.0},
+                       "drive": {"eps": [1.0, 1.0, 1.0]}}
+        assert out["drive"] is raw["drive"]  # untouched, so shared
+
+    def test_dict_replaced_by_a_scalar(self):
+        raw = {"kappa_mhz": {"total": 1.0, "external": 0.5}}
+        out = apply_overrides(raw, ["kappa_mhz=1.1"])
+        assert out == {"kappa_mhz": 1.1}
+        assert raw == {"kappa_mhz": {"total": 1.0, "external": 0.5}}
+
+    def test_error_messages(self):
+        with pytest.raises(ConfigError) as failed:
+            apply_overrides({}, ["no_equals_sign"])
+        assert str(failed.value) == ("override 'no_equals_sign' is not "
+                                     "key=value")
+        raw = {"delta_mhz": 1.0, "rotation": {"n": 2.0}}
+        with pytest.raises(ConfigError) as failed:
+            apply_overrides(raw, ["rotation.n=3", "delta_mhz.deep=2"])
+        assert str(failed.value) == ("cannot descend into 'delta_mhz' in "
+                                     "override 'delta_mhz.deep=2'")
+        assert raw == {"delta_mhz": 1.0, "rotation": {"n": 2.0}}

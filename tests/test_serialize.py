@@ -146,11 +146,40 @@ def _byte_identity_grids(base):
     yield "reciprocal -0.0", _reciprocal_with_negative_zero(base)
 
 
+# As shipped, before the route fixture patches it.
+_CSV_RECORDS_BELOW = serialize._CSV_RECORDS_BELOW
+
+
+def _crossover_grids(base):
+    """Grids of N - 1, N and N + 1 points for the CSV route constant N,
+    1-D and 2-D, the second axis reaching 1e120 (three exponent digits)."""
+    p = SweepParameter
+    for n in (_CSV_RECORDS_BELOW - 1, _CSV_RECORDS_BELOW,
+              _CSV_RECORDS_BELOW + 1):
+        yield f"1-D {n}", sweep(base, [Axis(p.DELTA_F, -30.0, 1e120, n)])
+        rows = next(k for k in range(2, n) if n % k == 0)
+        yield f"2-D {n}", sweep(base, [Axis(p.DELTA_F, -30.0, 30.0, rows),
+                                       Axis(p.GAMMA_M, 1.0, 1e120,
+                                            n // rows)])
+
+
+@pytest.fixture(params=["numpy", "records"])
+def route(request, monkeypatch):
+    """Every CSV on the numpy route, or every one on the record route."""
+    below = 0 if request.param == "numpy" else 1 << 40
+    monkeypatch.setattr(serialize, "_CSV_RECORDS_BELOW", below)
+
+
 class TestByteIdentity:
     """csv_text / json_text against the row-by-row oracle, byte for byte."""
 
     def test_grids(self, base_params):
         for name, res in _byte_identity_grids(base_params):
+            assert csv_text(res) == _oracle_csv(res), name
+            assert json_text(res) == _oracle_json(res), name
+
+    def test_grids_at_the_route_crossovers(self, base_params):
+        for name, res in _crossover_grids(base_params):
             assert csv_text(res) == _oracle_csv(res), name
             assert json_text(res) == _oracle_json(res), name
 
@@ -190,6 +219,11 @@ class TestByteIdentity:
         res = sweep(base_params, [Axis(SweepParameter.GAMMA_M, -2.0, 8.0, 50)])
         assert csv_text(res) == _oracle_csv(res)
         assert json_text(res) == _oracle_json(res)
+
+
+@pytest.mark.usefixtures("route")
+class TestByteIdentityOnEachRoute(TestByteIdentity):
+    """TestByteIdentity with every output on one route."""
 
 
 def _old_directions(result):
@@ -286,6 +320,11 @@ class TestStreamedWriters:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
         assert peaks[1] < 40e6
+
+
+@pytest.mark.usefixtures("route")
+class TestStreamedWritersOnEachRoute(TestStreamedWriters):
+    """TestStreamedWriters with every output on one route."""
 
 
 def _slot_text(slots) -> list[str]:

@@ -154,6 +154,53 @@ def test_spin_rate_study_runs():
     assert len(lines) == 5  # the shift, the column heads and three rates
 
 
+def test_bench_pairs_writes_the_bench_layout(tmp_path):
+    """scripts/bench_pairs.py runs HEAD against HEAD of a clone, one
+    queries pair of 0.2 s, and writes the layout of the BENCH_*.json
+    files; it removes its worktree and leaves the repository under test
+    alone."""
+    clone, out, tree = (tmp_path / name for name in ("clone", "bench.json",
+                                                      "tree"))
+    if subprocess.run(["git", "clone", "--quiet", "--shared", str(ROOT),
+                       str(clone)], capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "HEAD",
+         "HEAD", "--workload", "queries=1", "--seconds", "0.2", "--claim",
+         "queries.run_s", "--repo", str(clone), "--tree", str(tree),
+         "--out", str(out)],
+        capture_output=True, timeout=120, check=True)
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert not tree.exists()
+    assert subprocess.run(["git", "worktree", "list"], cwd=clone, check=True,
+                          capture_output=True).stdout.count(b"\n") == 1
+    assert list(record) == ["change", "revisions", "machine", "command",
+                            "order", "claim", "workloads"]
+    src_tree = subprocess.run(["git", "rev-parse", "HEAD:src"], cwd=clone,
+                              check=True, capture_output=True, text=True)
+    assert record["revisions"]["src_trees"] == {
+        "parent": src_tree.stdout.strip(), "change": src_tree.stdout.strip()}
+    assert record["command"] == ("python3 perfbench/run.py --workload W "
+                                 "--seed S --seconds 0.2 --trace 0")
+    assert record["order"] == {"parent_first_seeds": {"queries": [101]},
+                               "change_first_seeds": {"queries": []}}
+    queries = record["workloads"]["queries"]
+    assert (queries["seeds"], queries["pairs"]) == ([101], 1)
+    assert [f for f, _ in queries["failed_attempted"]["parent"]
+            + queries["failed_attempted"]["change"]] == [0, 0]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert set(queries["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    for metric in queries["metrics"].values():
+        assert list(metric) == ["parent_median", "change_median",
+                                "parent_quartiles", "change_quartiles",
+                                "change_over_parent", "change_better_pairs",
+                                "values"]
+    assert list(record["claim"]) == [
+        "workload", "metric", "parent_median", "change_median",
+        "change_better_pairs", "parent_iqr", "gain_exceeds_parent_iqr"]
+    assert record["claim"]["change_better_pairs"] in ("0 of 1", "1 of 1")
+
+
 def test_readme_documents_only_options_that_exist():
     """Every `--flag` README names is an option of some command, and every
     ``$ magnon-sagnac`` example parses."""
@@ -346,6 +393,55 @@ def test_cli_process_keeps_its_freed_memory(tmp_path):
         csv.unlink()  # 220 MB that pytest would keep
         assert digest == _PRESET_DIGESTS["fig4a.csv"], out.name
     assert faults[0] <= faults[1] / 4, faults
+
+
+# Runs the CLI's main() on argv[1:] and, at exit, writes the number of
+# threads of its process, from /proc/self/status, to stderr.
+_THREADS_AT_EXIT = r"""
+import atexit, re, sys
+def threads():
+    with open("/proc/self/status") as status:
+        found = re.search(r"^Threads:\s*(\d+)", status.read(), re.M)
+    print(found.group(1), file=sys.stderr)
+atexit.register(threads)
+from magnon_sagnac.cli import main
+main()
+"""
+
+
+def _env_without_blas_threads() -> dict:
+    env = _src_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="no /proc")
+def test_cli_process_runs_one_blas_thread(tmp_path):
+    """``main()`` sets OpenBLAS's thread count to 1 before numpy loads, so
+    a CLI sweep runs in one thread; a count the caller sets wins."""
+    argv = ["sweep", "--axis", "gamma_m=1:10:30", "--out",
+            str(tmp_path / "out.csv")]
+    threads = []
+    for caller in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADS_AT_EXIT, *argv], timeout=120,
+            env={**_env_without_blas_threads(), **caller},
+            capture_output=True, text=True, check=True)
+        threads.append(int(done.stderr.split()[-1]))
+    assert threads == [1, 2]
+
+
+def test_generic_solve_prints_the_same_in_one_blas_thread(capsys):
+    """The one BLAS call, ``steady --method generic``'s 3x3 solve, prints
+    the same bytes in a CLI process as in this one."""
+    argv = ["steady", "--method", "generic", "--side", "right", "--format",
+            "json", "--set", "delta_mhz=3.7", "--set", "g0_mhz=[41, 37]"]
+    done = subprocess.run([sys.executable, "-m", "magnon_sagnac.cli", *argv],
+                          env=_env_without_blas_threads(), timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert cli.run(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 # Runs argv[1:] and prints its peak RSS.  A child's ru_maxrss starts from
