@@ -1,11 +1,11 @@
 """``format(v, ".16e")`` and ``repr(v)`` of whole float64 arrays in numpy,
 byte for byte.
 
-Each value gets a slot of fixed width: its sign byte ("-" or NUL), then
-its unsigned text with NULs at any place, so that a writer can place
-slots in fixed-width rows and drop the NULs afterwards.  ``slots`` gives
-``SLOT`` (24) bytes of ``%.16e``, ``repr_slots`` ``REPR_SLOT`` (29) bytes
-of ``repr``.
+Each value gets a slot of fixed width, its sign byte ("-" or NUL), then
+its unsigned text, so that a writer can place slots in fixed-width rows
+and drop the NULs afterwards: ``slots`` gives ``SLOT`` (24) bytes of
+``%.16e``, left-justified before NUL padding, and ``repr_slots``
+``REPR_SLOT`` (29) bytes of ``repr``, with NULs at any place.
 
 For ``a = |v|`` in [1e-290, 1e290] the exponent ``k`` is
 ``floor(log10(a))``, moved by one where ``log10`` missed, and
@@ -73,7 +73,7 @@ def _tables():
     ``hi + lo`` (each rounded to nearest, so the pair is exact to 2**-106),
     with ``hi`` split exactly into a head and a tail of 26 bits each; the
     bytes of 0000..9999 as one little-endian ``uint32`` each; the sign and
-    digits of each exponent, NUL-padded to 4 bytes in the same way.
+    digits of each exponent, NUL-padded after them to one ``uint32`` each.
     """
     hi, lo = [], []
     for m in range(_P10_MIN, _P10_MAX + 1):
@@ -97,7 +97,7 @@ def _tables():
     digits[:, :, :2] = pairs[:, None]
     digits[:, :, 2:] = pairs
     exponents = b"".join((b"-" if k < 0 else b"+")
-                         + (b"%02d" % abs(k)).rjust(3, b"\0")
+                         + (b"%02d" % abs(k)).ljust(3, b"\0")
                          for k in range(_EXP_MIN, -_EXP_MIN + 1))
     return (hi, np.ldexp(head, exp), np.ldexp(mant - head, exp),
             np.array(lo), digits.view(_U32).ravel(),

@@ -16,8 +16,8 @@ rows of about 16k points) that :func:`.sweep` evaluates.
 the other writers take a whole result's slices of the same blocks, so
 there is one record template per format and one SVG sampler.  The text
 writers write each step as it is made, holding one step's text for any
-grid, and remove a partial regular file if a write fails; ``csv_text``
-and ``json_text`` join the steps.
+grid, and ``csv_text`` and ``json_text`` join the steps.  Every writer
+removes a partial regular file if a write fails.
 
 A CSV of fewer than ``_CSV_RECORDS_BELOW`` points, where e16's fixed
 cost outweighs its gain, fills its template with ``format(v, ".16e")``
@@ -27,12 +27,13 @@ numpy, with no Python object per value.
 :func:`.e16.repr_slots` the ``repr`` bytes: the digits come from one
 double-double product with a power of ten, ``repr`` keeping the fewest
 that read back, and Python formats only near-ties and magnitudes
-outside 1e-290..1e290.  Each step is one ``uint8`` matrix of NUL-padded
-records, made from the record template of its format (each axis value
-formatted once, the four float columns in one call, directions and
-codes from byte tables), and its bytes go to the file with the NULs
-dropped.  In JSON, quote bytes around each float slot are set where the
-value is not finite.
+outside 1e-290..1e290.  Each step is one ``uint8`` matrix of records
+made from its format's template (each axis value formatted once, the
+four float columns in one call, directions and codes from byte tables).
+A CSV step lays each field out at the widths its values use, so NULs are
+dropped only where a field's width varies within the step; JSON keeps
+whole slots, drops NULs always, and sets quote bytes around each float
+slot where the value is not finite.
 
 Two invariants keep both byte-identical to formatting each record on
 its own:
@@ -113,8 +114,25 @@ def _json_slots(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _drop_nuls(raw: bytes) -> bytes:
+    return raw.translate(None, b"\0")
+
+
+def _spans(slots: np.ndarray) -> list:
+    """For each column of ``slots`` (rows, n2[, columns], width), the byte
+    places from the first to the last that some record does not leave NUL,
+    or None if some record leaves one of them NUL."""
+    some, every = (np.atleast_2d(ufunc.reduce(ufunc.reduce(slots, axis=0),
+                                              axis=0))
+                   for ufunc in (np.bitwise_or, np.minimum))
+    spans = [slice(at[0], at[-1] + 1) if at.size else slice(0, 0)
+             for at in (column.nonzero()[0] for column in some)]
+    return [span if low[span].all() else None
+            for span, low in zip(spans, every)]
+
+
 def _record_steps(axis_values, steps, record: str, slots, sign: int,
-                  axis2: np.ndarray):
+                  axis2: np.ndarray, crop: bool):
     """Yield each step's records as bytes, NULs dropped.
 
     ``steps`` yields ``(sl, t12, t21, ratio, i_signed_db, codes)`` for the
@@ -122,45 +140,59 @@ def _record_steps(axis_values, steps, record: str, slots, sign: int,
     as the block ``sl``.  A step is one ``uint8`` matrix of NUL-padded rows
     made from ``record``: each %s becomes a slot of ``slots`` (the axes,
     formatted once each, and the four float columns, formatted in one
-    call), the ``I_abs_db`` slot is the ``I_signed_db`` slot with its sign
-    byte (at ``sign``) cleared, and directions and codes come from byte
+    call), the ``I_abs_db`` slot is the ``I_signed_db`` slot without its
+    sign byte (at ``sign``), and directions and codes come from byte
     tables.  ``axis2`` holds the slot of each second-axis value, or what
-    stands for it on one axis.
+    stands for it on one axis.  With ``crop``, a step in which each field
+    has one width keeps only the :func:`_spans` of its fields, and so has
+    no NUL to drop.
     """
     n2 = math.prod(map(len, axis_values[1:]))
     axis1 = slots(axis_values[0])
-    width = axis1.shape[1]
-    widths = (width, axis2.shape[1], *[width] * 5, _DIRECTIONS.shape[1],
-              _CODES.shape[1])
-    pieces = record.split("%s")
-    template, at = bytearray(pieces[0].encode()), []
-    for size, piece in zip(widths, pieces[1:]):
-        at.append(slice(len(template), len(template) + size))
-        template += bytes(size) + piece.encode()
-    a1, a2, t12_at, t21_at, ratio_at, signed_at, abs_at, direction, code = at
-    buffer = None
+    full = [slice(0, table.shape[1]) for table in (axis1, axis2, *[axis1] * 5,
+                                                  _DIRECTIONS, _CODES)]
+    a2 = _spans(axis2[None])[0] if crop else None
+    pieces = [piece.encode() for piece in record.split("%s")]
+    buffer = layout = None
     for sl, t12, t21, ratio, signed, codes in steps:
         shape = (sl.stop - sl.start, n2)
-        if buffer is None:  # the first step is the longest
-            buffer = np.empty(shape + (len(template),), np.uint8)
-            buffer[...] = np.frombuffer(template, np.uint8)
-            buffer[:, :, a2] = axis2
-        # Each step writes every byte outside the template and axis2, so
-        # the buffer is reused.
-        rows = buffer[:shape[0]]
-        rows[:, :, a1] = axis1[sl, None]
+        if buffer is None:  # the first step is the longest, at full widths
+            buffer = np.empty(shape + (len(b"".join(pieces)) + sum(
+                span.stop for span in full),), np.uint8)
         signed = signed.reshape(shape)
         floats = slots(np.stack([t12.reshape(shape), t21.reshape(shape),
                                  ratio.reshape(shape), signed], axis=2))
-        for i, where in enumerate((t12_at, t21_at, ratio_at, signed_at,
-                                   abs_at)):
-            rows[:, :, where] = floats[:, :, min(i, 3)]
-        rows[:, :, abs_at.start + sign] = 0  # |I|: no sign byte
-        rows[:, :, direction] = _DIRECTIONS.take(direction_index(signed),
-                                                 axis=0)
-        rows[:, :, code] = _CODES.take(codes.reshape(shape), axis=0)
-        del floats  # before the next step formats its own
-        yield rows.tobytes().translate(None, b"\0")
+        directions = _DIRECTIONS.take(direction_index(signed), axis=0)
+        codes = _CODES.take(codes.reshape(shape), axis=0)
+        spans = full
+        if crop:
+            *columns, i = _spans(floats)  # T12, T21 and R, then I
+            cropped = [*_spans(axis1[sl, None]), a2, *columns, i,
+                       i and slice(max(i.start, sign + 1), i.stop),  # |I|
+                       *_spans(directions), *_spans(codes)]
+            if None not in cropped:
+                spans = cropped
+        if spans != layout:  # a new template, over the whole buffer
+            layout, template, at = spans, bytearray(pieces[0]), []
+            for span, piece in zip(spans, pieces[1:]):
+                size = span.stop - span.start
+                at.append(slice(len(template), len(template) + size))
+                template += bytes(size) + piece
+            rows = buffer.ravel()[:buffer[..., 0].size * len(template)]
+            rows = rows.reshape(len(buffer), n2, len(template))
+            rows[...] = np.frombuffer(template, np.uint8)
+            rows[:, :, at[1]] = axis2[:, spans[1]]
+        # Each step writes every byte outside the template and axis2.
+        step = rows[:shape[0]]
+        step[:, :, at[0]] = axis1[sl, None, spans[0]]
+        for k in range(5):
+            step[:, :, at[2 + k]] = floats[:, :, min(k, 3), spans[2 + k]]
+        if spans is full:
+            step[:, :, at[6].start + sign] = 0  # |I|: no sign byte
+        step[:, :, at[7]] = directions[:, :, spans[7]]
+        step[:, :, at[8]] = codes[:, :, spans[8]]
+        del floats, directions, codes  # before the next step formats its own
+        yield _drop_nuls(step.tobytes()) if spans is full else step.tobytes()
 
 
 def _csv_text_steps(axis_values, steps):
@@ -218,7 +250,7 @@ def _csv_pieces(axis_values, steps):
     axis2 = (slots(axis_values[1]) if len(axis_values) == 2
              else np.empty((1, 0), np.uint8))
     yield from _record_steps(axis_values, steps, _CSV_RECORD, slots, 0,
-                             axis2)
+                             axis2, crop=True)
 
 
 def _json_pieces(axis_values, steps):
@@ -228,28 +260,33 @@ def _json_pieces(axis_values, steps):
              else _byte_table(["null"]))
     separator = b"[\n"
     for step in _record_steps(axis_values, steps, _JSON_RECORD, _json_slots,
-                              1, axis2):
+                              1, axis2, crop=False):
         yield separator
         yield memoryview(step)[:-2]  # the record's own ",\n"
         separator = b",\n"
     yield b"\n]\n"
 
 
+@contextlib.contextmanager
+def _removed_on_failure(path):
+    """Remove ``path`` if the body fails after opening it and it is a
+    regular file: a symlink or a device such as /dev/stdout is not ours."""
+    try:
+        yield
+    except BaseException as error:
+        with contextlib.suppress(FileNotFoundError):
+            # An OSError naming a file is one that failed to open.
+            if (getattr(error, "filename", None) is None
+                    and stat.S_ISREG(os.lstat(path).st_mode)):
+                os.unlink(path)
+        raise
+
+
 def _write_pieces(pieces, path) -> None:
     """Write each piece of bytes to ``path`` as it is made, holding one
-    piece at a time; a failure part way removes the file if it is a
-    regular one."""
-    path = Path(path)
-    file = path.open("wb")
-    try:
-        with file:
-            file.writelines(pieces)
-    except BaseException:
-        # A symlink or a device such as /dev/stdout is not ours to remove.
-        with contextlib.suppress(FileNotFoundError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                path.unlink()
-        raise
+    piece at a time."""
+    with _removed_on_failure(path), Path(path).open("wb") as file:
+        file.writelines(pieces)
 
 
 def csv_text(result: SweepResult) -> str:
@@ -450,8 +487,9 @@ def write_svg(result: SweepResult, path, plot: str = "i_abs") -> None:
     samples: list = []
     for _ in _sampled(_result_steps(result), result.shape, plot, samples):
         pass
-    Path(path).write_text(svg_text(result.axes, result.axis_values, samples,
-                                   plot), encoding="utf-8", newline="\n")
+    svg = svg_text(result.axes, result.axis_values, samples, plot)
+    with _removed_on_failure(path):
+        Path(path).write_text(svg, encoding="utf-8", newline="\n")
 
 
 def write_preset_outputs(preset: FigurePreset, out_dir) -> list[Path]:
@@ -469,6 +507,7 @@ def write_preset_outputs(preset: FigurePreset, out_dir) -> list[Path]:
     samples: list = []
     _write_pieces(_csv_pieces(run.display, _sampled(
         _run_steps(run), run.shape, preset.plot, samples)), csv_path)
-    svg_path.write_text(svg_text(run.axes, run.display, samples, preset.plot),
-                        encoding="utf-8", newline="\n")
+    svg = svg_text(run.axes, run.display, samples, preset.plot)
+    with _removed_on_failure(svg_path):
+        svg_path.write_text(svg, encoding="utf-8", newline="\n")
     return [csv_path, svg_path]

@@ -11,6 +11,7 @@ import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from magnon_sagnac import (
     sweep,
     with_delta_f,
 )
-from magnon_sagnac import e16, serialize
+from magnon_sagnac import cli, e16, serialize
 from magnon_sagnac.model import jsonable
 from magnon_sagnac.serialize import (
     CSV_HEADER,
@@ -144,6 +145,29 @@ def _byte_identity_grids(base):
         silent,
         [Axis(p.COUPLING_RATIO, 0.0, 2.0, 5), Axis(p.GAMMA_M, 1.0, 8.0, 4)])
     yield "reciprocal -0.0", _reciprocal_with_negative_zero(base)
+    # Every field of every step at one width: no NUL to drop.
+    uniform = [Axis(p.DELTA_F, 0.5, 4.0, 9), Axis(p.KAPPA, 1.0, 9.0, 7)]
+    yield "uniform", sweep(base, uniform)
+    # One step whose axis 1 crosses 0 and whose I and direction reverse
+    # along axis 2, with masked nan points, INF_ISOLATION and
+    # COUPLING_NEGATIVE.
+    yield "mixed step", sweep(
+        replace(with_delta_f(base, 10.0), delta_mhz=20.0),
+        [Axis(p.DELTA_F, -4.0, 4.0, 9), Axis(p.COUPLING_RATIO, -0.5, 2.0, 11)])
+    yield "exponent widths", _with_exponent_widths(sweep(base, uniform))
+
+
+# T12 values with two- and three-digit exponents in one column.  No float
+# rounds up across e+99 -> e+100 under %.16e, so the neighbours of 1e100
+# stand for that edge, and 1e129, which lies below 10**129 and rounds up to
+# it, for a rounding up to the next decade at three digits.
+_EXPONENT_WIDTHS = (1e100, float(np.nextafter(1e100, 0)), 1e129, 1e-100,
+                    -9.999999999999999e-100, 1e-243)
+
+
+def _with_exponent_widths(res):
+    res.t12[0, :len(_EXPONENT_WIDTHS)] = _EXPONENT_WIDTHS
+    return res
 
 
 # As shipped, before the route fixture patches it.
@@ -202,6 +226,20 @@ class TestByteIdentity:
         negative_zero_row = grids["reciprocal -0.0"].i_signed_db[1]
         assert np.signbit(negative_zero_row).tolist() == [True, True, False,
                                                           True]
+        uniform = grids["uniform"]
+        assert set(uniform.directions().ravel()) == {"forward"}
+        assert not uniform.error_codes
+        mixed = grids["mixed step"]
+        assert {"COUPLING_NEGATIVE", "INF_ISOLATION"} <= set(
+            mixed.error_codes.values())
+        assert np.isnan(mixed.t12).any()
+        assert mixed.axis_values[0].min() < 0 < mixed.axis_values[0].max()
+        assert {"forward", "backward"} <= set(mixed.directions()[0])
+        t12 = [format(v, ".16e") for v in grids["exponent widths"].t12[0]]
+        assert t12[:3] == ["1.0000000000000000e+100",
+                           "9.9999999999999982e+99",
+                           "1.0000000000000000e+129"]
+        assert Fraction(1e129) < Fraction(10) ** 129
 
     @pytest.mark.parametrize("step", [64, 5])
     def test_several_steps(self, base_params, monkeypatch, step):
@@ -224,6 +262,56 @@ class TestByteIdentity:
 @pytest.mark.usefixtures("route")
 class TestByteIdentityOnEachRoute(TestByteIdentity):
     """TestByteIdentity with every output on one route."""
+
+
+def _dropped(monkeypatch, pieces, axis_values, steps) -> tuple[int, list]:
+    """How many steps ``pieces`` writes, and the indices of the steps whose
+    NULs it drops."""
+    made, dropped = [], []
+    drop = serialize._drop_nuls
+
+    def recording(raw):
+        dropped.append(len(made) - 1)
+        return drop(raw)
+
+    def counted():
+        for step in steps:
+            made.append(step[0])
+            yield step
+
+    monkeypatch.setattr(serialize, "_drop_nuls", recording)
+    for _ in pieces(axis_values, counted()):
+        pass
+    return len(made), dropped
+
+
+class TestCroppedSteps:
+    """A CSV step in which each field has one width is laid out at the
+    widths its values use and has no NUL to drop; any other step, and
+    every JSON step, keeps whole slots and drops its NULs."""
+
+    @pytest.mark.parametrize("name, dropped", [
+        ("uniform", []), ("mixed step", [0]), ("exponent widths", [0])])
+    def test_grids(self, base_params, monkeypatch, name, dropped):
+        monkeypatch.setattr(serialize, "_CSV_RECORDS_BELOW", 0)
+        res = dict(_byte_identity_grids(base_params))[name]
+        assert _dropped(monkeypatch, serialize._csv_pieces, res.axis_values,
+                        serialize._result_steps(res)) == (1, dropped)
+        # JSON scans no span: its float slots vary in width with each value.
+        monkeypatch.setattr(serialize, "_spans", None)
+        assert _dropped(monkeypatch, serialize._json_pieces, res.axis_values,
+                        serialize._result_steps(res)) == (1, [0])
+
+    @pytest.mark.parametrize("name, steps, dropped", [
+        ("fig4a", 80, [39]), ("fig3a", 26, [12])])
+    def test_presets(self, monkeypatch, name, steps, dropped):
+        # Only the middle step, where axis 1 crosses 0, drops NULs.
+        preset = figure_preset(name)
+        run = sweep_module.BlockSweep(preset.base, preset.axes,
+                                      preset.delta_f_policy,
+                                      preset.delta_f_band)
+        assert _dropped(monkeypatch, serialize._csv_pieces, run.display,
+                        serialize._run_steps(run)) == (steps, dropped)
 
 
 def _old_directions(result):
@@ -491,6 +579,29 @@ def test_abs_text_is_signed_text_without_its_minus(values):
     json_slots[:, 1] = 0  # the sign byte, as the JSON writer clears it
     assert _slot_text(json_slots) == [json.dumps(_oracle_jsonable(abs(v)))
                                       for v in values]
+
+
+# Float64 bit patterns drawn field by field, so that every binary exponent
+# is as likely, 0 (zeros and subnormals) and 2047 (infinities and nan)
+# among them.
+_BITS = st.builds(lambda sign, exponent, mantissa:
+                  sign << 63 | exponent << 52 | mantissa,
+                  st.integers(0, 1), st.integers(0, 2047),
+                  st.integers(0, 2 ** 52 - 1))
+# Ties in the 17th digit (Python formats them) and decade round-ups.
+_TIES = (1000000000000000.25, -1000000000000000.75, 1e129, -1e-243)
+
+
+@given(st.lists(_BITS, max_size=40),
+       st.lists(st.sampled_from(_SPECIAL_FLOATS + _TIES), max_size=10))
+def test_slots_are_sign_then_text_then_nul_padding(bits, specials):
+    """Every %.16e slot is a sign byte ("-" or NUL), then text without a
+    NUL, then NULs only, which the CSV writer's cropped layout needs."""
+    x = np.concatenate([np.array(bits, np.uint64).view(float), specials])
+    for value, slot in zip(x.tolist(), e16.slots(x).tolist()):
+        text = bytes(slot[1:]).rstrip(b"\0")
+        assert slot[0] in (0, ord("-")), value
+        assert text and b"\0" not in text, value
 
 
 def _streamed(base, axes, policy, band, pieces, plot="i_abs"):
@@ -829,6 +940,75 @@ class TestSvg:
         path = tmp_path / "plot.svg"
         write_svg(small_result, path)
         assert path.read_text(encoding="utf-8") == _svg(small_result)
+
+
+def _path_failing_after(size: int):
+    """A Path whose ``write_text`` writes ``size`` characters of its text,
+    then fails as a full disk does."""
+
+    class FailingPath(type(Path())):
+        def write_text(self, data, *args, **kwargs):
+            with open(self, "w", encoding="utf-8") as file:
+                file.write(data[:size])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    return FailingPath
+
+
+class TestSvgWriteFailure:
+    """A failed SVG write removes the partial file, as the CSV writers do,
+    and only if it is a regular file."""
+
+    def test_leaves_no_partial_svg(self, small_result, monkeypatch,
+                                   tmp_path):
+        monkeypatch.setattr(serialize, "Path", _path_failing_after(1000))
+        with pytest.raises(OSError, match="No space"):
+            write_preset_outputs(figure_preset("fig5a"), tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == ["fig5a.csv"]
+        digest = hashlib.sha256((tmp_path / "fig5a.csv").read_bytes())
+        assert digest.hexdigest() == _PRESET_DIGESTS["fig5a.csv"]
+        with pytest.raises(OSError, match="No space"):
+            write_svg(small_result, tmp_path / "out.svg")
+        assert not (tmp_path / "out.svg").exists()
+
+    def test_reproduce_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(serialize, "Path", _path_failing_after(1000))
+        assert cli.run(["reproduce", "fig5a", "--out", str(tmp_path)]) == 2
+        assert "io error" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["fig5a.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full")
+    def test_keeps_a_symlink_and_its_target(self, small_result, tmp_path):
+        for name in ("link.svg", "fig5a.svg"):
+            (tmp_path / name).symlink_to("/dev/full")
+        for write in (lambda: write_svg(small_result, tmp_path / "link.svg"),
+                      lambda: write_preset_outputs(figure_preset("fig5a"),
+                                                   tmp_path)):
+            with pytest.raises(OSError) as failed:
+                write()
+            assert failed.value.errno == errno.ENOSPC
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "fig5a.csv", "fig5a.svg", "link.svg"]
+        assert all(path.is_symlink() for path in tmp_path.glob("*.svg"))
+        assert os.path.exists("/dev/full")
+
+    def test_keeps_a_file_it_could_not_open(self, small_result, monkeypatch,
+                                            tmp_path):
+        # As open() reports a file it may not write: an OSError naming it.
+        def refused(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied",
+                                  str(self))
+
+        path = tmp_path / "fig5a.svg"
+        path.write_text("kept")
+        monkeypatch.setattr(type(Path()), "write_text", refused)
+        with pytest.raises(PermissionError):
+            write_svg(small_result, path)
+        with pytest.raises(PermissionError):
+            write_preset_outputs(figure_preset("fig5a"), tmp_path)
+        assert path.read_bytes() == b"kept"
+        assert (tmp_path / "fig5a.csv").is_file()
 
 
 def test_write_preset_outputs(base_params, tmp_path):

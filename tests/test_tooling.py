@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import resource
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from magnon_sagnac import (Axis, FigurePreset, SweepParameter, SystemParams,
-                           cli, serialize, sweep)
+                           cli, figure_preset, serialize, sweep)
 from test_serialize import _PRESET_DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -152,6 +153,24 @@ def test_spin_rate_study_runs():
     lines = done.stdout.splitlines()
     assert lines[0].startswith("# extremal shift 33.182 MHz (41.63 dB)")
     assert len(lines) == 5  # the shift, the column heads and three rates
+
+
+def test_preset_probe_runs():
+    """scripts/preset_probe.py runs the fig5 group once and counts every
+    row of both of its CSVs."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "preset_probe.py"), "fig5",
+         "--repeat", "1"], capture_output=True, text=True, timeout=60,
+        check=True)
+    record = json.loads(done.stdout)
+    assert record["repeat"] == 1 and record["import_rss_mb"] > 0
+    fig5 = record["presets"]["fig5"]
+    rows = sum(math.prod(axis.count for axis in figure_preset(name).axes)
+               for name in ("fig5a", "fig5b"))
+    assert fig5["csv_rows"] == rows
+    assert fig5["csv_bytes"] > rows * len(serialize.CSV_HEADER)
+    assert len(fig5["walls_s"]) == 1 and fig5["wall_s"] > 0
+    assert fig5["us_per_row"] == round(fig5["wall_s"] / rows * 1e6, 3)
 
 
 def test_bench_pairs_writes_the_bench_layout(tmp_path):
