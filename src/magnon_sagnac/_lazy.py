@@ -2,8 +2,8 @@
 
 The modules that compute on arrays call numpy only inside functions, so
 they bind it through :func:`lazy_import` and the commands that never
-touch an array (``isolate``, ``steady``, ``fizeau``, ``validate``) start
-without loading it.
+touch an array (``isolate``, ``steady``, ``fizeau``, ``validate``,
+``optimize``) start without loading it.
 
 On older Pythons (3.11 included) the lazy load takes no lock, so the
 first use must not race another thread.  The package starts no threads;

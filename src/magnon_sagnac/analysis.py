@@ -8,7 +8,7 @@ quadratics in the Fizeau shift x = delta_f:
 
 with A = delta - w1, B = delta - w2, w_j = g_j r_j and
 r_j = sqrt(kappa_j / gamma_m) sqrt(eta_j / eta_3) eps_j / eps_3.  Its
-two stationary shifts are always real (:func:`stationary_shifts`); one
+two stationary shifts are always real (:func:`_stationary`); one
 maximizes R and the other minimizes it.  For a symmetric system (equal
 ports, equal couplings g) they are the mirror images
 +/- sqrt(kappa^2/4 + u^2) with u = delta - g * sqrt(kappa / gamma_m).
@@ -17,6 +17,10 @@ The sign u = 0, i.e. delta = g * sqrt(kappa / gamma_m), is the impedance
 matched point where transmission is reciprocal for every delta_f.  Solved
 for the damping rates this gives the reversal thresholds gamma_0 and
 kappa_0 reported by :func:`reciprocal_points`.
+
+A grid takes these formulas on numpy arrays; one parameter set takes the
+``*_float`` functions, which mirror them operation for operation on Python
+floats under numpy's IEEE rules, give the same bits and never load numpy.
 """
 
 from __future__ import annotations
@@ -57,8 +61,10 @@ def classify_direction(report: TransmissionReport) -> Direction:
     return Direction(DIRECTION_LABELS[direction_index(report.i_signed_db)])
 
 
-def stationary_shifts(**args):
-    """Both stationary Fizeau shifts (x_plus, x_minus) of R, for any ports.
+def _stationary(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1, eta_2,
+                eta_3, eps_1, eps_2, eps_3, delta_f=None, omega_s=None):
+    """Both stationary Fizeau shifts of R, for any ports, and the terms of
+    R they are built from: (x_plus, x_minus, w1, w2, A, B, k1^2, k2^2).
 
     Takes :func:`.transmission_grid`'s keyword arguments as broadcastable
     arrays (R depends on neither delta_f nor omega_s).  The shifts solve
@@ -69,13 +75,6 @@ def stationary_shifts(**args):
     (A + B)^2 + t^2 + (kappa_1^2 + kappa_2^2)/2 and is floored at its last
     term.  A point with a non-positive rate or eta_3 eps_3 = 0 gives nan.
     """
-    return _stationary(**args)[:2]
-
-
-def _stationary(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1, eta_2,
-                eta_3, eps_1, eps_2, eps_3, delta_f=None, omega_s=None):
-    """The stationary shifts and the terms of R they are built from:
-    (x_plus, x_minus, w1, w2, A, B, kappa_1^2, kappa_2^2)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r1 = (np.sqrt(np.divide(kappa_1, gamma_m))
               * (np.sqrt(np.divide(eta_1, eta_3)) * eps_1 / eps_3))
@@ -101,7 +100,7 @@ def half_band_shift(lo: float, hi: float, **args):
     Takes :func:`.transmission_grid`'s keyword arguments as broadcastable
     arrays and returns the shift at their broadcast shape.  The candidates
     are, in order, the point of [lo, hi] nearest 0, the smaller and the
-    larger :func:`stationary_shifts` inside [lo, hi], and each finite edge,
+    larger :func:`_stationary` shift inside [lo, hi], and each finite edge,
     lower first; a later one wins only at a strictly larger |I|, and a nan
     score never wins.  With R = N / D as in the module docstring, the score
     max(N, D) / min(N, D) is the same for both mirror shifts of a symmetric
@@ -133,21 +132,71 @@ def half_band_shift(lo: float, hi: float, **args):
     return shift
 
 
-def isolation_ratio(*, delta, delta_f, kappa_1, kappa_2, gamma_m, g_1, g_2,
-                    eta_1, eta_2, eta_3, eps_1, eps_2, eps_3, omega_s=None):
-    """R at ``delta_f`` from the ratio of quadratics, free of the
-    determinant.  Takes :func:`.transmission_grid`'s keyword arguments;
-    both quadratics are multiplied through by f3 = sqrt(eta_3 gamma_m)
-    eps_3, so R stays finite (it is 1) where f3 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f3 = np.sqrt(np.multiply(eta_3, gamma_m)) * eps_3
-        p1 = g_1 * np.sqrt(np.multiply(eta_1, kappa_1)) * eps_1
-        p2 = g_2 * np.sqrt(np.multiply(eta_2, kappa_2)) * eps_2
-        num = (np.square(0.5 * kappa_2 * f3)
-               + np.square(f3 * (delta_f - delta) + p2))
-        den = (np.square(0.5 * kappa_1 * f3)
-               + np.square(f3 * (delta_f + delta) - p1))
-        return np.square(p1) * num / (np.square(p2) * den)
+def _div(a: float, b: float) -> float:
+    """``np.divide`` of floats: a +/-0 divisor gives +/-inf or nan."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return a * math.copysign(math.inf, b)
+
+
+def _sqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0.0 else math.nan  # np.sqrt: nan below 0
+
+
+# np.maximum and np.minimum of floats: nan if either is, b at a tie.
+def _max(a: float, b: float) -> float:
+    return a if a > b or a != a else b
+
+
+def _min(a: float, b: float) -> float:
+    return a if a < b or a != a else b
+
+
+def _stationary_float(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
+                      eta_2, eta_3, eps_1, eps_2, eps_3, **_):
+    """:func:`_stationary` on the floats of one parameter set."""
+    r1 = (_sqrt(_div(kappa_1, gamma_m))
+          * _div(_sqrt(_div(eta_1, eta_3)) * eps_1, eps_3))
+    r2 = (_sqrt(_div(kappa_2, gamma_m))
+          * _div(_sqrt(_div(eta_2, eta_3)) * eps_2, eps_3))
+    w1, w2 = g_1 * r1, g_2 * r2
+    a, b = delta - w1, delta - w2
+    k1, k2 = kappa_1 * kappa_1, kappa_2 * kappa_2
+    t = 0.0 if kappa_1 == kappa_2 else _div(k1 - k2, 4.0 * (a + b))
+    u1 = r1 * (g_1 - g_2) + g_2 * (r1 - r2) - t
+    u2 = k2 + 4.0 * b * (a + t)
+    root = _sqrt(_max(u1 * u1 + u2, 0.5 * (k1 + k2)))
+    return 0.5 * (u1 + root), 0.5 * (u1 - root), w1, w2, a, b, k1, k2
+
+
+def _band_shift_float(lo: float, hi: float, args: dict) -> float:
+    """:func:`half_band_shift` on the floats of one parameter set."""
+    plus, minus, w1, w2, a, b, k1, k2 = _stationary_float(**args)
+    zero = min(max(lo, 0.0), hi)
+    edges = [(x, False) for x in (lo, hi) if math.isfinite(x) and x != zero]
+    ratio = _div(w1, w2)
+    scale, c1, c2 = ratio * ratio, 0.25 * k1, 0.25 * k2
+    shift, best = zero, -math.inf
+    for x, test in ((zero, False), (minus, True), (plus, True), *edges):
+        num, den = x - b, x + a
+        num, den = scale * (c2 + num * num), c1 + den * den
+        score = _div(_max(num, den), _min(num, den))
+        if score > best and (not test or lo <= x <= hi):
+            shift, best = x, score
+    return shift
+
+
+def _ratio_float(*, delta, delta_f, kappa_1, kappa_2, gamma_m, g_1, g_2,
+                 eta_1, eta_2, eta_3, eps_1, eps_2, eps_3, **_):
+    """R at ``delta_f``, free of the determinant: both quadratics are
+    multiplied by f3 = sqrt(eta_3 gamma_m) eps_3, so R is 1 where f3 = 0."""
+    f3 = _sqrt(eta_3 * gamma_m) * eps_3
+    p1 = g_1 * _sqrt(eta_1 * kappa_1) * eps_1
+    p2 = g_2 * _sqrt(eta_2 * kappa_2) * eps_2
+    h1, h2 = 0.5 * kappa_1 * f3, 0.5 * kappa_2 * f3
+    e1, e2 = f3 * (delta_f + delta) - p1, f3 * (delta_f - delta) + p2
+    return _div(p1 * p1 * (h2 * h2 + e2 * e2), p2 * p2 * (h1 * h1 + e1 * e1))
 
 
 @dataclass(frozen=True)
@@ -179,8 +228,8 @@ def extremal_fizeau_general(
     For a symmetric system (:func:`.is_symmetric`) the shifts are mirror
     images, ratio_minus = 1/ratio_plus, and both branches share one
     isolation magnitude.  Both shifts are real for every positive
-    linewidth.  An isolation ratio that leaves the float range at either
-    shift raises ``PhysicsError`` with an ``OVERFLOW`` message.
+    linewidth.  A ratio of 0, inf or nan at either shift has left the float
+    range, and raises ``PhysicsError`` with an ``OVERFLOW`` message.
     """
     require_optical_drive(params)
     args = kernel_args(params)
@@ -188,10 +237,10 @@ def extremal_fizeau_general(
         raise ValueError("extremal analysis needs strictly positive couplings "
                          "and magnon drive; otherwise R does not depend on "
                          "delta_f")
-    plus, minus = (float(x) for x in stationary_shifts(**args))
-    ratio_plus, ratio_minus = (float(isolation_ratio(**dict(args, delta_f=x)))
+    plus, minus = _stationary_float(**args)[:2]
+    ratio_plus, ratio_minus = (_ratio_float(**dict(args, delta_f=x))
                                for x in (plus, minus))
-    if math.isnan(ratio_plus) or math.isnan(ratio_minus):
+    if not (0.0 < ratio_plus < math.inf and 0.0 < ratio_minus < math.inf):
         raise PhysicsError("OVERFLOW: the isolation ratio left the float "
                            "range at a stationary shift")
     return GeneralExtrema(plus, minus, ratio_plus, ratio_minus,
@@ -250,6 +299,6 @@ def brute_force_optimum(params: SystemParams,
     if not lo < hi:
         raise ValueError("band must satisfy lo < hi")
     require_optical_drive(params)
-    x = float(half_band_shift(lo, hi, **kernel_args(params)))
+    x = _band_shift_float(lo, hi, kernel_args(params))
     value = transmissions(with_delta_f(params, x)).i_abs_db
     return OptimumResult(x, -math.inf if math.isnan(value) else value)

@@ -17,8 +17,9 @@ so its Hermitian part is positive definite and it is never singular
 there.  Output fields follow from a_out = sqrt(eta kappa) a.
 
 Transmissions are amplitude ratios: T12 = |a1_out / eps_2| with the drive
-on port 2, T21 = |a2_out / eps_1| with the drive on port 1.  The
-isolation ratio is R = (T12 / T21)^2 and I = 10 log10 R in dB.
+on port 2, T21 = |a2_out / eps_1| with the drive on port 1, so
+:func:`transmissions` solves only those two amplitudes.  The isolation
+ratio is R = (T12 / T21)^2 and I = 10 log10 R in dB.
 
 The scalar route (:func:`solve_closed_form`, :func:`transmissions`) is
 plain ``math`` and ``complex``; numpy is bound lazily and loads only
@@ -83,34 +84,46 @@ class TransmissionReport:
     i_abs_db: float
 
 
-def _coefficients(params: SystemParams, side: DriveSide):
+def _coefficients(params: SystemParams, side: DriveSide | None):
+    """(d1, d2, dm, g1, g2, f1, f2, f3) with the drive on ``side``; ``None``
+    drives both ports, for expressions that read one of f1 and f2."""
     eff = params.effective()
     m1, m2, mag = params.mode_1, params.mode_2, params.magnon
     d1 = 0.5 * m1.kappa_mhz + 1j * params.delta_1_mhz
     d2 = 0.5 * m2.kappa_mhz + 1j * params.delta_2_mhz
     dm = 0.5 * mag.gamma_m_mhz + 1j * params.squeeze.omega_s_mhz
-    eps_1 = params.drive.eps_1 if side is DriveSide.LEFT else 0.0
-    eps_2 = params.drive.eps_2 if side is DriveSide.RIGHT else 0.0
+    eps_1 = params.drive.eps_1 if side is not DriveSide.RIGHT else 0.0
+    eps_2 = params.drive.eps_2 if side is not DriveSide.LEFT else 0.0
     f1 = math.sqrt(m1.eta * m1.kappa_mhz) * eps_1
     f2 = math.sqrt(m2.eta * m2.kappa_mhz) * eps_2
     f3 = math.sqrt(mag.eta3 * mag.gamma_m_mhz) * params.drive.eps_3_eff
     return d1, d2, dm, eff.g_eff_1_mhz, eff.g_eff_2_mhz, f1, f2, f3
 
 
-def solve_closed_form(params: SystemParams, side: DriveSide) -> SteadyState:
-    """Closed-form steady state for a one-sided optical drive."""
-    d1, d2, dm, g1, g2, f1, f2, f3 = _coefficients(params, side)
+def _determinant(d1, d2, dm, g1, g2) -> complex:
     den = d1 * d2 * dm + d2 * g1 * g1 + d1 * g2 * g2
     if den == 0:
         raise DegenerateSystemError("vanishing system determinant")
+    return den
+
+
+def _undriven(g, d_driven, g_driven, f_driven, f3, den) -> complex:
+    """a2 with the drive on port 1 (g = g2, the rest of mode 1), or a1."""
+    return -1j * g * (d_driven * f3 - 1j * g_driven * f_driven) / den
+
+
+def solve_closed_form(params: SystemParams, side: DriveSide) -> SteadyState:
+    """Closed-form steady state for a one-sided optical drive."""
+    d1, d2, dm, g1, g2, f1, f2, f3 = _coefficients(params, side)
+    den = _determinant(d1, d2, dm, g1, g2)
     if side is DriveSide.LEFT:
         m = (d1 * d2 * f3 - 1j * g1 * d2 * f1) / den
         a1 = f1 / d1 - 1j * g1 * m / d1
-        a2 = -1j * g2 * (d1 * f3 - 1j * g1 * f1) / den
+        a2 = _undriven(g2, d1, g1, f1, f3, den)
     else:
         m = (d1 * d2 * f3 - 1j * g2 * d1 * f2) / den
         a2 = f2 / d2 - 1j * g2 * m / d2
-        a1 = -1j * g1 * (d2 * f3 - 1j * g2 * f2) / den
+        a1 = _undriven(g1, d2, g2, f2, f3, den)
     return SteadyState(a1, a2, m)
 
 
@@ -151,9 +164,6 @@ def output_fields(state: SteadyState, params: SystemParams) -> OutputFields:
                         math.sqrt(m2.eta * m2.kappa_mhz) * state.a2)
 
 
-_SOLVERS = {"closed": solve_closed_form, "generic": solve_generic}
-
-
 def require_optical_drive(params: SystemParams) -> None:
     """Refuse non-positive optical drive amplitudes, which T12 and T21 are
     normalized by."""
@@ -163,14 +173,22 @@ def require_optical_drive(params: SystemParams) -> None:
 
 
 def transmissions(params: SystemParams, method: str = "closed") -> TransmissionReport:
-    """Solve both drive sides and report T12, T21 and the isolation."""
+    """Solve both drive sides and report T12, T21 and the isolation; the
+    closed form solves only the two amplitudes read, over one determinant."""
     require_optical_drive(params)
-    try:
-        solver = _SOLVERS[method]
-    except KeyError:
+    if method == "closed":
+        d1, d2, dm, g1, g2, f1, f2, f3 = _coefficients(params, None)
+        den = _determinant(d1, d2, dm, g1, g2)
+        a2 = _undriven(g2, d1, g1, f1, f3, den)
+        a1 = _undriven(g1, d2, g2, f2, f3, den)
+    elif method == "generic":
+        a2 = solve_generic(params, DriveSide.LEFT).a2
+        a1 = solve_generic(params, DriveSide.RIGHT).a1
+    else:
         raise ValueError(f"unknown method {method!r}, expected 'closed' or 'generic'")
-    backward = abs(output_fields(solver(params, DriveSide.LEFT), params).a2_out)
-    forward = abs(output_fields(solver(params, DriveSide.RIGHT), params).a1_out)
+    m1, m2 = params.mode_1, params.mode_2  # a_out = sqrt(eta kappa) a
+    backward = abs(math.sqrt(m2.eta * m2.kappa_mhz) * a2)
+    forward = abs(math.sqrt(m1.eta * m1.kappa_mhz) * a1)
     t12 = forward / params.drive.eps_2
     t21 = backward / params.drive.eps_1
     if forward == 0.0 and backward == 0.0:

@@ -5,25 +5,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnon_sagnac import (
+    CavityMode,
     Direction,
     DriveAmplitudes,
+    DriveSide,
+    MagnonMode,
+    NoTransmissionError,
     PhysicsError,
     RECIPROCAL_TOL_DB,
+    SqueezeSpec,
     SymmetryRequiredError,
     SystemParams,
     TransmissionReport,
     brute_force_optimum,
     classify_direction,
     extremal_fizeau_general,
+    output_fields,
     reciprocal_points,
+    solve_closed_form,
     transmissions,
     with_delta_f,
 )
 from magnon_sagnac import analysis
 from magnon_sagnac.analysis import OptimumResult
 from magnon_sagnac.model import FEASIBLE_FIZEAU_BAND
+from magnon_sagnac.steady_state import kernel_args, require_optical_drive
 from magnon_sagnac.sweep import direction_index
 
 from conftest import random_general, random_symmetric
@@ -474,6 +484,103 @@ class TestBruteForce:
         calls.clear()
         opt = brute_force_optimum(base_params, (-65.0, 65.0))
         assert calls == [opt.delta_f_mhz]
+
+
+def isolation_ratio(*, delta, delta_f, kappa_1, kappa_2, gamma_m, g_1, g_2,
+                    eta_1, eta_2, eta_3, eps_1, eps_2, eps_3, omega_s=None):
+    """R at ``delta_f`` as numpy computes it: the expression the float
+    ratio mirrors, kept as its oracle."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f3 = np.sqrt(np.multiply(eta_3, gamma_m)) * eps_3
+        p1 = g_1 * np.sqrt(np.multiply(eta_1, kappa_1)) * eps_1
+        p2 = g_2 * np.sqrt(np.multiply(eta_2, kappa_2)) * eps_2
+        num = (np.square(0.5 * kappa_2 * f3)
+               + np.square(f3 * (delta_f - delta) + p2))
+        den = (np.square(0.5 * kappa_1 * f3)
+               + np.square(f3 * (delta_f + delta) - p1))
+        return np.square(p1) * num / (np.square(p2) * den)
+
+
+def two_solves(params):
+    """The report from a full closed-form solve of each drive side, read
+    as ``transmissions`` reads its two amplitudes."""
+    require_optical_drive(params)
+    left = solve_closed_form(params, DriveSide.LEFT)
+    backward = abs(output_fields(left, params).a2_out)
+    right = solve_closed_form(params, DriveSide.RIGHT)
+    forward = abs(output_fields(right, params).a1_out)
+    t12, t21 = forward / params.drive.eps_2, backward / params.drive.eps_1
+    if forward == 0.0 and backward == 0.0:
+        raise NoTransmissionError("both output amplitudes vanish")
+    if backward == 0.0:
+        ratio, i_signed = math.inf, math.inf
+    elif forward == 0.0:
+        ratio, i_signed = 0.0, -math.inf
+    else:
+        ratio = (t12 / t21) * (t12 / t21)
+        i_signed = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+    return TransmissionReport(t12, t21, ratio, i_signed, abs(i_signed))
+
+
+def _bits(*values) -> list:
+    """Each value's hex, so that -0.0 differs from 0.0 and nan from inf."""
+    return [float(v).hex() for v in values]
+
+
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+_SIGNED = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+_FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+_BOUND = st.one_of(_SIGNED, st.sampled_from([-0.0, 1.7e308, -1.7e308,
+                                             math.inf, -math.inf]))
+
+
+@st.composite
+def _systems(draw):
+    """Rates, couplings and drives log-uniform over 1e-300..1e300 with
+    zeros among them (g_2, eta_3, eps_3), ports equal or independent, and
+    a band with lo < hi that may be unbounded, exclude 0 or overflow."""
+    def port():
+        kappa = draw(_MAGNITUDE)
+        return (CavityMode.from_eta(kappa, draw(_FRACTION)), draw(_MAGNITUDE),
+                draw(_MAGNITUDE))
+    (mode_1, g_1, eps_1), (mode_2, g_2, eps_2) = port(), port()
+    if draw(st.booleans()):  # a mirror-symmetric system
+        mode_2, g_2, eps_2 = mode_1, g_1, eps_1
+    params = SystemParams(
+        mode_1=mode_1, mode_2=mode_2,
+        magnon=MagnonMode(draw(_MAGNITUDE), draw(_FRACTION)),
+        squeeze=SqueezeSpec(g_squeeze=0.0, omega_s_mhz=draw(_SIGNED)),
+        drive=DriveAmplitudes(eps_1, eps_2, draw(st.one_of(st.just(0.0),
+                                                             _MAGNITUDE))),
+        g0_1_mhz=g_1, g0_2_mhz=draw(st.one_of(st.just(0.0), st.just(g_2))),
+        delta_mhz=draw(_SIGNED), delta_f_mhz=draw(_SIGNED))
+    if draw(st.booleans()):  # a band that a mirror pair can fit in
+        hi = draw(st.one_of(_MAGNITUDE, st.just(math.inf)))
+        return params, (-hi, hi)
+    band = draw(st.lists(_BOUND, min_size=2, max_size=2, unique=True))
+    return params, tuple(sorted(band))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+def test_float_route_keeps_the_array_bits(system):
+    """One parameter set on floats gives the bits of a one-point grid: the
+    stationary shifts and the band's best shift (zero's sign included),
+    the ratio of quadratics at each stationary shift, and T12 and T21 of
+    the two amplitudes ``transmissions`` reads."""
+    params, (lo, hi) = system
+    args = kernel_args(params)
+    arrays = {key: np.array([value]) for key, value in args.items()}
+    floats = analysis._stationary_float(**args)
+    assert _bits(*floats) == _bits(*(x.item() for x in
+                                     analysis._stationary(**arrays)))
+    assert _bits(analysis._band_shift_float(lo, hi, args)) == _bits(
+        analysis.half_band_shift(lo, hi, **arrays).item())
+    for x in (*floats[:2], params.delta_f_mhz):
+        assert _bits(analysis._ratio_float(**dict(args, delta_f=x))) == \
+            _bits(isolation_ratio(**dict(args, delta_f=x)))
+    assert repr(_outcome(transmissions, params)) == \
+        repr(_outcome(two_solves, params))
 
 
 def test_golden_section_finds_simple_maxima():

@@ -494,13 +494,19 @@ class TestOptimize:
                 "define T12 and T21\n")
 
     def test_analytic_overflow_is_an_error(self, capsys):
-        # g_1 is about 2e153, so R is nan at both stationary shifts.
-        assert run(["optimize", "--analytic", "--set", "G=175",
-                    "--set", "kappa_mhz=0.5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: OVERFLOW: ")
-        assert captured.err.count("\n") == 1
+        # With G=175, g_1 is about 2e153, so R is nan at both stationary
+        # shifts.  In the other three, R lies strictly between 0 and inf
+        # but underflows to 0 or overflows to inf at a stationary shift.
+        for sets in (["G=175", "kappa_mhz=0.5"], ["g0_mhz=[1e-170,1]"],
+                     ["g0_mhz=[1,1e-170]"], ["g0_mhz=[1e150,1]"]):
+            for fmt in ("text", "json"):
+                argv = ["optimize", "--analytic", "--format", fmt]
+                for assignment in sets:
+                    argv += ["--set", assignment]
+                assert run(argv) == 1, argv
+                assert capsys.readouterr() == (
+                    "", "error: OVERFLOW: the isolation ratio left the float "
+                    "range at a stationary shift\n"), argv
 
     @pytest.mark.parametrize("band", ["-40:40", "-.5:1", "-1e1:-2.5"])
     def test_negative_band_takes_either_spelling(self, capsys, band):

@@ -36,7 +36,7 @@ from magnon_sagnac import (
     validate,
     with_delta_f,
 )
-from magnon_sagnac.analysis import stationary_shifts
+from magnon_sagnac.analysis import _stationary
 from magnon_sagnac.serialize import csv_text
 from magnon_sagnac.steady_state import kernel_args
 from magnon_sagnac.sweep import CODE_NAMES, _INPUT_CHECKS
@@ -701,7 +701,7 @@ class TestBlocks:
                      *(random_symmetric(rng) for _ in range(5))]:
             args = dict(kernel_args(base),
                         omega_s=np.linspace(-50.0, 50.0, 1001))
-            for root in stationary_shifts(**args):
+            for root in _stationary(**args)[:2]:
                 shift = np.broadcast_to(root, (1001,))
                 strided = transmission_grid(**dict(args, delta_f=shift))
                 full = transmission_grid(**dict(args, delta_f=shift.copy()))

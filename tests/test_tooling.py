@@ -299,12 +299,13 @@ def run(*argv):
     return [code, out.getvalue()]
 
 scalar = [run(*command, *form)
-          for command in (["isolate"], ["steady"], ["fizeau"])
+          for command in (["isolate"], ["steady"], ["fizeau"], ["optimize"],
+                          ["optimize", "--analytic"])
           for form in ([], ["--format", "json"])]
 scalar += [run("validate"), run("validate", "--print-resolved")]
 loaded = [m in sys.modules for m in
           ("numpy.linalg", "concurrent.futures", "magnon_sagnac.e16")]
-arrays = [run("optimize"), run("steady", "--method", "generic"),
+arrays = [run("steady", "--method", "generic"),
           run("sweep", "--axis", "delta_f=-40:40:5")]
 print(json.dumps({"scalar": scalar, "loaded": loaded, "arrays": arrays}))
 """
@@ -312,31 +313,37 @@ print(json.dumps({"scalar": scalar, "loaded": loaded, "arrays": arrays}))
 
 def test_cli_import_leaves_out_the_thread_pool():
     """Importing the CLI, building its parser and running the scalar
-    commands load neither numpy (whose ``__init__`` imports
-    ``numpy.linalg``), the thread pool nor the number formatters.  The
-    commands that then load numpy print what they print in a process
+    commands, ``optimize`` in both modes among them, load neither numpy
+    (whose ``__init__`` imports ``numpy.linalg``), the thread pool nor the
+    number formatters.  Every command prints what it prints in a process
     that imported numpy first."""
     lazy = json.loads(_python("-c", _SCALAR_THEN_ARRAY).stdout)
     eager = json.loads(_python("-c", _SCALAR_THEN_ARRAY,
                                "numpy-first").stdout)
     assert lazy["loaded"] == [False, False, False]
     assert eager["loaded"][0]
-    assert [code for code, _ in lazy["scalar"] + lazy["arrays"]] == [0] * 11
+    assert [code for code, _ in lazy["scalar"] + lazy["arrays"]] == [0] * 14
     assert lazy["scalar"] == eager["scalar"]
     assert lazy["arrays"] == eager["arrays"]
-    assert lazy["arrays"][2][1].count("\n") == 6  # header and 5 points
+    assert lazy["arrays"][1][1].count("\n") == 6  # header and 5 points
+
+
+_SCALAR_COMMANDS = (["validate"], ["fizeau"], ["isolate", "--format", "json"],
+                    ["optimize"],
+                    ["optimize", "--analytic", "--format", "json"])
 
 
 def test_cli_without_numpy_fails_only_array_commands(capsys):
-    """With numpy missing, the scalar commands answer as they do with it,
-    and each array command raises ModuleNotFoundError naming numpy."""
-    script = """
+    """With numpy missing, the scalar commands, ``optimize`` in both modes
+    among them, answer as they do with it, and each array command raises
+    ModuleNotFoundError naming numpy."""
+    script = f"""
 import sys
 sys.modules["numpy"] = None
 from magnon_sagnac import cli
-for argv in (["validate"], ["fizeau"], ["isolate", "--format", "json"]):
+for argv in {_SCALAR_COMMANDS!r}:
     cli.run(argv)
-for argv in (["optimize"], ["steady", "--method", "generic"],
+for argv in (["steady", "--method", "generic"],
              ["sweep", "--axis", "delta_f=-40:40:5"]):
     try:
         cli.run(argv)
@@ -344,11 +351,11 @@ for argv in (["optimize"], ["steady", "--method", "generic"],
         print(type(e).__name__, getattr(e, "name", None))
 """
     lines = _python("-c", script).stdout.splitlines(keepends=True)
-    for argv in (["validate"], ["fizeau"], ["isolate", "--format", "json"]):
+    for argv in _SCALAR_COMMANDS:
         assert cli.run(argv) == 0
     expected = capsys.readouterr().out
-    assert "".join(lines[:-3]) == expected
-    assert lines[-3:] == ["ModuleNotFoundError numpy\n"] * 3
+    assert "".join(lines[:-2]) == expected
+    assert lines[-2:] == ["ModuleNotFoundError numpy\n"] * 2
 
 
 # Imports its two arguments in order, then checks numpy and the
