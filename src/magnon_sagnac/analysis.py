@@ -18,9 +18,8 @@ matched point where transmission is reciprocal for every delta_f.  Solved
 for the damping rates this gives the reversal thresholds gamma_0 and
 kappa_0 reported by :func:`reciprocal_points`.
 
-A grid takes these formulas on numpy arrays; one parameter set takes the
-``*_float`` functions, which mirror them operation for operation on Python
-floats under numpy's IEEE rules, give the same bits and never load numpy.
+A grid takes these formulas on numpy arrays, one parameter set their
+``*_float`` mirrors: the same bits from Python floats, without numpy.
 """
 
 from __future__ import annotations
@@ -134,32 +133,27 @@ def half_band_shift(lo: float, hi: float, **args):
 
 def _div(a: float, b: float) -> float:
     """``np.divide`` of floats: a +/-0 divisor gives +/-inf or nan."""
-    try:
-        return a / b
-    except ZeroDivisionError:
-        return a * math.copysign(math.inf, b)
+    return a / b if b else a * math.copysign(math.inf, b)
 
 
 def _sqrt(x: float) -> float:
     return math.sqrt(x) if x >= 0.0 else math.nan  # np.sqrt: nan below 0
 
 
-# np.maximum and np.minimum of floats: nan if either is, b at a tie.
-def _max(a: float, b: float) -> float:
+def _max(a: float, b: float) -> float:  # np.maximum: nan if either is
     return a if a > b or a != a else b
 
 
-def _min(a: float, b: float) -> float:
+def _min(a: float, b: float) -> float:  # np.minimum: nan if either is
     return a if a < b or a != a else b
 
 
 def _stationary_float(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
                       eta_2, eta_3, eps_1, eps_2, eps_3, **_):
     """:func:`_stationary` on the floats of one parameter set."""
-    r1 = (_sqrt(_div(kappa_1, gamma_m))
-          * _div(_sqrt(_div(eta_1, eta_3)) * eps_1, eps_3))
-    r2 = (_sqrt(_div(kappa_2, gamma_m))
-          * _div(_sqrt(_div(eta_2, eta_3)) * eps_2, eps_3))
+    r1, r2 = (  # r_j, as in the module docstring
+        _sqrt(_div(k, gamma_m)) * _div(_sqrt(_div(e, eta_3)) * f, eps_3)
+        for k, e, f in ((kappa_1, eta_1, eps_1), (kappa_2, eta_2, eps_2)))
     w1, w2 = g_1 * r1, g_2 * r2
     a, b = delta - w1, delta - w2
     k1, k2 = kappa_1 * kappa_1, kappa_2 * kappa_2
@@ -175,12 +169,10 @@ def _band_shift_float(lo: float, hi: float, args: dict) -> float:
     plus, minus, w1, w2, a, b, k1, k2 = _stationary_float(**args)
     zero = min(max(lo, 0.0), hi)
     edges = [(x, False) for x in (lo, hi) if math.isfinite(x) and x != zero]
-    ratio = _div(w1, w2)
+    ratio, shift, best = _div(w1, w2), zero, -math.inf
     scale, c1, c2 = ratio * ratio, 0.25 * k1, 0.25 * k2
-    shift, best = zero, -math.inf
     for x, test in ((zero, False), (minus, True), (plus, True), *edges):
-        num, den = x - b, x + a
-        num, den = scale * (c2 + num * num), c1 + den * den
+        num, den = scale * (c2 + (x - b) * (x - b)), c1 + (x + a) * (x + a)
         score = _div(_max(num, den), _min(num, den))
         if score > best and (not test or lo <= x <= hi):
             shift, best = x, score

@@ -165,13 +165,11 @@ def _record_steps(axis_values, steps, record: str, slots, sign: int,
         directions = _DIRECTIONS.take(direction_index(signed), axis=0)
         codes = _CODES.take(codes.reshape(shape), axis=0)
         spans = full
-        # Mixed direction or code widths drop NULs: skip the float scan.
         last = [*_spans(directions), *_spans(codes)] if crop else [None]
-        if None not in last:
+        if None not in last:  # mixed widths drop NULs: skip the float scan
             *columns, i = _spans(floats)  # T12, T21 and R, then I
-            cropped = [*_spans(axis1[sl, None]), a2, *columns, i,
-                       i and slice(max(i.start, sign + 1), i.stop),  # |I|
-                       *last]
+            cropped = [*_spans(axis1[sl, None]), a2, *columns, i,  # then |I|
+                       i and slice(max(i.start, sign + 1), i.stop), *last]
             if None not in cropped:
                 spans = cropped
         if spans != layout:  # a new template, over the whole buffer

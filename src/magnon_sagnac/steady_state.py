@@ -85,8 +85,7 @@ class TransmissionReport:
 
 
 def _coefficients(params: SystemParams, side: DriveSide | None):
-    """(d1, d2, dm, g1, g2, f1, f2, f3) with the drive on ``side``; ``None``
-    drives both ports, for expressions that read one of f1 and f2."""
+    """(d1, d2, dm, g1, g2, f1, f2, f3), driven on ``side`` (None: both)."""
     eff = params.effective()
     m1, m2, mag = params.mode_1, params.mode_2, params.magnon
     d1 = 0.5 * m1.kappa_mhz + 1j * params.delta_1_mhz
@@ -100,30 +99,26 @@ def _coefficients(params: SystemParams, side: DriveSide | None):
     return d1, d2, dm, eff.g_eff_1_mhz, eff.g_eff_2_mhz, f1, f2, f3
 
 
-def _determinant(d1, d2, dm, g1, g2) -> complex:
+def _closed_setup(params: SystemParams, side: DriveSide | None):
+    """The coefficients, shared determinant and undriven a1 and a2."""
+    d1, d2, dm, g1, g2, f1, f2, f3 = coefficients = _coefficients(params, side)
     den = d1 * d2 * dm + d2 * g1 * g1 + d1 * g2 * g2
     if den == 0:
         raise DegenerateSystemError("vanishing system determinant")
-    return den
-
-
-def _undriven(g, d_driven, g_driven, f_driven, f3, den) -> complex:
-    """a2 with the drive on port 1 (g = g2, the rest of mode 1), or a1."""
-    return -1j * g * (d_driven * f3 - 1j * g_driven * f_driven) / den
+    a1 = -1j * g1 * (d2 * f3 - 1j * g2 * f2) / den
+    a2 = -1j * g2 * (d1 * f3 - 1j * g1 * f1) / den
+    return coefficients, den, a1, a2
 
 
 def solve_closed_form(params: SystemParams, side: DriveSide) -> SteadyState:
     """Closed-form steady state for a one-sided optical drive."""
-    d1, d2, dm, g1, g2, f1, f2, f3 = _coefficients(params, side)
-    den = _determinant(d1, d2, dm, g1, g2)
+    (d1, d2, dm, g1, g2, f1, f2, f3), den, a1, a2 = _closed_setup(params, side)
     if side is DriveSide.LEFT:
         m = (d1 * d2 * f3 - 1j * g1 * d2 * f1) / den
         a1 = f1 / d1 - 1j * g1 * m / d1
-        a2 = _undriven(g2, d1, g1, f1, f3, den)
     else:
         m = (d1 * d2 * f3 - 1j * g2 * d1 * f2) / den
         a2 = f2 / d2 - 1j * g2 * m / d2
-        a1 = _undriven(g1, d2, g2, f2, f3, den)
     return SteadyState(a1, a2, m)
 
 
@@ -173,14 +168,10 @@ def require_optical_drive(params: SystemParams) -> None:
 
 
 def transmissions(params: SystemParams, method: str = "closed") -> TransmissionReport:
-    """Solve both drive sides and report T12, T21 and the isolation; the
-    closed form solves only the two amplitudes read, over one determinant."""
+    """Solve both drive sides and report T12, T21 and the isolation."""
     require_optical_drive(params)
     if method == "closed":
-        d1, d2, dm, g1, g2, f1, f2, f3 = _coefficients(params, None)
-        den = _determinant(d1, d2, dm, g1, g2)
-        a2 = _undriven(g2, d1, g1, f1, f3, den)
-        a1 = _undriven(g1, d2, g2, f2, f3, den)
+        a1, a2 = _closed_setup(params, None)[2:]
     elif method == "generic":
         a2 = solve_generic(params, DriveSide.LEFT).a2
         a1 = solve_generic(params, DriveSide.RIGHT).a1

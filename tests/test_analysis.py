@@ -527,8 +527,12 @@ def _bits(*values) -> list:
     return [float(v).hex() for v in values]
 
 
-_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
-_SIGNED = st.one_of(st.just(0.0), _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
+# Log-uniform over 1e-300..1e300, and over 1e-3..1e3, where scores are
+# finite and a mirror tie between the stationary shifts is decided.
+_MAGNITUDE = st.one_of(st.floats(-300.0, 300.0),
+                       st.floats(-3.0, 3.0)).map(lambda e: 10.0 ** e)
+_ZERO = st.sampled_from([0.0, -0.0])
+_SIGNED = st.one_of(_ZERO, _MAGNITUDE, _MAGNITUDE.map(lambda x: -x))
 _FRACTION = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
 _BOUND = st.one_of(_SIGNED, st.sampled_from([-0.0, 1.7e308, -1.7e308,
                                              math.inf, -math.inf]))
@@ -536,9 +540,10 @@ _BOUND = st.one_of(_SIGNED, st.sampled_from([-0.0, 1.7e308, -1.7e308,
 
 @st.composite
 def _systems(draw):
-    """Rates, couplings and drives log-uniform over 1e-300..1e300 with
-    zeros among them (g_2, eta_3, eps_3), ports equal or independent, and
-    a band with lo < hi that may be unbounded, exclude 0 or overflow."""
+    """Rates, couplings and drives log-uniform with zeros among them
+    (g_2, eta_3, eps_3, with -0.0 for delta and eps_3 as a divisor's
+    sign), ports equal or independent, and a band with lo < hi that may
+    be unbounded, exclude 0 or overflow."""
     def port():
         kappa = draw(_MAGNITUDE)
         return (CavityMode.from_eta(kappa, draw(_FRACTION)), draw(_MAGNITUDE),
@@ -550,8 +555,8 @@ def _systems(draw):
         mode_1=mode_1, mode_2=mode_2,
         magnon=MagnonMode(draw(_MAGNITUDE), draw(_FRACTION)),
         squeeze=SqueezeSpec(g_squeeze=0.0, omega_s_mhz=draw(_SIGNED)),
-        drive=DriveAmplitudes(eps_1, eps_2, draw(st.one_of(st.just(0.0),
-                                                             _MAGNITUDE))),
+        drive=DriveAmplitudes(eps_1, eps_2,
+                              draw(st.one_of(_ZERO, _MAGNITUDE))),
         g0_1_mhz=g_1, g0_2_mhz=draw(st.one_of(st.just(0.0), st.just(g_2))),
         delta_mhz=draw(_SIGNED), delta_f_mhz=draw(_SIGNED))
     if draw(st.booleans()):  # a band that a mirror pair can fit in

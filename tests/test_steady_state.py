@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from magnon_sagnac import (
+    CavityMode,
     DegenerateSystemError,
     DriveAmplitudes,
     DriveSide,
@@ -161,6 +162,18 @@ class TestSentinels:
     def test_zero_drive_raises(self, base_params):
         p = dataclasses.replace(base_params,
                                 drive=DriveAmplitudes(0.0, 1.0, 1.0))
+        with pytest.raises(NoTransmissionError):
+            transmissions(p)
+
+    def test_only_the_read_amplitudes_are_solved(self, base_params):
+        """kappa_1 = 5e-324 at delta_1 = 0 rounds d1 = kappa_1/2 + i delta_1
+        to 0, and kappa_1's external part to 0.  The drive-left a1, which
+        neither T12 nor T21 reads, would divide by d1; the two amplitudes
+        read are finite, and port 1 passes no light."""
+        p = dataclasses.replace(base_params, delta_mhz=0.0, delta_f_mhz=0.0,
+                                mode_1=CavityMode.from_eta(5e-324, 0.5))
+        with pytest.raises(ZeroDivisionError):
+            solve_closed_form(p, DriveSide.LEFT)
         with pytest.raises(NoTransmissionError):
             transmissions(p)
 
