@@ -19,7 +19,9 @@ for the damping rates this gives the reversal thresholds gamma_0 and
 kappa_0 reported by :func:`reciprocal_points`.
 
 A grid takes these formulas on numpy arrays, one parameter set their
-``*_float`` mirrors: the same bits from Python floats, without numpy.
+``*_float`` mirrors: the same bits from Python floats, without numpy,
+through the float rules of :mod:`.steady_state` (``_div``, ``_sqrt``,
+``_max``, ``_min``).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from ._lazy import lazy_import
 from .model import (DIRECTION_LABELS, FEASIBLE_FIZEAU_BAND, PhysicsError,
                     SystemParams, _close, direction_index, is_symmetric,
                     with_delta_f)
-from .steady_state import (TransmissionReport, kernel_args,
-                           require_optical_drive, transmissions)
+from .steady_state import (TransmissionReport, _div, _max, _min, _sqrt,
+                           kernel_args, require_optical_drive, transmissions)
 
 np = lazy_import("numpy")
 
@@ -129,23 +131,6 @@ def half_band_shift(lo: float, hi: float, **args):
             np.copyto(shift, x, where=better)
             np.copyto(best, score, where=better)
     return shift
-
-
-def _div(a: float, b: float) -> float:
-    """``np.divide`` of floats: a +/-0 divisor gives +/-inf or nan."""
-    return a / b if b else a * math.copysign(math.inf, b)
-
-
-def _sqrt(x: float) -> float:
-    return math.sqrt(x) if x >= 0.0 else math.nan  # np.sqrt: nan below 0
-
-
-def _max(a: float, b: float) -> float:  # np.maximum: nan if either is
-    return a if a > b or a != a else b
-
-
-def _min(a: float, b: float) -> float:  # np.minimum: nan if either is
-    return a if a < b or a != a else b
 
 
 def _stationary_float(*, delta, kappa_1, kappa_2, gamma_m, g_1, g_2, eta_1,
@@ -264,8 +249,8 @@ def reciprocal_points(params: SystemParams) -> ReciprocalPoints:
     gamma_m = params.magnon.gamma_m_mhz
     delta = params.delta_mhz
     matched = _close(delta, g * math.sqrt(kappa / gamma_m))
-    gamma_0 = g * g * kappa / delta ** 2 if delta != 0.0 else math.inf
-    kappa_0 = delta ** 2 * gamma_m / (g * g) if g != 0.0 else math.inf
+    gamma_0 = kappa * (g / delta) * (g / delta) if delta != 0.0 else math.inf
+    kappa_0 = gamma_m * (delta / g) * (delta / g) if g != 0.0 else math.inf
     return ReciprocalPoints(gamma_0, kappa_0, matched)
 
 
@@ -284,8 +269,8 @@ def brute_force_optimum(params: SystemParams,
     extremal ``sweep()`` applies at every point, so a response that does
     not depend on the shift keeps the point nearest 0.  Only the winner is
     solved with the scalar :func:`.transmissions`, whose errors are raised;
-    ``isolation_db`` is -inf where its isolation is nan.  Makes no symmetry
-    assumptions.
+    a nan isolation there raises ``PhysicsError`` with an ``OVERFLOW``
+    message.  Makes no symmetry assumptions.
     """
     lo, hi = band
     if not lo < hi:
@@ -293,4 +278,7 @@ def brute_force_optimum(params: SystemParams,
     require_optical_drive(params)
     x = _band_shift_float(lo, hi, kernel_args(params))
     value = transmissions(with_delta_f(params, x)).i_abs_db
-    return OptimumResult(x, -math.inf if math.isnan(value) else value)
+    if math.isnan(value):
+        raise PhysicsError("OVERFLOW: isolation_db left the float range at "
+                           f"the band's best shift, delta_f_mhz = {x:.12g}")
+    return OptimumResult(x, value)

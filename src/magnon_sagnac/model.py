@@ -115,11 +115,7 @@ def fizeau_shift(rotation: RotationSpec,
         return 0.0
     spin = sign * 2.0 * math.pi * rotation.omega_rot_hz
     n = rotation.refractive_index
-    bracket = 1.0
-    if not first_term_only:
-        # n ** 2 overflows above n = 1.3e154; from 1e154 on, 1/n^2 is too
-        # small to change the bracket.
-        bracket = 1.0 - (1.0 / n ** 2 if n < 1e154 else 0.0)
+    bracket = 1.0 if first_term_only else 1.0 - 1.0 / (n * n)
     shift = (spin * n * rotation.radius_m * rotation.omega0_mhz
              / CONSTANTS.c_m_per_s * bracket)
     # Skipped without dispersion, so that a -0.0 shift keeps its sign;

@@ -24,7 +24,9 @@ ratio is R = (T12 / T21)^2 and I = 10 log10 R in dB.
 The scalar route (:func:`solve_closed_form`, :func:`transmissions`) is
 plain ``math`` and ``complex``; numpy is bound lazily and loads only
 when :func:`solve_generic` or the grid kernel :func:`transmission_grid`
-first runs.
+first runs.  Numpy's float rules for one parameter set live here, in
+:func:`_div`, :func:`_sqrt`, :func:`_max` and :func:`_min`, and every
+scalar function of the package takes them from this module.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ class TransmissionReport:
     ``i_signed_db`` is positive when port-2-to-port-1 transmission wins
     and negative the other way; ``i_abs_db`` is its magnitude.  The
     sentinel values ratio = inf / i_signed_db = +inf (or 0.0 / -inf)
-    flag a point where exactly one of the two outputs vanishes.
+    flag a point where exactly one of T12 and T21 is 0, or where R left
+    the float range.
     """
 
     t12: float
@@ -82,6 +85,23 @@ class TransmissionReport:
     ratio: float
     i_signed_db: float
     i_abs_db: float
+
+
+def _div(a: float, b: float) -> float:
+    """``np.divide`` of floats: a +/-0 divisor gives +/-inf or nan."""
+    return a / b if b else a * math.copysign(math.inf, b)
+
+
+def _sqrt(x: float) -> float:
+    return math.sqrt(x) if x >= 0.0 else math.nan  # np.sqrt: nan below 0
+
+
+def _max(a: float, b: float) -> float:  # np.maximum: nan if either is
+    return a if a > b or a != a else b
+
+
+def _min(a: float, b: float) -> float:  # np.minimum: nan if either is
+    return a if a < b or a != a else b
 
 
 def _coefficients(params: SystemParams, side: DriveSide | None):
@@ -113,6 +133,9 @@ def _closed_setup(params: SystemParams, side: DriveSide | None):
 def solve_closed_form(params: SystemParams, side: DriveSide) -> SteadyState:
     """Closed-form steady state for a one-sided optical drive."""
     (d1, d2, dm, g1, g2, f1, f2, f3), den, a1, a2 = _closed_setup(params, side)
+    if (d1 if side is DriveSide.LEFT else d2) == 0:
+        raise DegenerateSystemError("the driven mode's kappa/2 + i delta "
+                                    "rounds to 0")
     if side is DriveSide.LEFT:
         m = (d1 * d2 * f3 - 1j * g1 * d2 * f1) / den
         a1 = f1 / d1 - 1j * g1 * m / d1
@@ -178,20 +201,13 @@ def transmissions(params: SystemParams, method: str = "closed") -> TransmissionR
     else:
         raise ValueError(f"unknown method {method!r}, expected 'closed' or 'generic'")
     m1, m2 = params.mode_1, params.mode_2  # a_out = sqrt(eta kappa) a
-    backward = abs(math.sqrt(m2.eta * m2.kappa_mhz) * a2)
-    forward = abs(math.sqrt(m1.eta * m1.kappa_mhz) * a1)
-    t12 = forward / params.drive.eps_2
-    t21 = backward / params.drive.eps_1
-    if forward == 0.0 and backward == 0.0:
+    t12 = abs(math.sqrt(m1.eta * m1.kappa_mhz) * a1) / params.drive.eps_2
+    t21 = abs(math.sqrt(m2.eta * m2.kappa_mhz) * a2) / params.drive.eps_1
+    if t12 == 0.0 and t21 == 0.0:
         raise NoTransmissionError("both output amplitudes vanish")
-    if backward == 0.0:
-        ratio, i_signed = math.inf, math.inf
-    elif forward == 0.0:
-        ratio, i_signed = 0.0, -math.inf
-    else:  # R may leave the float range: I is then +/-inf, as on a grid
-        quotient = t12 / t21
-        ratio = quotient * quotient
-        i_signed = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+    quotient = _div(t12, t21)
+    ratio = quotient * quotient
+    i_signed = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
     return TransmissionReport(t12, t21, ratio, i_signed, abs(i_signed))
 
 

@@ -105,9 +105,8 @@ class DeltaFPolicy(Enum):
 
 @dataclass(frozen=True)
 class _Quantity:
-    """How one sweepable quantity is read, written and fed to the kernel."""
+    """How one sweepable quantity is written and fed to the kernel."""
 
-    get: Callable[[SystemParams], float]
     set: Callable[[SystemParams, float], SystemParams]
     kernel: Callable[[dict, SystemParams, np.ndarray], dict]  # args to replace
 
@@ -123,33 +122,31 @@ def _squeezed_couplings(args: dict, base: SystemParams, grid) -> dict:
 # a coupling-ratio axis so the ratio acts on the squeeze-enhanced value.
 _QUANTITIES = {
     SweepParameter.DELTA_F: _Quantity(
-        lambda p: p.delta_f_mhz, lambda p, v: replace(p, delta_f_mhz=v),
+        lambda p, v: replace(p, delta_f_mhz=v),
         lambda args, base, grid: {"delta_f": grid}),
     SweepParameter.GAMMA_M: _Quantity(
-        lambda p: p.magnon.gamma_m_mhz,
         lambda p, v: replace(p, magnon=replace(p.magnon, gamma_m_mhz=v)),
         lambda args, base, grid: {"gamma_m": grid}),
     SweepParameter.KAPPA: _Quantity(
-        lambda p: p.mode_1.kappa_mhz,
         lambda p, v: replace(p, mode_1=CavityMode.from_eta(v, p.mode_1.eta),
                              mode_2=CavityMode.from_eta(v, p.mode_2.eta)),
         lambda args, base, grid: {"kappa_1": grid, "kappa_2": grid}),
     SweepParameter.DELTA: _Quantity(
-        lambda p: p.delta_mhz, lambda p, v: replace(p, delta_mhz=v),
+        lambda p, v: replace(p, delta_mhz=v),
         lambda args, base, grid: {"delta": grid}),
     SweepParameter.SQUEEZE: _Quantity(
-        lambda p: p.squeeze.g_squeeze,
         lambda p, v: replace(p, squeeze=SqueezeSpec(v, p.squeeze.omega_s_mhz)),
         _squeezed_couplings),
     SweepParameter.COUPLING_RATIO: _Quantity(
-        lambda p: p.g0_2_mhz / p.g0_1_mhz,
         lambda p, v: replace(p, g0_2_mhz=v * p.g0_1_mhz),
         lambda args, base, grid: {"g_2": grid * np.asarray(args["g_1"])}),
     SweepParameter.OMEGA_S: _Quantity(
-        lambda p: p.squeeze.omega_s_mhz,
         lambda p, v: replace(p, squeeze=replace(p.squeeze, omega_s_mhz=v)),
         lambda args, base, grid: {"omega_s": grid}),
 }
+# The base linewidth each normalization divisor names.
+_DIVISORS = {SweepParameter.GAMMA_M: lambda p: p.magnon.gamma_m_mhz,
+             SweepParameter.KAPPA: lambda p: p.mode_1.kappa_mhz}
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,7 @@ class Axis:
             raise ValueError("axis span must be finite")
         if not self.start < self.stop:
             raise ValueError("axis start must lie below stop")
-        if self.normalization not in (None, SweepParameter.GAMMA_M,
-                                      SweepParameter.KAPPA):
+        if self.normalization not in (None, *_DIVISORS):
             raise ValueError("normalization divisor must be gamma_m or kappa")
 
     def values(self) -> np.ndarray:
@@ -187,7 +183,7 @@ class Axis:
 
     def scale(self, base: SystemParams) -> float:
         return (1.0 if self.normalization is None
-                else _QUANTITIES[self.normalization].get(base))
+                else _DIVISORS[self.normalization](base))
 
     def label(self) -> str:
         return (self.parameter.value if self.normalization is None

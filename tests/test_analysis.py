@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magnon_sagnac import (
@@ -17,6 +17,7 @@ from magnon_sagnac import (
     NoTransmissionError,
     PhysicsError,
     RECIPROCAL_TOL_DB,
+    RotationSpec,
     SqueezeSpec,
     SymmetryRequiredError,
     SystemParams,
@@ -24,10 +25,13 @@ from magnon_sagnac import (
     brute_force_optimum,
     classify_direction,
     extremal_fizeau_general,
+    fizeau_shift,
     output_fields,
     reciprocal_points,
     solve_closed_form,
     transmissions,
+    validate,
+    validate_rotation,
     with_delta_f,
 )
 from magnon_sagnac import analysis
@@ -247,6 +251,20 @@ class TestReciprocalPoints:
         with pytest.raises(SymmetryRequiredError):
             reciprocal_points(p)
 
+    @pytest.mark.parametrize("kwargs,gamma_0,kappa_0", [
+        ({"delta_mhz": 1e-170}, math.inf, 0.0),
+        ({"delta_mhz": 2e154}, 1.1007220065478425e-305,
+         3.997376243797989e+305),
+        ({"delta_mhz": 20.0, "g0_mhz": 1e-170}, 0.0, math.inf),
+    ], ids=["tiny_delta", "huge_delta", "tiny_coupling"])
+    def test_thresholds_outside_the_float_range(self, kwargs, gamma_0,
+                                                kappa_0):
+        # (g / delta)^2 and (delta / g)^2 leave the float range only where
+        # the threshold does: delta ** 2 overflowed at 2e154, and delta ** 2
+        # or g * g underflowed to a zero divisor at 1e-170.
+        pts = reciprocal_points(SystemParams.symmetric(**kwargs))
+        assert (pts.gamma_0_mhz, pts.kappa_0_mhz) == (gamma_0, kappa_0)
+
 
 class TestClassifyDirection:
     def test_all_three_outcomes(self, base_params):
@@ -418,11 +436,14 @@ class TestBruteForce:
 
     def test_overflowing_candidates_never_win(self, base_params):
         # Beyond about 1e155 MHz every response overflows to nan: on the
-        # first band only the edges do, on the second every candidate.
+        # first band only the edges do, on the second every candidate, and
+        # the winner's nan isolation is an OVERFLOW.
         opt = brute_force_optimum(base_params, band=(-1e200, 1e200))
         assert opt == OptimumResult(-REF_DF_PLUS, 41.630719318499786)
-        opt = brute_force_optimum(base_params, band=(1e160, 2e160))
-        assert opt.isolation_db == -math.inf
+        with pytest.raises(PhysicsError, match=(
+                r"^OVERFLOW: isolation_db left the float range at the "
+                r"band's best shift, delta_f_mhz = 1e\+160$")):
+            brute_force_optimum(base_params, band=(1e160, 2e160))
 
     def test_finds_the_peak_the_scan_misses(self):
         """The narrow optimum falls between the 2001 scan points; the
@@ -510,15 +531,12 @@ def two_solves(params):
     right = solve_closed_form(params, DriveSide.RIGHT)
     forward = abs(output_fields(right, params).a1_out)
     t12, t21 = forward / params.drive.eps_2, backward / params.drive.eps_1
-    if forward == 0.0 and backward == 0.0:
+    if t12 == 0.0 and t21 == 0.0:
         raise NoTransmissionError("both output amplitudes vanish")
-    if backward == 0.0:
-        ratio, i_signed = math.inf, math.inf
-    elif forward == 0.0:
-        ratio, i_signed = 0.0, -math.inf
-    else:
-        ratio = (t12 / t21) * (t12 / t21)
-        i_signed = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
+    # R = (T12 / T21)^2 as numpy computes it on a grid.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = np.square(np.divide(t12, t21)).item()
+    i_signed = -math.inf if ratio == 0.0 else 10.0 * math.log10(ratio)
     return TransmissionReport(t12, t21, ratio, i_signed, abs(i_signed))
 
 
@@ -586,6 +604,72 @@ def test_float_route_keeps_the_array_bits(system):
             _bits(isolation_ratio(**dict(args, delta_f=x)))
     assert repr(_outcome(transmissions, params)) == \
         repr(_outcome(two_solves, params))
+
+
+# Rates, couplings and drives log-uniform over 1e-300..1e300, with 0 and
+# the smallest subnormal among them.
+_EXTREME = st.one_of(_MAGNITUDE, st.sampled_from([0.0, 5e-324]))
+_SIGNED_EXTREME = st.one_of(_SIGNED, st.sampled_from([5e-324, -5e-324]))
+
+
+@st.composite
+def _valid_systems(draw):
+    """A valid system of extreme values; half of them mirror-symmetric,
+    with the magnon port and drive equal to the optical ones, so that
+    ``reciprocal_points`` solves them."""
+    kappa, eta, g, eps = (draw(_EXTREME), draw(_FRACTION), draw(_EXTREME),
+                          draw(_EXTREME))
+    detunings = {"delta_mhz": draw(_SIGNED_EXTREME),
+                 "delta_f_mhz": draw(_SIGNED_EXTREME)}
+    if draw(st.booleans()):
+        params = SystemParams.symmetric(
+            g0_mhz=g, g_squeeze=0.0, kappa_mhz=kappa, eta=eta, eps=eps,
+            gamma_m_mhz=draw(_EXTREME), omega_s_mhz=draw(_SIGNED),
+            **detunings)
+    else:
+        params = SystemParams(
+            mode_1=CavityMode.from_eta(kappa, eta),
+            mode_2=CavityMode.from_eta(draw(_EXTREME), draw(_FRACTION)),
+            magnon=MagnonMode(draw(_EXTREME), draw(_FRACTION)),
+            squeeze=SqueezeSpec(0.0, draw(_SIGNED)),
+            drive=DriveAmplitudes(eps, draw(_EXTREME), draw(_EXTREME)),
+            g0_1_mhz=g, g0_2_mhz=draw(_EXTREME), **detunings)
+    assume(not validate(params))
+    return params
+
+
+_ROTATIONS = st.builds(RotationSpec, omega_rot_hz=_EXTREME,
+                       refractive_index=_EXTREME, radius_m=_EXTREME,
+                       dn_dwavelength_per_m=_SIGNED_EXTREME,
+                       omega0_mhz=_EXTREME)
+_FAINT_PORT_2 = dataclasses.replace(  # T21 underflows after / eps_1
+    SystemParams.symmetric(), drive=DriveAmplitudes(1e300, 1.0, 1.0),
+    g0_1_mhz=1e-200, g0_2_mhz=1e-200)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_valid_systems(), _ROTATIONS)
+@example(_FAINT_PORT_2, RotationSpec())
+@example(SystemParams.symmetric(delta_mhz=2e154), RotationSpec())
+@example(SystemParams.symmetric(kappa_mhz=5e-324), RotationSpec(
+    refractive_index=1.2e154))
+def test_scalar_functions_answer_or_name_their_error(params, rotation):
+    """Every function of one parameter set returns, or raises a
+    ``PhysicsError`` or ``ValueError``, on any valid system: never a raw
+    ``ZeroDivisionError`` or ``OverflowError``."""
+    calls = [lambda: transmissions(params),
+             lambda: solve_closed_form(params, DriveSide.LEFT),
+             lambda: solve_closed_form(params, DriveSide.RIGHT),
+             lambda: brute_force_optimum(params),
+             lambda: extremal_fizeau_general(params),
+             lambda: reciprocal_points(params)]
+    if not validate_rotation(rotation):
+        calls.append(lambda: fizeau_shift(rotation))
+    for call in calls:
+        try:
+            call()
+        except (PhysicsError, ValueError):
+            pass
 
 
 def test_golden_section_finds_simple_maxima():

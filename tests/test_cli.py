@@ -13,7 +13,7 @@ import sys
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magnon_sagnac import (Axis, SweepParameter, cli, default_document,
@@ -317,6 +317,30 @@ class TestSteadyAndIsolate:
                                     "--set", "delta_f_mhz=10"])
         assert (payload["ratio"], payload["i_signed_db"]) == ("inf", "inf")
         assert payload["direction"] == "forward"
+
+    def test_isolate_gives_the_sweep_code_where_t21_underflows(self, capsys):
+        # The port-2 output is about 1e-200, so T21 = output / eps_1
+        # underflows to 0 while T12 is 1.5e-200: the sweep row's
+        # INF_ISOLATION, not a division by zero.
+        sets = ["--set", 'drive={"eps": [1e300, 1, 1]}',
+                "--set", "g0_mhz=[1e-200, 1e-200]"]
+        payload = run_json(capsys, ["isolate", *sets])
+        assert (payload["t21"], payload["ratio"], payload["i_signed_db"],
+                payload["direction"]) == (0.0, "inf", "inf", "forward")
+        assert run(["sweep", "--axis", "delta_f=0:1:2", *sets]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[3:] == ["0.0000000000000000e+00", "inf", "inf", "inf",
+                           "forward", "INF_ISOLATION"]
+        assert float(row[2]) == pytest.approx(payload["t12"], rel=1e-12)
+
+    @pytest.mark.parametrize("side,kappa", [("left", "[5e-324, 1.1]"),
+                                            ("right", "[1.1, 5e-324]")])
+    def test_steady_names_a_vanishing_driven_mode(self, capsys, side, kappa):
+        # kappa/2 + i delta of the driven mode rounds to 0.
+        assert run(["steady", "--side", side, "--set", f"kappa_mhz={kappa}",
+                    "--set", "delta_mhz=0", "--set", "delta_f_mhz=0"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: the driven mode's kappa/2 + i delta rounds to 0\n")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command,names", [
@@ -754,27 +778,33 @@ class TestAllocatorThresholds:
         assert cli._keep_freed_memory() is False
 
 
-# Config keys and how the property draws their values: 0.0, -0.0 or
-# log-uniform magnitudes over 1e-300..1e300 of either sign, except where a
-# key has a natural range.
+# Config keys and how the property draws their values: 0.0, -0.0, the
+# smallest subnormal or log-uniform magnitudes over 1e-300..1e300 of
+# either sign, except where a key has a natural range.  The drives are
+# three non-negative such magnitudes, and g0 and kappa also take a pair.
 _MAGNITUDE = st.one_of(
-    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
     st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
               st.sampled_from([1.0, -1.0]), st.floats(-300.0, 300.0)))
 _FRACTION = st.floats(0.0, 1.0)
+_PAIR = st.lists(_MAGNITUDE, min_size=2, max_size=2)
 _SET_VALUES = {
     "G": st.floats(-400.0, 400.0),
     "eta": _FRACTION,
     "eta3": _FRACTION,
-    "band_mhz": st.lists(_MAGNITUDE, min_size=2, max_size=2).map(sorted),
+    "band_mhz": _PAIR.map(sorted),
+    "drive.eps": st.lists(_MAGNITUDE.map(abs), min_size=3, max_size=3),
+    "g0_mhz": st.one_of(_MAGNITUDE, _PAIR),
+    "kappa_mhz": st.one_of(_MAGNITUDE, _PAIR),
     **{key: _MAGNITUDE for key in (
-        "g0_mhz", "kappa_mhz", "gamma_m_mhz", "delta_mhz", "delta_f_mhz",
+        "gamma_m_mhz", "delta_mhz", "delta_f_mhz",
         "omega_s_mhz", "rotation.omega_rot_hz", "rotation.n", "rotation.r_m",
         "rotation.dn_dlambda", "rotation.omega0_thz")},
 }
 _COMMANDS = {
     "isolate": ["isolate"],
     "steady_closed": ["steady", "--method", "closed"],
+    "steady_right": ["steady", "--method", "closed", "--side", "right"],
     "steady_generic": ["steady", "--method", "generic", "--side", "right"],
     "optimize_brute": ["optimize", "--brute"],
     "optimize_analytic": ["optimize", "--analytic"],
@@ -793,9 +823,19 @@ def _overrides(draw):
     return [f"{key}={json.dumps(draw(_SET_VALUES[key]))}" for key in keys]
 
 
+_UNDERFLOWING_T21 = ['drive={"eps": [1e300, 1, 1]}', "g0_mhz=[1e-200, 1e-200]"]
+_ZERO_DRIVEN_MODE = ["delta_mhz=0", "delta_f_mhz=0"]
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(command=st.sampled_from(sorted(_COMMANDS)),
        fmt=st.sampled_from(["text", "json"]), overrides=_overrides())
+@example(command="isolate", fmt="text", overrides=_UNDERFLOWING_T21)
+@example(command="optimize_brute", fmt="text", overrides=_UNDERFLOWING_T21)
+@example(command="steady_closed", fmt="text",
+         overrides=["kappa_mhz=[5e-324, 1.1]", *_ZERO_DRIVEN_MODE])
+@example(command="steady_right", fmt="json",
+         overrides=["kappa_mhz=[1.1, 5e-324]", *_ZERO_DRIVEN_MODE])
 def test_every_command_answers_or_names_its_error(command, fmt, overrides):
     """Any command, with any 1-3 extreme but finite ``--set`` values,
     returns 0 with finite numbers or exits 1 or 3 with one error line

@@ -118,8 +118,8 @@ class TestFizeauShift:
         assert fizeau_shift(rot) < fizeau_shift(rot, first_term_only=True)
 
     def test_huge_refractive_index_leaves_the_bracket_at_one(self):
-        # n ** 2 overflows at 1e200; at both, 1/n^2 is far below the
-        # rounding of the bracket.
+        # n * n is inf at 1e200; at both, 1/n^2 is far below the rounding
+        # of the bracket.
         for n in (1e154, 1e200):
             rot = RotationSpec(refractive_index=n)
             assert fizeau_shift(rot) == fizeau_shift(rot, first_term_only=True)

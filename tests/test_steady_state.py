@@ -168,14 +168,48 @@ class TestSentinels:
     def test_only_the_read_amplitudes_are_solved(self, base_params):
         """kappa_1 = 5e-324 at delta_1 = 0 rounds d1 = kappa_1/2 + i delta_1
         to 0, and kappa_1's external part to 0.  The drive-left a1, which
-        neither T12 nor T21 reads, would divide by d1; the two amplitudes
-        read are finite, and port 1 passes no light."""
+        neither T12 nor T21 reads, would divide by d1, so the full solve
+        names the degenerate system; the two amplitudes read are finite,
+        and port 1 passes no light."""
         p = dataclasses.replace(base_params, delta_mhz=0.0, delta_f_mhz=0.0,
                                 mode_1=CavityMode.from_eta(5e-324, 0.5))
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DegenerateSystemError, match="driven mode"):
             solve_closed_form(p, DriveSide.LEFT)
         with pytest.raises(NoTransmissionError):
             transmissions(p)
+
+    @pytest.mark.parametrize("side", list(DriveSide))
+    def test_a_vanishing_driven_mode_is_degenerate(self, base_params, side):
+        """kappa/2 + i delta of the driven mode rounds to 0, though the
+        determinant does not: the amplitude that divides by it is not
+        solved."""
+        tiny = CavityMode.from_eta(5e-324, 0.5)
+        p = dataclasses.replace(
+            base_params, delta_mhz=0.0, delta_f_mhz=0.0,
+            **{"mode_1" if side is DriveSide.LEFT else "mode_2": tiny})
+        with pytest.raises(DegenerateSystemError, match="driven mode"):
+            solve_closed_form(p, side)
+
+    @pytest.mark.parametrize("eps_1,eps_2,t12,t21,ratio", [
+        (1e300, 1.0, 1.5e-200, 0.0, math.inf),
+        (1.0, 1e300, 0.0, 1.5e-200, 0.0),
+    ])
+    def test_a_transmission_that_underflows_is_zero(
+            self, base_params, eps_1, eps_2, t12, t21, ratio):
+        """Both outputs are about 1.5e-200; divided by a drive of 1e300 a
+        transmission underflows to 0, and is classified as on a grid: one
+        such is an infinite isolation, two are no transmission."""
+        p = dataclasses.replace(base_params,
+                                drive=DriveAmplitudes(eps_1, eps_2, 1.0),
+                                g0_1_mhz=1e-200, g0_2_mhz=1e-200)
+        report = transmissions(p)
+        assert (report.t12, report.t21) == pytest.approx((t12, t21),
+                                                         rel=0.05)
+        assert (report.ratio, report.i_signed_db) == (
+            ratio, math.copysign(math.inf, t12 - t21))
+        with pytest.raises(NoTransmissionError):
+            transmissions(dataclasses.replace(
+                p, drive=DriveAmplitudes(1e300, 1e300, 1.0)))
 
     def test_unknown_method(self, base_params):
         with pytest.raises(ValueError):

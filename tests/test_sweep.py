@@ -99,9 +99,15 @@ class TestApplyParameter:
         (SweepParameter.OMEGA_S, 55.0),
     ])
     def test_round_trip(self, base_params, parameter, value):
+        """A value written with the table's ``set`` column reaches the
+        kernel as its ``kernel`` column substitutes it into the base."""
+        args = kernel_args(base_params)
+        substituted = sweep_module._QUANTITIES[parameter].kernel(
+            args, base_params, np.array(value))
+        want = dict(args, **{key: np.asarray(v).item()
+                             for key, v in substituted.items()})
         updated = apply_parameter(base_params, parameter, value)
-        assert sweep_module._QUANTITIES[parameter].get(updated) == \
-            pytest.approx(value, rel=1e-12)
+        assert kernel_args(updated) == pytest.approx(want, rel=1e-12)
 
     def test_kappa_rewrite_preserves_eta(self, base_params):
         updated = apply_parameter(base_params, SweepParameter.KAPPA, 0.3)
@@ -114,8 +120,7 @@ class TestApplyParameter:
         it as in a direct one and keeps the pump's omega_s."""
         spec = SqueezeSpec.from_pump(10.0, 5.0)
         pumped = dataclasses.replace(base_params, squeeze=spec)
-        assert sweep_module._QUANTITIES[SweepParameter.SQUEEZE].get(pumped) \
-            == spec.g_squeeze
+        assert pumped.squeeze.g_squeeze == spec.g_squeeze
         assert apply_parameter(pumped, SweepParameter.SQUEEZE, 0.3).squeeze \
             == SqueezeSpec(0.3, spec.omega_s_mhz)
         res = sweep(with_delta_f(pumped, 20.0),

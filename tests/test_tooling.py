@@ -261,6 +261,30 @@ def test_public_names_resolve():
     _python("-c", "from magnon_sagnac import *")
 
 
+# Imports that only perfbench reads, through its trace hooks.
+_IMPORTED_FOR_PERFBENCH = {("cli", "Path"), ("cli", "run_preset"),
+                           ("sweep", "brute_force_optimum")}
+
+
+def test_src_modules_use_every_import():
+    """Each name a module of the package imports is read in that module,
+    apart from the package's re-exports and ``__future__`` features."""
+    unused = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - read}
+    assert unused == _IMPORTED_FOR_PERFBENCH
+
+
 _CONCURRENCY = ("concurrent", "threading", "multiprocessing", "_thread")
 
 
