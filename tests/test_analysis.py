@@ -259,9 +259,9 @@ class TestReciprocalPoints:
     ], ids=["tiny_delta", "huge_delta", "tiny_coupling"])
     def test_thresholds_outside_the_float_range(self, kwargs, gamma_0,
                                                 kappa_0):
-        # (g / delta)^2 and (delta / g)^2 leave the float range only where
-        # the threshold does: delta ** 2 overflowed at 2e154, and delta ** 2
-        # or g * g underflowed to a zero divisor at 1e-170.
+        # Each threshold is a rate times a squared quotient, which leaves
+        # the float range only where the threshold does; the square of
+        # delta or g alone overflows at 2e154 and underflows at 1e-170.
         pts = reciprocal_points(SystemParams.symmetric(**kwargs))
         assert (pts.gamma_0_mhz, pts.kappa_0_mhz) == (gamma_0, kappa_0)
 

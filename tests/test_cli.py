@@ -333,15 +333,6 @@ class TestSteadyAndIsolate:
                            "forward", "INF_ISOLATION"]
         assert float(row[2]) == pytest.approx(payload["t12"], rel=1e-12)
 
-    @pytest.mark.parametrize("side,kappa", [("left", "[5e-324, 1.1]"),
-                                            ("right", "[1.1, 5e-324]")])
-    def test_steady_names_a_vanishing_driven_mode(self, capsys, side, kappa):
-        # kappa/2 + i delta of the driven mode rounds to 0.
-        assert run(["steady", "--side", side, "--set", f"kappa_mhz={kappa}",
-                    "--set", "delta_mhz=0", "--set", "delta_f_mhz=0"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: the driven mode's kappa/2 + i delta rounds to 0\n")
-
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command,names", [
         (["isolate"], "t12, t21"),
